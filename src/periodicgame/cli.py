@@ -157,7 +157,7 @@ def _cmd_experiment(args) -> int:
                 out_csv = f"{args.out_dir.rstrip('/')}/{spec.name}.csv"
             cfg = RunConfig(experiment=spec.name, algo=args.algo, eta=args.eta,
                             steps=args.steps, record_every=args.record_every,
-                            out_csv=out_csv, log_y=args.log_y)
+                            seed=args.seed, out_csv=out_csv, log_y=args.log_y)
             traj, equilibrium, paths = run_experiment(cfg)
             print(f"== {spec.name}")
             _print_run_summary(traj, equilibrium, paths)
@@ -165,7 +165,7 @@ def _cmd_experiment(args) -> int:
     if not args.name:
         raise ConfigError("experiment name required (or --list / --all)")
     cfg = RunConfig(experiment=args.name, algo=args.algo, eta=args.eta,
-                    steps=args.steps, record_every=args.record_every,
+                    steps=args.steps, record_every=args.record_every, seed=args.seed,
                     out_csv=args.out_csv, out_svg=args.out_svg, log_y=args.log_y)
     traj, equilibrium, paths = run_experiment(cfg)
     _print_run_summary(traj, equilibrium, paths)
@@ -310,15 +310,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_plot(args) -> int:
     data = read_csv(args.in_csv)
-    ts = data["t"].tolist()
+    ts = data["t"]
     if args.series == "kl":
-        series = [("kl_to_ref", list(zip(ts, data["kl_to_ref"].tolist())))]
+        series = [("kl_to_ref", np.column_stack([ts, data["kl_to_ref"]]))]
     else:
         series = []
         for name in ("x1", "x2"):
             block = data[name]
             for i in range(block.shape[1]):
-                series.append((f"{name}_{i + 1}", list(zip(ts, block[:, i].tolist()))))
+                series.append((f"{name}_{i + 1}", np.column_stack([ts, block[:, i]])))
     emit_svg_plot(series, args.out_svg, log_y=args.log_y)
     print(f"wrote svg: {args.out_svg}")
     return EXIT_OK

@@ -249,11 +249,11 @@ def run_experiment(cfg: RunConfig):
 def _svg_series(traj: Trajectory, log_y: bool):
     ts = traj.times
     if log_y and traj.reference is not None:
-        return [("KL(eq, x^t)", list(zip(ts.tolist(), traj.kl_to_ref.tolist())))]
+        return [("KL(eq, x^t)", np.column_stack([ts, traj.kl_to_ref]))]
     series = []
     p1, p2 = traj.probabilities1, traj.probabilities2
     for i in range(p1.shape[1]):
-        series.append((f"x1_{i + 1}", list(zip(ts.tolist(), p1[:, i].tolist()))))
+        series.append((f"x1_{i + 1}", np.column_stack([ts, p1[:, i]])))
     for j in range(p2.shape[1]):
-        series.append((f"x2_{j + 1}", list(zip(ts.tolist(), p2[:, j].tolist()))))
+        series.append((f"x2_{j + 1}", np.column_stack([ts, p2[:, j]])))
     return series

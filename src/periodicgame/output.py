@@ -8,7 +8,7 @@ the SVG contains no timestamps or random ids.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -17,14 +17,7 @@ from .simplex import Trajectory
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
-
-
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+_CSV_BLOCK = 1024
 
 
 def emit_csv(traj: Trajectory, path: str) -> None:
@@ -35,46 +28,43 @@ def emit_csv(traj: Trajectory, path: str) -> None:
               + [f"x1_{i + 1}" for i in range(m)]
               + [f"x2_{j + 1}" for j in range(n)]
               + ["kl_to_ref", "min_component"])
-    p1, p2 = traj.probabilities1, traj.probabilities2
-    phases = traj.phases
-    lines = [",".join(header)]
-    for r in range(traj.n_records):
-        row = [str(int(traj.times[r])), str(int(phases[r]))]
-        row += [_fmt(v) for v in p1[r]]
-        row += [_fmt(v) for v in p2[r]]
-        row.append(_fmt(float(traj.kl_to_ref[r])))
-        row.append(_fmt(float(traj.min_component[r])))
-        lines.append(",".join(row))
+    table = np.column_stack([traj.times, traj.phases, traj.probabilities1,
+                             traj.probabilities2, traj.kl_to_ref, traj.min_component])
+    # '%.17g' also writes nan, inf, -inf and -0, so one template per row.
+    row_fmt = "%d,%d" + ",%.17g" * (m + n + 2) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        # Blocks of rows keep the Python row lists small.
+        for lo in range(0, len(table), _CSV_BLOCK):
+            rows = table[lo:lo + _CSV_BLOCK].tolist()
+            fh.write("".join([row_fmt % tuple(row) for row in rows]))
 
 
 def read_csv(path: str) -> dict:
     """Parse a trajectory CSV back into arrays (exact float round-trip)."""
     with open(path, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    if len(rows) < 2:
+        lines = [line for line in fh if line.strip()]
+    if len(lines) < 2:
         raise InputError(f"{path} holds no data rows")
-    header = rows[0]
-    cols = {name: idx for idx, name in enumerate(header)}
-    x1_cols = [c for c in header if c.startswith("x1_")]
-    x2_cols = [c for c in header if c.startswith("x2_")]
-    data = rows[1:]
+    body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    cols = {name: idx for idx, name in enumerate(lines[0].rstrip("\n").split(","))}
 
-    def column(name, dtype=float):
-        return np.array([dtype(r[cols[name]]) for r in data])
+    def block(prefix):
+        return body[:, [i for name, i in cols.items() if name.startswith(prefix)]]
 
     return {
-        "t": column("t", int),
-        "phase": column("phase", int),
-        "x1": np.column_stack([column(c) for c in x1_cols]),
-        "x2": np.column_stack([column(c) for c in x2_cols]),
-        "kl_to_ref": column("kl_to_ref"),
-        "min_component": column("min_component"),
+        "t": body[:, cols["t"]].astype(np.int64),
+        "phase": body[:, cols["phase"]].astype(np.int64),
+        "x1": block("x1_"),
+        "x2": block("x2_"),
+        "kl_to_ref": body[:, cols["kl_to_ref"]],
+        "min_component": body[:, cols["min_component"]],
     }
 
 
-Series = Sequence[Tuple[str, Sequence[Tuple[float, float]]]]
+# Each entry pairs a label with its points: any sequence of (t, v) pairs,
+# or an (N, 2) array.
+Series = Sequence[Tuple[str, Union[Sequence[Tuple[float, float]], np.ndarray]]]
 
 _WIDTH, _HEIGHT = 800, 600
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 16, 16, 48
@@ -82,29 +72,34 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 16, 16, 48
 
 def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     """Standalone SVG 1.1 line chart: one polyline per series, linear or
-    log10 y-axis, min/max tick labels, and a legend.  Non-finite values
-    (and nonpositive ones under log_y) are dropped; the dropped count is
-    noted in an SVG comment."""
+    log10 y-axis, min/max tick labels, and a legend.  The points of a series
+    are (t, v) pairs or an (N, 2) array.  Non-finite values (and nonpositive
+    ones under log_y) are dropped; the dropped count is noted in an SVG
+    comment."""
     if not series:
         raise InputError("no series to plot")
     cleaned = []
     dropped = 0
     for label, points in series:
-        keep = []
-        for t, v in points:
-            ok = math.isfinite(t) and math.isfinite(v) and (not log_y or v > 0)
-            if ok:
-                keep.append((float(t), float(v)))
-            else:
-                dropped += 1
-        cleaned.append((str(label), keep))
-    if all(not pts for _, pts in cleaned):
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        keep = np.isfinite(pts).all(axis=1)
+        if log_y:
+            keep &= pts[:, 1] > 0
+        dropped += pts.shape[0] - int(keep.sum())
+        ts, vs = pts[keep, 0], pts[keep, 1]
+        if log_y:
+            # math.log10, not np.log10, which may differ in the last ulp.
+            vs = np.array(list(map(math.log10, vs.tolist())), dtype=np.float64)
+        cleaned.append((str(label), ts, vs))
+    if all(ts.size == 0 for _, ts, _ in cleaned):
         raise InputError("every data point was dropped; nothing to plot")
 
-    xs = [t for _, pts in cleaned for t, _ in pts]
-    ys = [math.log10(v) if log_y else v for _, pts in cleaned for _, v in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
+    # argmin/argmax take the first extreme in point order; np.min/np.max may
+    # return either zero of a +0/-0 tie, which shows in a zero tick label.
+    xs = np.concatenate([ts for _, ts, _ in cleaned])
+    ys = np.concatenate([vs for _, _, vs in cleaned])
+    x_lo, x_hi = float(xs[xs.argmin()]), float(xs[xs.argmax()])
+    y_lo, y_hi = float(ys[ys.argmin()]), float(ys[ys.argmax()])
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -112,13 +107,6 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-
-    def sx(t):
-        return _MARGIN_L + (t - x_lo) / (x_hi - x_lo) * plot_w
-
-    def sy(v):
-        vv = math.log10(v) if log_y else v
-        return _MARGIN_T + (y_hi - vv) / (y_hi - y_lo) * plot_h
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -141,15 +129,18 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
         f'<text x="{_MARGIN_L - 6}" y="{_MARGIN_T + 12}" {axis_font} '
         f'text-anchor="end">{y_hi_label}</text>',
     ]
-    for idx, (label, pts) in enumerate(cleaned):
-        if not pts:
+    for idx, (label, ts, vs) in enumerate(cleaned):
+        if ts.size == 0:
             continue
         color = _PALETTE[idx % len(_PALETTE)]
-        coords = " ".join(f"{sx(t):.3f},{sy(v):.3f}" for t, v in pts)
+        sx = _MARGIN_L + (ts - x_lo) / (x_hi - x_lo) * plot_w
+        sy = _MARGIN_T + (y_hi - vs) / (y_hi - y_lo) * plot_h
+        coords = (" ".join(["%.3f,%.3f"] * ts.size)
+                  % tuple(np.column_stack([sx, sy]).ravel().tolist()))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                    f'points="{coords}"/>')
     legend_y = _MARGIN_T + 18
-    for idx, (label, _) in enumerate(cleaned):
+    for idx, (label, _, _) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         y = legend_y + idx * 18
         out.append(f'<line x1="{_WIDTH - 170}" y1="{y - 4}" x2="{_WIDTH - 140}" '

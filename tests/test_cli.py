@@ -173,6 +173,23 @@ class TestCliCommands:
         assert main(["plot", "--in-csv", str(csv), "--out-svg", str(svg2),
                      "--series", "kl", "--log-y"]) == 0
 
+    def test_experiment_seed_draws_init(self, tmp_path, capsys):
+        def exp1_csv(tag, *flags):
+            out = tmp_path / tag
+            out.mkdir()
+            main(["experiment", "exp1", "--steps", "50", "--out-csv", str(out / "exp1.csv"),
+                  *flags])
+            all_dir = out / "all"
+            all_dir.mkdir()
+            main(["experiment", "--all", "--steps", "50", "--out-dir", str(all_dir), *flags])
+            return (out / "exp1.csv").read_bytes(), (all_dir / "exp1.csv").read_bytes()
+
+        seed1, seed1_again, seed2 = (exp1_csv("a", "--seed", "1"), exp1_csv("b", "--seed", "1"),
+                                     exp1_csv("c", "--seed", "2"))
+        assert seed1 == seed1_again
+        assert seed1[0] != seed2[0] and seed1[1] != seed2[1]
+        assert seed1[0] != exp1_csv("d")[0]
+
     def test_experiment_all(self, tmp_path, capsys):
         code = main(["experiment", "--all", "--steps", "50",
                      "--out-dir", str(tmp_path)])

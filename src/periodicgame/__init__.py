@@ -26,7 +26,6 @@ from .dynamics import (
     omwu_reduced_composite,
     omwu_reduced_map,
     run_trajectory,
-    spectral_norm,
 )
 from .equilibrium import (
     EquilibriumResult,
@@ -48,12 +47,10 @@ from .experiments import (
 )
 from .linalg import (
     boundary_eigenvalue,
-    char_poly_coeffs,
     char_poly_eval,
     eigenvalues_small,
     interior_eigenvalue_pair,
     jacobian_fd,
-    polynomial_roots,
     unit_eigenvector,
 )
 from .output import emit_csv, emit_svg_plot, read_csv

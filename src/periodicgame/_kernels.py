@@ -4,8 +4,10 @@ Every kernel is written as plain scalar numpy/math code so that it runs
 unchanged either JIT-compiled by numba or as ordinary Python.  The backend
 is chosen once at import time: numba is used when it imports and
 ``PERIODICGAME_NO_NUMBA`` does not disable it (set it to ``1`` to force the
-pure-Python path); otherwise the pure-Python kernels run.  The benchmark in
-``benchmarks/`` compares the two.
+pure-Python path); otherwise the pure-Python kernels run.  The traced
+claims-sweep run of ``perfbench/run.py`` reports kernel steps/s for
+whichever backend is active, so running it with and without the flag
+compares the two.
 
 Log-weights passed in must already be normalized log-probabilities; the
 kernels keep them normalized after every step.

@@ -33,6 +33,8 @@ from .dynamics import (
 from .equilibrium import common_equilibrium
 from .errors import ConfigError, InputError, NumericalError
 from .experiments import (
+    DEFAULT_ALGO,
+    DEFAULT_ETA_EXTRA,
     RunConfig,
     builtin_experiments,
     default_init,
@@ -70,9 +72,8 @@ class _Parser(argparse.ArgumentParser):
         return EXIT_USAGE
 
 
-def _add_run_flags(sub, with_algo=True):
-    if with_algo:
-        sub.add_argument("--algo", choices=[a.value for a in Algorithm])
+def _add_run_flags(sub):
+    sub.add_argument("--algo", choices=[a.value for a in Algorithm])
     sub.add_argument("--eta", type=float)
     sub.add_argument("--steps", type=int)
     sub.add_argument("--record-every", type=int, dest="record_every")
@@ -148,7 +149,7 @@ def _cmd_experiment(args) -> int:
         for spec in builtin_experiments():
             game = spec.game
             print(f"{spec.name}: {game.m}x{game.n}, period {game.period}, "
-                  f"default algo {spec.default_algo.value}, eta {spec.default_eta}")
+                  f"default algo {DEFAULT_ALGO.value}, eta {DEFAULT_ETA_EXTRA}")
         return EXIT_OK
     if args.all:
         for spec in builtin_experiments():

@@ -188,41 +188,10 @@ def run_trajectory(
     )
 
 
-def spectral_norm(a: np.ndarray, rel_tol: float = 1e-12, max_iter: int = 500) -> float:
-    """Largest singular value via power iteration on A^T A."""
-    a = np.asarray(a, dtype=np.float64)
-    if not a.any():
-        return 0.0
-    n = a.shape[1]
-    # Fixed seed keeps the start deterministic yet generic (an all-ones
-    # start can sit in the null space of A^T A).
-    v = np.random.default_rng(12345).standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = a.T @ (a @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - lam) <= rel_tol * norm:
-            lam = norm
-            break
-        lam = norm
-    return math.sqrt(lam)
-
-
-def max_step_size(game: PeriodicGame, norm: str = "spectral") -> float:
-    """Reciprocal of the largest schedule matrix norm; step sizes must stay
-    strictly below this.  ``norm`` is "spectral" (default) or the
-    conservative "frobenius"."""
-    if norm == "spectral":
-        norms = [spectral_norm(a.entries) for a in game.matrices]
-    elif norm == "frobenius":
-        norms = [float(np.linalg.norm(a.entries)) for a in game.matrices]
-    else:
-        raise InputError(f"unknown norm {norm!r}")
-    top = max(norms)
+def max_step_size(game: PeriodicGame) -> float:
+    """Reciprocal of the largest spectral norm in the schedule; step sizes
+    must stay strictly below this (inf for an all-zero schedule)."""
+    top = max(float(np.linalg.norm(a.entries, 2)) for a in game.matrices)
     if top == 0.0:
         return math.inf
     return 1.0 / top

@@ -21,12 +21,4 @@ class ConfigError(InputError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge or produced garbage.
-
-    ``residuals`` carries diagnostic values when the failing routine
-    has them (e.g. polynomial root residuals).
-    """
-
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
+    """A numerical routine failed to converge or produced garbage."""

@@ -37,6 +37,7 @@ NOCOMMON3 = (
     ((0.0, 0.25, 0.75), (1.5, 0.0, 0.0), (0.0, 1.0, 0.0)),   # t mod 3 = 2
 )
 
+DEFAULT_ALGO = Algorithm.EXTRA_MWU
 DEFAULT_STEPS = 20_000
 DEFAULT_ETA_EXTRA = 0.1
 DEFAULT_ETA_OMWU = 0.01
@@ -46,32 +47,17 @@ DEFAULT_ETA_OMWU = 0.01
 class ExperimentSpec:
     name: str
     game: PeriodicGame
-    default_algo: Algorithm
-    default_eta: float
-    default_steps: int
-    reference_policy: str  # "solve_common" or "none"
-    explicit_reference: Optional[JointState] = None
 
 
 def builtin_experiments() -> List[ExperimentSpec]:
     """The four built-in schedules: the 2x2 alternating counterexample, the
     two 3x3 common-equilibrium experiments, and the 3-periodic schedule
     without a common equilibrium."""
-    def spec(name, mats):
-        return ExperimentSpec(
-            name=name,
-            game=PeriodicGame(mats),
-            default_algo=Algorithm.EXTRA_MWU,
-            default_eta=DEFAULT_ETA_EXTRA,
-            default_steps=DEFAULT_STEPS,
-            reference_policy="solve_common",
-        )
-
     return [
-        spec("game2x2", GAME_2X2),
-        spec("exp1", EXP1),
-        spec("exp2", EXP2),
-        spec("nocommon3", NOCOMMON3),
+        ExperimentSpec("game2x2", PeriodicGame(GAME_2X2)),
+        ExperimentSpec("exp1", PeriodicGame(EXP1)),
+        ExperimentSpec("exp2", PeriodicGame(EXP2)),
+        ExperimentSpec("nocommon3", PeriodicGame(NOCOMMON3)),
     ]
 
 
@@ -190,32 +176,23 @@ def resolve_game(cfg: RunConfig):
 
 
 def run_experiment(cfg: RunConfig):
-    """Resolve defaults, solve for a reference when requested, run, and
-    write any requested files.
+    """Resolve defaults, solve for a common equilibrium as the reference,
+    run, and write any requested files.
 
     Returns (trajectory, equilibrium-or-None, {kind: path}).
     """
-    game, spec = resolve_game(cfg)
-    algo = Algorithm(cfg.algo) if cfg.algo else (
-        spec.default_algo if spec else Algorithm.EXTRA_MWU)
+    game, _ = resolve_game(cfg)
+    algo = Algorithm(cfg.algo) if cfg.algo else DEFAULT_ALGO
     if cfg.eta is not None:
         eta = float(cfg.eta)
     elif algo is Algorithm.OMWU:
         eta = DEFAULT_ETA_OMWU
     else:
-        eta = spec.default_eta if spec else DEFAULT_ETA_EXTRA
-    steps = cfg.steps if cfg.steps is not None else (
-        spec.default_steps if spec else DEFAULT_STEPS)
+        eta = DEFAULT_ETA_EXTRA
+    steps = cfg.steps if cfg.steps is not None else DEFAULT_STEPS
 
-    reference = None
-    equilibrium = None
-    policy = spec.reference_policy if spec else "solve_common"
-    if spec and spec.explicit_reference is not None:
-        reference = spec.explicit_reference
-    elif policy == "solve_common":
-        equilibrium = common_equilibrium(game)
-        if equilibrium is not None:
-            reference = equilibrium.joint
+    equilibrium = common_equilibrium(game)
+    reference = equilibrium.joint if equilibrium is not None else None
 
     if cfg.init is not None:
         current = _init_state(cfg.init)

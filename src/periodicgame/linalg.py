@@ -1,9 +1,9 @@
 """Dense linear algebra for tiny matrices (n <= 8): finite-difference
-Jacobians, characteristic polynomials, and eigenvalues.
+Jacobians, characteristic-polynomial values, and eigenvalues.
 
-Eigenvalues come from the Faddeev-LeVerrier recursion followed by
-Durand-Kerner root iteration; ``char_poly_eval`` (complex LU determinant)
-is the independent cross-check on any claimed eigenvalue.
+Eigenvalues come from LAPACK through ``np.linalg.eigvals``;
+``char_poly_eval`` (a complex LU determinant of M - lam I) is the
+independent cross-check on any claimed eigenvalue.
 """
 
 from __future__ import annotations
@@ -66,76 +66,13 @@ def char_poly_eval(M, lam: complex) -> complex:
     return complex(det)
 
 
-def char_poly_coeffs(M) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first,
-    via the Faddeev-LeVerrier recursion."""
-    a = _check_square(M).astype(np.float64)
-    n = a.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    mk = a.copy()
-    for k in range(1, n + 1):
-        coeffs[k] = -np.trace(mk) / k
-        if k < n:
-            mk = a @ (mk + coeffs[k] * np.eye(n))
-    return coeffs
-
-
-def _poly_eval(coeffs: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
-
-
-def polynomial_roots(coeffs, tol: float = 1e-12, max_iter: int = 1000) -> np.ndarray:
-    """Durand-Kerner iteration on a monic polynomial.
-
-    Raises NumericalError (residuals attached) when neither the update
-    steps nor the residuals settle within the iteration budget.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs[0] != 1.0:
-        coeffs = coeffs / coeffs[0]
-    n = coeffs.size - 1
-    if n < 1:
-        return np.empty(0, dtype=np.complex128)
-    radius = 1.0 + float(np.abs(coeffs[1:]).max())
-    seed = 0.4 + 0.9j
-    roots = np.array([radius * seed ** (k + 1) for k in range(n)], dtype=np.complex128)
-    scale = 1.0 + float(np.abs(coeffs).sum())
-    converged = False
-    for _ in range(max_iter):
-        biggest_move = 0.0
-        for i in range(n):
-            denom = 1.0 + 0.0j
-            for j in range(n):
-                if j != i:
-                    diff = roots[i] - roots[j]
-                    if diff == 0:
-                        diff = complex(tol, tol)
-                    denom *= diff
-            delta = _poly_eval(coeffs, roots[i]) / denom
-            roots[i] -= delta
-            biggest_move = max(biggest_move, abs(delta))
-        if biggest_move <= tol:
-            converged = True
-            break
-    residuals = np.array([abs(_poly_eval(coeffs, z)) for z in roots])
-    if not converged and residuals.max() > tol * scale:
-        raise NumericalError(
-            f"root iteration did not converge (max residual {residuals.max():.3e})",
-            residuals=residuals,
-        )
-    return roots
-
-
-def eigenvalues_small(M, tol: float = 1e-12, max_iter: int = 1000) -> np.ndarray:
-    """All eigenvalues of a small matrix, sorted by modulus descending."""
+def eigenvalues_small(M) -> np.ndarray:
+    """All eigenvalues of a small matrix (LAPACK), sorted by modulus
+    descending, then by real and imaginary part descending."""
     a = _check_square(M)
     if a.shape[0] > MAX_EIG_DIM:
         raise InputError(f"eigenvalues_small handles n <= {MAX_EIG_DIM}")
-    roots = polynomial_roots(char_poly_coeffs(a), tol=tol, max_iter=max_iter)
+    roots = np.linalg.eigvals(a).astype(np.complex128)
     order = np.lexsort((roots.imag, roots.real, np.abs(roots)))[::-1]
     return roots[order]
 

@@ -41,13 +41,27 @@ def emit_csv(traj: Trajectory, path: str) -> None:
 
 
 def read_csv(path: str) -> dict:
-    """Parse a trajectory CSV back into arrays (exact float round-trip)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+    """Parse a trajectory CSV back into arrays (exact float round-trip);
+    a malformed file raises InputError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     if len(lines) < 2:
         raise InputError(f"{path} holds no data rows")
-    body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    cols = {name: idx for idx, name in enumerate(lines[0].rstrip("\n").split(","))}
+    header = lines[0].rstrip("\n").split(",")
+    cols = {name: idx for idx, name in enumerate(header)}
+    missing = sorted({"t", "phase", "kl_to_ref", "min_component"} - cols.keys())
+    if missing:
+        raise InputError(f"{path} has no {missing[0]!r} column")
+    try:
+        body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    if body.shape[1] != len(header):
+        raise InputError(f"{path}: rows have {body.shape[1]} cells, the header "
+                         f"names {len(header)}")
 
     def block(prefix):
         return body[:, [i for name, i in cols.items() if name.startswith(prefix)]]

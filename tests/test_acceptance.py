@@ -99,9 +99,12 @@ def test_criterion_03_omwu_divergence_2x2(game2x2):
             assert extended.kl_to_ref[crossed[0]] > 25.0
             print("  boundary reached before the step cap")
         else:
-            # cap hit: the monotonicity portion above carries the criterion
-            print("  step cap hit with min_component "
-                  f"{extended.min_component.min():.3g}; monotone portion governs")
+            # cap hit: the run must still have drifted outward past the window
+            assert extended.kl_to_ref[-1] > window.kl_to_ref[-1]
+            assert extended.min_component[-1] < window.min_component[-1]
+            print(f"  step cap hit: kl {window.kl_to_ref[-1]:.10g} -> "
+                  f"{extended.kl_to_ref[-1]:.10g}, min_component "
+                  f"{window.min_component[-1]:.10g} -> {extended.min_component[-1]:.10g}")
 
 
 def test_criterion_04_interior_instability():

@@ -8,6 +8,9 @@ import periodicgame as pg
 from periodicgame.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+GOOD_CSV = ("t,phase,x1_1,x1_2,x2_1,x2_2,kl_to_ref,min_component\n"
+            "0,0,0.5,0.5,0.5,0.5,0,0.5\n"
+            "1,1,0.5,0.5,0.5,0.5,0,0.5\n")
 
 
 class TestBuiltinRegistry:
@@ -172,6 +175,24 @@ class TestCliCommands:
         svg2 = tmp_path / "kl.svg"
         assert main(["plot", "--in-csv", str(csv), "--out-svg", str(svg2),
                      "--series", "kl", "--log-y"]) == 0
+
+    @pytest.mark.parametrize("body", [
+        pytest.param(GOOD_CSV.replace("1,1,0.5", "1,1,abc"), id="non-numeric-cell"),
+        pytest.param(GOOD_CSV.replace("0,0.5\n", "0\n", 1), id="ragged-row"),
+        pytest.param(GOOD_CSV.replace("0,0.5\n", "0\n"), id="rows-shorter-than-header"),
+        pytest.param(GOOD_CSV.replace("t,", "time,", 1), id="no-t-column"),
+        pytest.param(GOOD_CSV.replace("kl_to_ref", "kl"), id="no-kl-column"),
+        pytest.param(GOOD_CSV.encode("utf-16"), id="not-utf8"),
+    ])
+    def test_plot_bad_csv_is_input_error(self, tmp_path, capsys, body):
+        csv = tmp_path / "bad.csv"
+        csv.write_bytes(body if isinstance(body, bytes) else body.encode())
+        code = main(["plot", "--in-csv", str(csv), "--out-svg", str(tmp_path / "bad.svg")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"input error: {csv}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "bad.svg").exists()
 
     def test_experiment_seed_draws_init(self, tmp_path, capsys):
         def exp1_csv(tag, *flags):

@@ -17,6 +17,8 @@ OMWU_STEP_X2 = (0.45074261083466715761697533140199307374, 0.54925738916533284238
 EXTRA_HALF_X1 = (0.50499983333999973016966445985441974876, 0.49500016666000026983033554014558025124)
 EXTRA_NEXT_X2 = (0.40024001598111807950656828813742040926, 0.59975998401888192049343171186257959074)
 
+EXP2 = tuple(np.asarray(m, float) for m in pg.experiments.EXP2)
+
 
 def joint(p1, p2):
     return pg.JointState.from_probabilities(p1, p2)
@@ -213,30 +215,18 @@ class TestMaxStepSize:
         game = pg.PeriodicGame((np.zeros((2, 2)),))
         assert pg.max_step_size(game) == math.inf
 
-    def test_against_svd(self):
-        # exp2 schedule plus random matrices, cross-checked with LAPACK SVD
-        rng = np.random.default_rng(8)
-        mats = [np.asarray(m, float) for m in pg.experiments.EXP2]
-        mats += [rng.normal(size=(3, 4)) for _ in range(5)]
-        for m in mats:
-            top = np.linalg.svd(m, compute_uv=False)[0]
-            assert pg.spectral_norm(m) == pytest.approx(top, rel=1e-10)
-        game = pg.PeriodicGame(tuple(np.asarray(m, float) for m in pg.experiments.EXP2))
-        top = max(np.linalg.svd(np.asarray(m, float), compute_uv=False)[0]
-                  for m in pg.experiments.EXP2)
+    @pytest.mark.parametrize("mats", [
+        *(pytest.param((m,), id=f"exp2-t{k}") for k, m in enumerate(EXP2)),
+        *(pytest.param((m,), id=f"random-{k}")
+          for k, m in enumerate(np.random.default_rng(8).normal(size=(5, 3, 4)))),
+        # A^T A maps the all-ones vector to zero here.
+        pytest.param((np.array([[1.0, -1.0], [-1.0, 1.0]]),), id="ones-null-space"),
+        pytest.param(EXP2, id="exp2-schedule"),
+    ])
+    def test_against_svd(self, mats):
+        top = max(np.linalg.svd(m, compute_uv=False)[0] for m in mats)
+        game = pg.PeriodicGame(mats)
         assert pg.max_step_size(game) == pytest.approx(1.0 / top, rel=1e-10)
-
-    def test_frobenius_option(self, game2x2):
-        assert pg.max_step_size(game2x2, norm="frobenius") == pytest.approx(
-            1.0 / math.sqrt(2.0), rel=1e-12)
-        with pytest.raises(pg.InputError):
-            pg.max_step_size(game2x2, norm="nuclear")
-
-    def test_ones_null_space_start(self):
-        # A^T A maps the all-ones vector to zero here; the power iteration
-        # must still find the top singular value.
-        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        assert pg.spectral_norm(m) == pytest.approx(2.0, rel=1e-10)
 
 
 class TestReducedMap:

@@ -44,15 +44,6 @@ class TestCharPoly:
             ref = np.linalg.det(m - lam * np.eye(n))
             assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
-    def test_coeffs_match_numpy_poly(self):
-        rng = np.random.default_rng(22)
-        for _ in range(50):
-            n = int(rng.integers(2, 7))
-            m = rng.normal(size=(n, n))
-            mine = pg.char_poly_coeffs(m)
-            ref = np.poly(m)
-            assert np.abs(mine - ref).max() <= 1e-8 * max(1.0, np.abs(ref).max())
-
 
 class TestEigenvaluesSmall:
     def test_diagonal(self):
@@ -92,26 +83,19 @@ class TestEigenvaluesSmall:
         with pytest.raises(pg.InputError):
             pg.eigenvalues_small(np.eye(9))
 
-    def test_nonconvergence_reports_residuals(self):
-        coeffs = np.array([1.0, 0.0, 0.0, 0.0, -16.0])
-        with pytest.raises(pg.NumericalError) as info:
-            pg.polynomial_roots(coeffs, max_iter=1)
-        assert info.value.residuals is not None
-
 
 class TestReducedMapSpectra:
     def test_interior_eigenvalues_on_char_poly(self):
         # FD Jacobian at the interior equilibrium, probed at the two analytic
         # eigenvalue branches (each a double root of the quartic).
-        for eta in (0.01, 0.05, 0.1):
+        for eta in (0.01, 0.05, 0.0855, 0.1):
             jac = pg.jacobian_fd(composite(eta), np.full(4, 0.5))
             lo, hi = interior_eigenvalue_pair(eta)
             assert abs(pg.char_poly_eval(jac, lo)) <= 1e-8
             assert abs(pg.char_poly_eval(jac, hi)) <= 1e-8
             assert hi > 1.0 > lo > 0.0
-            mods = np.abs(pg.eigenvalues_small(jac))
-            assert mods.max() > 1.0
-            assert mods.min() < 1.0
+            mods = np.sort(np.abs(pg.eigenvalues_small(jac)))
+            assert np.abs(mods - [lo, lo, hi, hi]).max() <= 1e-9
 
     def test_boundary_spectrum_and_eigenvector(self):
         for eta in (0.05, 0.1):

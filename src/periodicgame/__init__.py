@@ -2,7 +2,7 @@
 games: MWU, optimistic MWU, and extra-gradient MWU, plus the analysis
 toolkit that verifies their convergence/divergence behavior numerically."""
 
-from ._kernels import USING_NUMBA, backend_name
+from ._kernels import backend_name, backend_reason
 from .checks import (
     OrbitVerdict,
     PropertyReport,
@@ -61,7 +61,6 @@ from .simplex import (
     PeriodicGame,
     Simplex,
     Trajectory,
-    TrajectoryStep,
     kl_divergence,
     kl_simplex,
     normalize_log_weights,

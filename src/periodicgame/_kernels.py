@@ -1,54 +1,43 @@
-"""Hot inner loops for trajectory iteration.
+"""Hot inner loops for trajectory iteration: a C kernel with a Python fallback.
 
-Every kernel is written as plain scalar numpy/math code so that it runs
-unchanged either JIT-compiled by numba or as ordinary Python.  The backend
-is chosen once at import time: numba is used when it imports and
-``PERIODICGAME_NO_NUMBA`` does not disable it (set it to ``1`` to force the
-pure-Python path); otherwise the pure-Python kernels run.  The traced
-claims-sweep run of ``perfbench/run.py`` reports kernel steps/s for
-whichever backend is active, so running it with and without the flag
-compares the two.
+``_kernels.c`` holds ``run_schedule`` (all three rules) and
+``run_reduced_composite``, written operation for operation like the
+pure-Python kernels in this module, so both backends give the same bits.
+On first import the C source is compiled with ``$CC`` (default ``cc``) into
+``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
+variable is unset), under a name keyed by a sha256 of the source, the
+compiler flags and ``cc --version``; later imports load the cached library
+with ctypes.  When anything fails (no compiler, a compile error, an
+unwritable cache, a library that does not load) the Python kernels run
+instead and ``backend_reason()`` says why.  ``PERIODICGAME_BACKEND=python``
+forces them.  ``run_schedule_py`` and ``run_reduced_composite_py`` stay the
+reference that the native kernels are tested against.
 
 Log-weights passed in must already be normalized log-probabilities; the
 kernels keep them normalized after every step.
 """
 
+import ctypes
+import hashlib
 import math
 import os
+import shlex
+import shutil
+import subprocess
+import tempfile
 
 import numpy as np
+
+from .errors import InputError
 
 ALGO_MWU = 0
 ALGO_OMWU = 1
 ALGO_EXTRA = 2
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("PERIODICGAME_NO_NUMBA", "").strip().lower()
-    return flag in ("", "0", "false", "no")
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-std=c99")
 
 
-USING_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:
-        USING_NUMBA = False
-
-if USING_NUMBA:
-    _jit = njit(cache=True)
-else:
-    def _jit(func):
-        return func
-
-
-def backend_name() -> str:
-    return "numba" if USING_NUMBA else "python"
-
-
-@_jit
 def _lse_normalize(lw):
     # In-place log-softmax: afterwards logsumexp(lw) == 0.
     m = lw[0]
@@ -63,13 +52,11 @@ def _lse_normalize(lw):
         lw[i] = lw[i] - c
 
 
-@_jit
 def _exp_into(lw, out):
     for i in range(lw.size):
         out[i] = math.exp(lw[i])
 
 
-@_jit
 def _matvec(a, x, out):
     for i in range(a.shape[0]):
         acc = 0.0
@@ -78,7 +65,6 @@ def _matvec(a, x, out):
         out[i] = acc
 
 
-@_jit
 def _mat_t_vec(a, x, out):
     for j in range(a.shape[1]):
         acc = 0.0
@@ -87,8 +73,7 @@ def _mat_t_vec(a, x, out):
         out[j] = acc
 
 
-@_jit
-def run_schedule(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, out2):
+def run_schedule_py(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, out2):
     """Iterate one of the three update rules over the periodic schedule.
 
     mats: (T, m, n).  lw1/lw2: normalized log-probs of the current state,
@@ -177,7 +162,6 @@ def run_schedule(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, 
     return r
 
 
-@_jit
 def reduced_even(z, eta, out):
     # Two-step map applied from an even time index of the 2x2
     # alternating game; exponents follow from x_2 = 1 - x_1 on each simplex.
@@ -193,7 +177,6 @@ def reduced_even(z, eta, out):
     out[3] = z4 / (z4 + (1.0 - z4) * e2)
 
 
-@_jit
 def reduced_odd(z, eta, out):
     # Companion map applied from an odd time index.
     z1 = z[0]
@@ -208,8 +191,7 @@ def reduced_odd(z, eta, out):
     out[3] = z4 / (z4 + (1.0 - z4) * e2)
 
 
-@_jit
-def run_reduced_composite(z0, eta, n_steps, out):
+def run_reduced_composite_py(z0, eta, n_steps, out):
     """Iterate (even-map o odd-map) n_steps times, recording every iterate."""
     z = np.empty(4)
     w = np.empty(4)
@@ -221,3 +203,146 @@ def run_reduced_composite(z0, eta, n_steps, out):
         reduced_even(w, eta, z)
         for k in range(4):
             out[step + 1, k] = z[k]
+
+
+class _BuildError(Exception):
+    pass
+
+
+def _build_library(environ):
+    """Path of the compiled library and "compiled" or "cached"; raises
+    _BuildError naming the cause when there is none."""
+    cc = shlex.split(environ.get("CC") or "cc")
+    if not cc or shutil.which(cc[0]) is None:
+        raise _BuildError(f"compiler {' '.join(cc)!r} not found")
+    try:
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
+        version = subprocess.run(cc + ["--version"], capture_output=True,
+                                 timeout=60, check=True).stdout
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _BuildError(f"compiler {cc[0]!r} failed: {exc}") from None
+    key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(), version]))
+    cache = os.path.join(environ.get("XDG_CACHE_HOME")
+                         or os.path.join(os.path.expanduser("~"), ".cache"), "periodicgame")
+    path = os.path.join(cache, f"_kernels-{key.hexdigest()[:16]}.so")
+    if os.path.exists(path):
+        return path, "cached"
+    try:
+        os.makedirs(cache, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                                   dir=cache)
+        os.close(fd)
+    except OSError as exc:
+        raise _BuildError(f"cache {cache} not writable: {exc}") from None
+    try:
+        proc = subprocess.run(cc + [*_CFLAGS, "-o", tmp, _SOURCE, "-lm"],
+                              capture_output=True, text=True, timeout=300)
+        if proc.returncode != 0:
+            detail = (proc.stderr.strip().splitlines() or ["no output"])[0]
+            raise _BuildError(f"{cc[0]!r} exited with {proc.returncode}: {detail}")
+        # Concurrent first imports each build their own file; the last
+        # rename wins and every process loads a complete library.
+        os.replace(tmp, path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _BuildError(f"compile failed: {exc}") from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return path, "compiled"
+
+
+def _load(environ):
+    """(ctypes library or None, reason) for the given environment."""
+    choice = environ.get("PERIODICGAME_BACKEND", "").strip().lower()
+    if choice == "python":
+        return None, "python: PERIODICGAME_BACKEND=python"
+    if choice not in ("", "native"):
+        return None, f"python: PERIODICGAME_BACKEND={choice!r} is not 'native' or 'python'"
+    try:
+        path, how = _build_library(environ)
+    except _BuildError as exc:
+        return None, f"python: {exc}"
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError as exc:
+        return None, f"python: cannot load {path}: {exc}"
+    ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
+    lib.run_schedule.argtypes = [ctypes.c_int, ptr, long_, long_, long_, double, long_,
+                                 ptr, long_] + [ptr] * 7
+    lib.run_schedule.restype = long_
+    lib.run_reduced_composite.argtypes = [ptr, double, long_, ptr]
+    lib.run_reduced_composite.restype = long_
+    return lib, f"native: {how} {path}"
+
+
+def _out_buffer(name, a, shape, min_rows=None):
+    # Results are written through a raw pointer, so the caller's array must
+    # be the exact memory layout the C code assumes.
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.writeable):
+        raise InputError(f"{name} must be a writable C-contiguous float64 array")
+    ok = a.shape == shape if min_rows is None else (
+        a.ndim == 2 and a.shape[0] >= min_rows and a.shape[1:] == shape)
+    if not ok:
+        rows = "" if min_rows is None else f"at least {min_rows} rows of "
+        raise InputError(f"{name} must have {rows}shape {shape}, got {a.shape}")
+
+
+def _bind(lib):
+    """Thin wrappers with the Python kernels' signatures and in-place
+    effects around the C functions of ``lib``.  Every array handed to C
+    stays bound to a local name until the call returns."""
+
+    def run_schedule(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, out2):
+        mats = np.ascontiguousarray(mats, dtype=np.float64)
+        rec = np.ascontiguousarray(rec_times, dtype=np.int64)
+        if mats.ndim != 3 or 0 in mats.shape or rec.ndim != 1:
+            raise InputError("mats must be a non-empty (T, m, n) stack and rec_times 1-d")
+        periods, m, n = mats.shape
+        q1 = np.ascontiguousarray(lwp1, dtype=np.float64)
+        q2 = np.ascontiguousarray(lwp2, dtype=np.float64)
+        if q1.shape != (m,) or q2.shape != (n,):
+            raise InputError(f"lwp1/lwp2 must have shapes ({m},)/({n},)")
+        _out_buffer("lw1", lw1, (m,))
+        _out_buffer("lw2", lw2, (n,))
+        _out_buffer("out1", out1, (m,), rec.size)
+        _out_buffer("out2", out2, (n,), rec.size)
+        scratch = np.empty(5 * (m + n))
+        written = lib.run_schedule(
+            int(algo), mats.ctypes.data, periods, m, n, float(eta), int(steps),
+            rec.ctypes.data, rec.size, lw1.ctypes.data, lw2.ctypes.data,
+            q1.ctypes.data, q2.ctypes.data, out1.ctypes.data, out2.ctypes.data,
+            scratch.ctypes.data)
+        if written < 0:
+            raise OverflowError("math range error")
+        return written
+
+    def run_reduced_composite(z0, eta, n_steps, out):
+        z = np.ascontiguousarray(z0, dtype=np.float64)
+        if z.shape != (4,):
+            raise InputError(f"z0 must have shape (4,), got {z.shape}")
+        n_steps = int(n_steps)
+        _out_buffer("out", out, (4,), max(n_steps, 0) + 1)
+        if lib.run_reduced_composite(z.ctypes.data, float(eta), n_steps, out.ctypes.data) < 0:
+            raise OverflowError("math range error")
+
+    return run_schedule, run_reduced_composite
+
+
+_lib, _reason = _load(os.environ)
+if _lib is not None:
+    run_schedule, run_reduced_composite = _bind(_lib)
+else:
+    run_schedule, run_reduced_composite = run_schedule_py, run_reduced_composite_py
+
+
+def backend_name() -> str:
+    """"native" when the C kernels run, else "python"."""
+    return "python" if _lib is None else "native"
+
+
+def backend_reason() -> str:
+    """The backend and why, e.g. ``native: cached <path>`` or
+    ``python: compiler 'cc' not found``."""
+    return _reason

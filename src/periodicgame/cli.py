@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="periodicgame",
                      description="Learning dynamics in periodic zero-sum games")
     parser.add_argument("--backend-info", action="store_true",
-                        help="print the active kernel backend and exit")
+                        help="print the active kernel backend, why it was chosen, and exit")
     sub = parser.add_subparsers(dest="command")
 
     sim = sub.add_parser("simulate", help="run from a JSON config")
@@ -330,6 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.backend_info:
         print(f"kernel backend: {_kernels.backend_name()}")
+        print(_kernels.backend_reason())
         return EXIT_OK
     if not args.command:
         parser.print_help()

@@ -83,26 +83,24 @@ def _clip_probs(p: np.ndarray, tol: float) -> Optional[np.ndarray]:
     return q / total
 
 
-def solve_zero_sum(A: PayoffMatrix, tol: float = DEFAULT_TOL) -> EquilibriumResult:
+def solve_zero_sum(A: PayoffMatrix) -> EquilibriumResult:
     """Find an equilibrium of a small zero-sum game.
 
     Tries the fully-mixed linear solve first (the common case here); falls
     back to support enumeration, smallest square supports first, returning
-    the first pair that verifies.
+    the first pair that verifies (gap at most ``DEFAULT_TOL``).
     """
     if A.m > 6 or A.n > 6:
         raise InputError("solver is desk-scale only (m, n <= 6)")
-    if tol <= 0:
-        raise InputError("tol must be positive")
     a = A.entries
 
     if A.m == A.n:
         full = _equalizing_pair(a)
         if full is not None:
             x, y, _, _ = full
-            xc, yc = _clip_probs(x, tol), _clip_probs(y, tol)
+            xc, yc = _clip_probs(x, DEFAULT_TOL), _clip_probs(y, DEFAULT_TOL)
             if xc is not None and yc is not None:
-                res = _build_result(A, xc, yc, tol)
+                res = _build_result(A, xc, yc)
                 if res is not None:
                     return res
 
@@ -121,16 +119,15 @@ def solve_zero_sum(A: PayoffMatrix, tol: float = DEFAULT_TOL) -> EquilibriumResu
                 y = np.zeros(A.n)
                 x[list(rows)] = xc
                 y[list(cols)] = yc
-                res = _build_result(A, x, y, tol)
+                res = _build_result(A, x, y)
                 if res is not None:
                     return res
     raise NumericalError("support enumeration found no verifiable equilibrium")
 
 
-def _build_result(A: PayoffMatrix, x: np.ndarray, y: np.ndarray,
-                  tol: float) -> Optional[EquilibriumResult]:
+def _build_result(A: PayoffMatrix, x: np.ndarray, y: np.ndarray) -> Optional[EquilibriumResult]:
     xs, ys = Simplex.from_probabilities(x), Simplex.from_probabilities(y)
-    ok, gap = verify_equilibrium(A, xs, ys, tol)
+    ok, gap = verify_equilibrium(A, xs, ys)
     if not ok:
         return None
     value = float(x @ A.entries @ y)
@@ -138,13 +135,13 @@ def _build_result(A: PayoffMatrix, x: np.ndarray, y: np.ndarray,
     return EquilibriumResult(xs, ys, value, gap, fully_mixed)
 
 
-def common_equilibrium(game: PeriodicGame, tol: float = DEFAULT_TOL) -> Optional[EquilibriumResult]:
+def common_equilibrium(game: PeriodicGame) -> Optional[EquilibriumResult]:
     """An equilibrium of matrices[0] that verifies against every matrix in
     the schedule, or None when the schedule has no such point."""
-    res = solve_zero_sum(game.matrices[0], tol)
+    res = solve_zero_sum(game.matrices[0])
     worst = res.gap
     for a in game.matrices:
-        ok, gap = verify_equilibrium(a, res.x_star, res.y_star, tol)
+        ok, gap = verify_equilibrium(a, res.x_star, res.y_star)
         if not ok:
             return None
         worst = max(worst, gap)

@@ -77,15 +77,15 @@ def eigenvalues_small(M) -> np.ndarray:
     return roots[order]
 
 
-def unit_eigenvector(M, shift: float = 1.0 + 1e-9, probe_axis: int = -1) -> np.ndarray:
-    """Eigenvector for an eigenvalue near ``shift`` by one inverse-iteration
-    solve of (M - shift I) v = e_probe, normalized to unit length."""
+def unit_eigenvector(M) -> np.ndarray:
+    """Eigenvector for an eigenvalue near 1 by one inverse-iteration solve of
+    (M - (1 + 1e-9) I) v = e_last, normalized to unit length."""
     a = _check_square(M).astype(np.float64)
     n = a.shape[0]
     rhs = np.zeros(n)
-    rhs[probe_axis] = 1.0
+    rhs[-1] = 1.0
     try:
-        v = np.linalg.solve(a - shift * np.eye(n), rhs)
+        v = np.linalg.solve(a - (1.0 + 1e-9) * np.eye(n), rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"inverse iteration solve failed: {exc}") from exc
     norm = np.linalg.norm(v)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class Simplex:
     @property
     def min_probability(self) -> float:
         return float(self.probabilities.min())
-
-    def is_interior(self, cutoff: float = LOG_ZERO) -> bool:
-        return bool((self.log_probabilities > cutoff).all())
 
 
 def normalize_log_weights(logw) -> Simplex:
@@ -215,15 +212,6 @@ def kl_divergence(p: JointState, q: JointState) -> float:
 
 
 @dataclass(frozen=True)
-class TrajectoryStep:
-    t: int
-    phase: int
-    state: JointState
-    kl_to_ref: float
-    min_component: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """A recorded run: normalized log-probabilities per recorded time step.
 
@@ -270,17 +258,6 @@ class Trajectory:
 
     def state_at(self, r: int) -> JointState:
         return JointState(Simplex(self.log_probs1[r]), Simplex(self.log_probs2[r]))
-
-    @property
-    def steps(self) -> Iterator[TrajectoryStep]:
-        for r in range(self.n_records):
-            yield TrajectoryStep(
-                t=int(self.times[r]),
-                phase=int(self.times[r]) % self.period,
-                state=self.state_at(r),
-                kl_to_ref=float(self.kl_to_ref[r]),
-                min_component=float(self.min_component[r]),
-            )
 
     @property
     def final_state(self) -> JointState:

@@ -1,7 +1,42 @@
+import os
+import shutil
+import types
+
 import numpy as np
 import pytest
 
 import periodicgame as pg
+from periodicgame import _kernels
+
+
+def clean_env(**updates):
+    """os.environ without the backend overrides, plus ``updates``."""
+    env = {k: v for k, v in os.environ.items() if k not in ("CC", "PERIODICGAME_BACKEND")}
+    env.update(updates)
+    return env
+
+
+@pytest.fixture(scope="session")
+def native_kernels():
+    """The C kernels built with the default compiler, whatever CC or
+    PERIODICGAME_BACKEND select for the session; skipped only where no
+    ``cc`` is on PATH."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler 'cc' on PATH")
+    lib, reason = _kernels._load(clean_env())
+    assert lib is not None, reason
+    run_schedule, run_reduced_composite = _kernels._bind(lib)
+    return types.SimpleNamespace(run_schedule=run_schedule,
+                                 run_reduced_composite=run_reduced_composite)
+
+
+@pytest.fixture(scope="session", params=["native", "python"])
+def kernels(request):
+    """Each backend's kernels in turn."""
+    if request.param == "python":
+        return types.SimpleNamespace(run_schedule=_kernels.run_schedule_py,
+                                     run_reduced_composite=_kernels.run_reduced_composite_py)
+    return request.getfixturevalue("native_kernels")
 
 
 @pytest.fixture(scope="session")

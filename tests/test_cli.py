@@ -98,7 +98,8 @@ class TestCliCommands:
 
     def test_backend_info(self, capsys):
         assert main(["--backend-info"]) == 0
-        assert "kernel backend" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines() == [
+            f"kernel backend: {pg.backend_name()}", pg.backend_reason()]
 
     def test_experiment_list(self, capsys):
         assert main(["experiment", "--list"]) == 0

@@ -129,10 +129,3 @@ class TestGameTypes:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(pg.InputError):
             pg.PeriodicGame((np.zeros((2, 2)), np.zeros((3, 3))))
-
-    def test_trajectory_steps_view(self, game2x2):
-        traj = pg.run_trajectory(game2x2, "mwu", pg.JointState.uniform(2, 2), 0.1, 4)
-        steps = list(traj.steps)
-        assert [s.t for s in steps] == [0, 1, 2, 3, 4]
-        assert [s.phase for s in steps] == [0, 1, 0, 1, 0]
-        assert all(isinstance(s.state, pg.JointState) for s in steps)

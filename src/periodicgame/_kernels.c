@@ -147,14 +147,8 @@ long run_schedule(int algo, const double *mats, long periods, long m, long n,
 static int reduced_step(double sign, const double *z, double eta, double *out)
 {
     double z1 = z[0], z2 = z[1], z3 = z[2], z4 = z[3];
-    double x1, x2;
-    if (sign > 0) {
-        x1 = -3.0 * eta + 4.0 * eta * z4 + 2.0 * eta * z3;
-        x2 = 3.0 * eta - 4.0 * eta * z2 - 2.0 * eta * z1;
-    } else {
-        x1 = 3.0 * eta - 4.0 * eta * z4 - 2.0 * eta * z3;
-        x2 = -3.0 * eta + 4.0 * eta * z2 + 2.0 * eta * z1;
-    }
+    double x1 = sign * (-3.0 * eta + 4.0 * eta * z4 + 2.0 * eta * z3);
+    double x2 = sign * (3.0 * eta - 4.0 * eta * z2 - 2.0 * eta * z1);
     double e1 = exp(x1), e2 = exp(x2);
     if ((isinf(e1) && !isinf(x1)) || (isinf(e2) && !isinf(x2)))
         return -1;

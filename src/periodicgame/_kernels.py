@@ -6,10 +6,11 @@ pure-Python kernels in this module, so both backends give the same bits.
 On first import the C source is compiled with ``$CC`` (default ``cc``) into
 ``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
 variable is unset), under a name keyed by a sha256 of the source, the
-compiler flags and ``cc --version``; later imports load the cached library
-with ctypes.  When anything fails (no compiler, a compile error, an
-unwritable cache, a library that does not load) the Python kernels run
-instead and ``backend_reason()`` says why.  ``PERIODICGAME_BACKEND=python``
+compiler flags, the ``$CC`` words and the resolved compiler's size and
+mtime; later imports load the cached library with ctypes and start no
+process.  When anything fails (no compiler, a compile error, an unwritable
+cache, a library that does not load) the Python kernels run instead and
+``backend_reason()`` says why.  ``PERIODICGAME_BACKEND=python``
 forces them.  ``run_schedule_py`` and ``run_reduced_composite_py`` stay the
 reference that the native kernels are tested against.
 
@@ -162,29 +163,16 @@ def run_schedule_py(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out
     return r
 
 
-def reduced_even(z, eta, out):
-    # Two-step map applied from an even time index of the 2x2
-    # alternating game; exponents follow from x_2 = 1 - x_1 on each simplex.
+def reduced_step(sign, z, eta, out):
+    # One step of the 2x2 alternating game's reduced map: sign = +1 from an
+    # even time index, -1 from an odd one.  Exponents follow from
+    # x_2 = 1 - x_1 on each simplex.
     z1 = z[0]
     z2 = z[1]
     z3 = z[2]
     z4 = z[3]
-    e1 = math.exp(-3.0 * eta + 4.0 * eta * z4 + 2.0 * eta * z3)
-    e2 = math.exp(3.0 * eta - 4.0 * eta * z2 - 2.0 * eta * z1)
-    out[0] = z2
-    out[1] = z2 / (z2 + (1.0 - z2) * e1)
-    out[2] = z4
-    out[3] = z4 / (z4 + (1.0 - z4) * e2)
-
-
-def reduced_odd(z, eta, out):
-    # Companion map applied from an odd time index.
-    z1 = z[0]
-    z2 = z[1]
-    z3 = z[2]
-    z4 = z[3]
-    e1 = math.exp(3.0 * eta - 4.0 * eta * z4 - 2.0 * eta * z3)
-    e2 = math.exp(-3.0 * eta + 4.0 * eta * z2 + 2.0 * eta * z1)
+    e1 = math.exp(sign * (-3.0 * eta + 4.0 * eta * z4 + 2.0 * eta * z3))
+    e2 = math.exp(sign * (3.0 * eta - 4.0 * eta * z2 - 2.0 * eta * z1))
     out[0] = z2
     out[1] = z2 / (z2 + (1.0 - z2) * e1)
     out[2] = z4
@@ -199,8 +187,8 @@ def run_reduced_composite_py(z0, eta, n_steps, out):
         z[k] = z0[k]
         out[0, k] = z0[k]
     for step in range(n_steps):
-        reduced_odd(z, eta, w)
-        reduced_even(w, eta, z)
+        reduced_step(-1.0, z, eta, w)
+        reduced_step(1.0, w, eta, z)
         for k in range(4):
             out[step + 1, k] = z[k]
 
@@ -213,16 +201,19 @@ def _build_library(environ):
     """Path of the compiled library and "compiled" or "cached"; raises
     _BuildError naming the cause when there is none."""
     cc = shlex.split(environ.get("CC") or "cc")
-    if not cc or shutil.which(cc[0]) is None:
+    compiler = shutil.which(cc[0]) if cc else None
+    if compiler is None:
         raise _BuildError(f"compiler {' '.join(cc)!r} not found")
+    # The resolved compiler's size and mtime stand in for its version, so a
+    # cached import starts no process.
     try:
         with open(_SOURCE, "rb") as fh:
             source = fh.read()
-        version = subprocess.run(cc + ["--version"], capture_output=True,
-                                 timeout=60, check=True).stdout
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise _BuildError(f"compiler {cc[0]!r} failed: {exc}") from None
-    key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(), version]))
+        stat = os.stat(compiler)
+    except OSError as exc:
+        raise _BuildError(f"cannot key the build: {exc}") from None
+    key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(), *map(str.encode, cc),
+                                     f"{stat.st_size} {stat.st_mtime_ns}".encode()]))
     cache = os.path.join(environ.get("XDG_CACHE_HOME")
                          or os.path.join(os.path.expanduser("~"), ".cache"), "periodicgame")
     path = os.path.join(cache, f"_kernels-{key.hexdigest()[:16]}.so")

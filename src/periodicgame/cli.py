@@ -34,9 +34,9 @@ from .equilibrium import common_equilibrium
 from .errors import ConfigError, InputError, NumericalError
 from .experiments import (
     DEFAULT_ALGO,
-    DEFAULT_ETA_EXTRA,
     RunConfig,
     builtin_experiments,
+    default_eta,
     default_init,
     experiment_by_name,
     parse_config,
@@ -149,7 +149,7 @@ def _cmd_experiment(args) -> int:
         for spec in builtin_experiments():
             game = spec.game
             print(f"{spec.name}: {game.m}x{game.n}, period {game.period}, "
-                  f"default algo {DEFAULT_ALGO.value}, eta {DEFAULT_ETA_EXTRA}")
+                  f"default algo {DEFAULT_ALGO.value}, eta {default_eta(DEFAULT_ALGO)}")
         return EXIT_OK
     if args.all:
         for spec in builtin_experiments():
@@ -299,8 +299,7 @@ def _cmd_verify(args) -> int:
     # orbit
     spec = experiment_by_name(args.experiment or "nocommon3")
     algo = Algorithm(args.algo) if args.algo else Algorithm.EXTRA_MWU
-    eta = args.eta if args.eta is not None else (
-        0.01 if algo is Algorithm.OMWU else 0.1)
+    eta = args.eta if args.eta is not None else default_eta(algo)
     steps = args.steps if args.steps is not None else 30_000
     traj = run_trajectory(spec.game, algo, default_init(spec.game.m, spec.game.n),
                           eta, steps, record_every=1)

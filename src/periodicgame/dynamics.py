@@ -159,8 +159,7 @@ def run_trajectory(
     if reference is not None and reference.dims != (game.m, game.n):
         raise InputError("reference dimensions do not match the game")
 
-    rec = np.unique(np.concatenate([np.arange(0, steps + 1, record_every), [steps]]))
-    rec = rec.astype(np.int64)
+    rec = np.append(np.arange(0, steps, record_every, dtype=np.int64), steps)
     m, n = game.m, game.n
     out1 = np.empty((rec.size, m))
     out2 = np.empty((rec.size, n))
@@ -217,13 +216,10 @@ def omwu_reduced_map(parity: str, z, eta: float) -> np.ndarray:
     z = _check_reduced_state(z)
     if eta <= 0:
         raise InputError("eta must be positive")
-    out = np.empty(4)
-    if parity == "even":
-        _kernels.reduced_even(z, float(eta), out)
-    elif parity == "odd":
-        _kernels.reduced_odd(z, float(eta), out)
-    else:
+    if parity not in ("even", "odd"):
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
+    out = np.empty(4)
+    _kernels.reduced_step(1.0 if parity == "even" else -1.0, z, float(eta), out)
     return out
 
 

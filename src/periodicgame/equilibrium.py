@@ -1,7 +1,7 @@
 """Solve, verify, and construct equilibria of bilinear zero-sum games.
 
-Desk scale only (m, n <= 6): a full-support linear solve first, then
-support enumeration over square support pairs in lexicographic order.
+Desk scale only (m, n <= 6): support enumeration over square support
+pairs, the full support of a square game first.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from .errors import InputError, NumericalError
 from .simplex import JointState, PayoffMatrix, PeriodicGame, Simplex
 
 DEFAULT_TOL = 1e-10
+# Solved probabilities down to -_CLIP_TOL are rounding noise and clip to 0.
+_CLIP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ def _equalizing_pair(sub: np.ndarray):
     return x, y, v_row, v_col
 
 
-def _clip_probs(p: np.ndarray, tol: float) -> Optional[np.ndarray]:
-    if p.min() < -tol:
+def _clip_probs(p: np.ndarray) -> Optional[np.ndarray]:
+    if p.min() < -_CLIP_TOL:
         return None
     q = np.clip(p, 0.0, None)
     total = q.sum()
@@ -86,33 +88,24 @@ def _clip_probs(p: np.ndarray, tol: float) -> Optional[np.ndarray]:
 def solve_zero_sum(A: PayoffMatrix) -> EquilibriumResult:
     """Find an equilibrium of a small zero-sum game.
 
-    Tries the fully-mixed linear solve first (the common case here); falls
-    back to support enumeration, smallest square supports first, returning
-    the first pair that verifies (gap at most ``DEFAULT_TOL``).
+    Support enumeration over square supports: for a square game the fully
+    mixed solve first (the common case here), then smallest supports first,
+    returning the first pair that verifies (gap at most ``DEFAULT_TOL``).
     """
     if A.m > 6 or A.n > 6:
         raise InputError("solver is desk-scale only (m, n <= 6)")
     a = A.entries
-
+    sizes = list(range(1, min(A.m, A.n) + 1))
     if A.m == A.n:
-        full = _equalizing_pair(a)
-        if full is not None:
-            x, y, _, _ = full
-            xc, yc = _clip_probs(x, DEFAULT_TOL), _clip_probs(y, DEFAULT_TOL)
-            if xc is not None and yc is not None:
-                res = _build_result(A, xc, yc)
-                if res is not None:
-                    return res
-
-    for k in range(1, min(A.m, A.n) + 1):
+        sizes.insert(0, sizes.pop())
+    for k in sizes:
         for rows in itertools.combinations(range(A.m), k):
             for cols in itertools.combinations(range(A.n), k):
-                sub = a[np.ix_(rows, cols)]
-                pair = _equalizing_pair(sub)
+                pair = _equalizing_pair(a[np.ix_(rows, cols)])
                 if pair is None:
                     continue
                 xs, ys, _, _ = pair
-                xc, yc = _clip_probs(xs, 1e-9), _clip_probs(ys, 1e-9)
+                xc, yc = _clip_probs(xs), _clip_probs(ys)
                 if xc is None or yc is None:
                     continue
                 x = np.zeros(A.m)
@@ -135,10 +128,42 @@ def _build_result(A: PayoffMatrix, x: np.ndarray, y: np.ndarray) -> Optional[Equ
     return EquilibriumResult(xs, ys, value, gap, fully_mixed)
 
 
-def common_equilibrium(game: PeriodicGame) -> Optional[EquilibriumResult]:
-    """An equilibrium of matrices[0] that verifies against every matrix in
-    the schedule, or None when the schedule has no such point."""
-    res = solve_zero_sum(game.matrices[0])
+def _equalizer(mats: np.ndarray) -> Optional[np.ndarray]:
+    """A point y of the simplex with A_t y = v_t 1 for every matrix of the
+    (T, m, n) stack, each v_t free, so that every row is a best response to
+    y in every A_t; None when there is none.
+
+    Least squares on the full support first, then on ever smaller column
+    supports: when the solutions form a line or plane, its least-squares
+    point can leave the simplex while one of its vertices stays inside.
+    """
+    periods, m, n = mats.shape
+    lhs = np.zeros((periods * m + 1, n + periods))
+    lhs[:-1, :n] = mats.reshape(periods * m, n)
+    lhs[:-1, n:] = -np.repeat(np.eye(periods), m, axis=0)
+    lhs[-1, :n] = 1.0
+    rhs = np.zeros(periods * m + 1)
+    rhs[-1] = 1.0
+    for k in range(n, 0, -1):
+        for cols in itertools.combinations(range(n), k):
+            sol = np.linalg.lstsq(lhs[:, [*cols, *range(n, n + periods)]], rhs, rcond=None)[0]
+            yc = _clip_probs(sol[:k])
+            if yc is None:
+                continue
+            y = np.zeros(n)
+            y[list(cols)] = yc
+            payoffs = mats @ y
+            if (payoffs.max(axis=1) - payoffs.min(axis=1)).max() <= DEFAULT_TOL:
+                return y
+    return None
+
+
+def _on_every_matrix(game: PeriodicGame,
+                     res: Optional[EquilibriumResult]) -> Optional[EquilibriumResult]:
+    # res with its gap raised to the worst over the schedule, or None when
+    # res is None or fails to verify on some matrix.
+    if res is None:
+        return None
     worst = res.gap
     for a in game.matrices:
         ok, gap = verify_equilibrium(a, res.x_star, res.y_star)
@@ -146,6 +171,25 @@ def common_equilibrium(game: PeriodicGame) -> Optional[EquilibriumResult]:
             return None
         worst = max(worst, gap)
     return EquilibriumResult(res.x_star, res.y_star, res.value, worst, res.fully_mixed)
+
+
+def common_equilibrium(game: PeriodicGame) -> Optional[EquilibriumResult]:
+    """An equilibrium that verifies against every matrix in the schedule, or
+    None when none is found.
+
+    The first candidate is ``solve_zero_sum(matrices[0])``.  When a
+    continuum of equilibria lets that point miss the other matrices, the
+    second solves every matrix's equalizing equations at once, for x and
+    for y.
+    """
+    common = _on_every_matrix(game, solve_zero_sum(game.matrices[0]))
+    if common is not None:
+        return common
+    stack = game.stacked()
+    x, y = _equalizer(stack.transpose(0, 2, 1)), _equalizer(stack)
+    if x is None or y is None:
+        return None
+    return _on_every_matrix(game, _build_result(game.matrices[0], x, y))
 
 
 def full_support_values(A: PayoffMatrix):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -69,6 +69,12 @@ def experiment_by_name(name: str) -> ExperimentSpec:
     raise ConfigError(f"unknown experiment {name!r} (known: {known})", field="experiment")
 
 
+def default_eta(algo) -> float:
+    """The step size a run takes when none is given: DEFAULT_ETA_OMWU for
+    OMWU, DEFAULT_ETA_EXTRA for the other rules."""
+    return DEFAULT_ETA_OMWU if Algorithm(algo) is Algorithm.OMWU else DEFAULT_ETA_EXTRA
+
+
 def default_init(m: int, n: int) -> JointState:
     """Uniform distribution nudged by +0.05 on the last coordinate and
     renormalized, so divergence hypotheses start with p > 0."""
@@ -97,10 +103,8 @@ class RunConfig:
     log_y: bool = False
 
 
-_CONFIG_FIELDS = {
-    "experiment", "matrices", "period", "algo", "eta", "steps", "record_every",
-    "init", "init_prev", "seed", "out_csv", "out_svg",
-}
+# log_y comes from the command line only.
+_CONFIG_FIELDS = {f.name for f in fields(RunConfig)} - {"log_y"}
 
 
 def parse_config(path: str) -> RunConfig:
@@ -183,12 +187,7 @@ def run_experiment(cfg: RunConfig):
     """
     game, _ = resolve_game(cfg)
     algo = Algorithm(cfg.algo) if cfg.algo else DEFAULT_ALGO
-    if cfg.eta is not None:
-        eta = float(cfg.eta)
-    elif algo is Algorithm.OMWU:
-        eta = DEFAULT_ETA_OMWU
-    else:
-        eta = DEFAULT_ETA_EXTRA
+    eta = float(cfg.eta) if cfg.eta is not None else default_eta(algo)
     steps = cfg.steps if cfg.steps is not None else DEFAULT_STEPS
 
     equilibrium = common_equilibrium(game)

@@ -2,8 +2,9 @@
 Jacobians, characteristic-polynomial values, and eigenvalues.
 
 Eigenvalues come from LAPACK through ``np.linalg.eigvals``;
-``char_poly_eval`` (a complex LU determinant of M - lam I) is the
-independent cross-check on any claimed eigenvalue.
+``char_poly_eval`` (the LAPACK determinant of M - lam I, through
+``np.linalg.det``) is the independent cross-check on any claimed
+eigenvalue: it factors the matrix instead of iterating to its spectrum.
 """
 
 from __future__ import annotations
@@ -47,23 +48,9 @@ def _check_square(M) -> np.ndarray:
 
 
 def char_poly_eval(M, lam: complex) -> complex:
-    """det(M - lam I) by complex LU factorization with partial pivoting."""
+    """det(M - lam I) from LAPACK's partial-pivot LU (``np.linalg.det``)."""
     m = _check_square(M)
-    n = m.shape[0]
-    a = m.astype(np.complex128) - complex(lam) * np.eye(n)
-    det = 1.0 + 0.0j
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0:
-            return 0.0 + 0.0j
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det *= a[col, col]
-        if col + 1 < n:
-            factors = a[col + 1:, col] / a[col, col]
-            a[col + 1:, col:] -= factors[:, None] * a[col, col:]
-    return complex(det)
+    return complex(np.linalg.det(m.astype(np.complex128) - complex(lam) * np.eye(m.shape[0])))
 
 
 def eigenvalues_small(M) -> np.ndarray:

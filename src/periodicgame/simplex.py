@@ -79,10 +79,6 @@ class Simplex:
         w = np.exp(lw - lw.max())
         return w / w.sum()
 
-    @property
-    def min_probability(self) -> float:
-        return float(self.probabilities.min())
-
 
 def normalize_log_weights(logw) -> Simplex:
     """Build a Simplex from raw log-weights via max-subtracted softmax.
@@ -185,6 +181,19 @@ class JointState:
         return float(max(d1, d2))
 
 
+def _kl_rows(ref: Simplex, log_probs: np.ndarray) -> np.ndarray:
+    """KL(ref, row) for each row of normalized log-probabilities, the
+    per-player term of both KL routines below."""
+    rp = ref.probabilities
+    mask = rp > 0.0
+    sub = log_probs[:, mask]
+    # Using ref's normalized log-probabilities (not log(rp)) makes the
+    # identity case cancel exactly.
+    contrib = (rp[mask] * (ref.log_probabilities[mask][None, :] - sub)).sum(axis=1)
+    contrib[(sub < LOG_ZERO).any(axis=1)] = math.inf
+    return contrib
+
+
 def kl_simplex(p: Simplex, q: Simplex) -> float:
     """KL(p, q) for a single pair of strategies, with 0*ln(0/.) = 0.
 
@@ -193,15 +202,7 @@ def kl_simplex(p: Simplex, q: Simplex) -> float:
     """
     if len(p) != len(q):
         raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    pp = p.probabilities
-    lp = p.log_probabilities
-    lq = q.log_probabilities
-    mask = pp > 0.0
-    if (lq[mask] < LOG_ZERO).any():
-        return math.inf
-    # Using p's normalized log-probabilities (not log(pp)) makes the
-    # identity case cancel exactly.
-    return max(float(np.dot(pp[mask], lp[mask] - lq[mask])), 0.0)
+    return max(float(_kl_rows(p, q.log_probabilities[None, :])[0]), 0.0)
 
 
 def kl_divergence(p: JointState, q: JointState) -> float:
@@ -268,12 +269,6 @@ def kl_to_reference(reference: JointState, log_probs1: np.ndarray,
                     log_probs2: np.ndarray) -> np.ndarray:
     """Vectorized KL(reference, state_r) over recorded log-probabilities."""
     out = np.zeros(log_probs1.shape[0])
-    for ref, lp in ((reference.x1, log_probs1), (reference.x2, log_probs2)):
-        rp = ref.probabilities
-        lr = ref.log_probabilities
-        mask = rp > 0.0
-        sub = lp[:, mask]
-        contrib = (rp[mask] * (lr[mask][None, :] - sub)).sum(axis=1)
-        contrib[(sub < LOG_ZERO).any(axis=1)] = math.inf
-        out += contrib
+    out += _kl_rows(reference.x1, log_probs1)
+    out += _kl_rows(reference.x2, log_probs2)
     return np.maximum(out, 0.0)

@@ -9,9 +9,15 @@ import periodicgame as pg
 from periodicgame import _kernels
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def clean_env(**updates):
-    """os.environ without the backend overrides, plus ``updates``."""
+    """os.environ without the backend overrides, with this checkout's src
+    first on PYTHONPATH so child processes import the tree under test, plus
+    ``updates``."""
     env = {k: v for k, v in os.environ.items() if k not in ("CC", "PERIODICGAME_BACKEND")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(updates)
     return env
 

@@ -175,6 +175,22 @@ def test_concurrent_first_imports_leave_one_library(tmp_path):
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+def test_cached_import_starts_no_process(tmp_path):
+    env = clean_env(XDG_CACHE_HOME=str(tmp_path))
+    path, how = _kernels._build_library(env)
+    assert how == "compiled"
+    script = ("import subprocess\n"
+              "def refuse(*args, **kwargs):\n"
+              "    raise OSError('no process may start')\n"
+              "subprocess.run = subprocess.Popen = refuse\n"
+              "import periodicgame as pg\n"
+              "print(pg.backend_reason())\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == f"native: cached {path}"
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
 class TestFallbackReasons:
     def test_compile_error(self, tmp_path):
         lib, reason = _kernels._load(clean_env(XDG_CACHE_HOME=str(tmp_path),

@@ -134,6 +134,14 @@ class TestRunTrajectory:
         assert traj.times[-1] == 105
         assert np.array_equal(traj.times[:-1], np.arange(0, 101, 10))
 
+    @pytest.mark.parametrize("steps", [1, 7, 10, 10_000])
+    @pytest.mark.parametrize("every", [1, 3, 10, 100])
+    def test_record_times_match_sorted_union(self, game2x2, steps, every):
+        traj = pg.run_trajectory(game2x2, "mwu", pg.JointState.uniform(2, 2), 0.1, steps,
+                                 record_every=every)
+        expected = np.unique(np.concatenate([np.arange(0, steps + 1, every), [steps]]))
+        assert np.array_equal(traj.times, expected.astype(np.int64))
+
     def test_matches_single_step_functions(self, game2x2):
         rng = np.random.default_rng(5)
         init = pg.OmwuState(random_interior_joint(rng, 2, 2),

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
 from conftest import generated_periodic_game
 
-from periodicgame.equilibrium import full_support_values
+from periodicgame.equilibrium import DEFAULT_TOL, full_support_values
 
 # Full-support solve of the second exp1 matrix, done by hand:
 # y from A y = v 1 and x from A^T x = v 1 with unit sums gives v = 3/8.
@@ -138,6 +139,18 @@ class TestCommonEquilibrium:
         res = pg.common_equilibrium(game)
         assert res is not None and res.fully_mixed
         assert res.joint.max_norm_distance(eq) <= 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 6), n=st.integers(2, 6), period=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_found_on_generated_schedules(self, m, n, period, seed):
+        # Non-square schedules have a continuum of equilibria in matrices[0],
+        # so the solver's point for it alone may miss the other matrices.
+        game, _ = generated_periodic_game(np.random.default_rng(seed), m, n, period)
+        res = pg.common_equilibrium(game)
+        assert res is not None and res.gap <= DEFAULT_TOL
+        for a in game.matrices:
+            assert pg.verify_equilibrium(a, res.x_star, res.y_star)[0]
 
 
 class TestGenerator:

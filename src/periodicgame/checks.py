@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dynamics import Algorithm, exp_weights_step
+from .dynamics import Algorithm, exp_weights_step, require_step_size
 from .errors import InputError
 from .simplex import JointState, Simplex, Trajectory, kl_simplex
 
@@ -51,8 +51,7 @@ def boundary_fixed_point(a: float, eta: float) -> np.ndarray:
     map: (0, 0, a, a e^{-3 eta} / (a e^{-3 eta} + 1 - a))."""
     if not 0.0 <= a <= 1.0:
         raise InputError("a must lie in [0, 1]")
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    require_step_size(eta)
     u = a * math.exp(-3.0 * eta)
     return np.array([0.0, 0.0, a, u / (u + (1.0 - a))])
 
@@ -222,13 +221,13 @@ def check_extra_kl_decrease(traj: Trajectory, eq: JointState,
         report.violations.append(
             Violation(int(traj.times[k + 1]), float(diffs[k]), 0.0, float(diffs[k]))
         )
+    # Every tenth step of a stalled stretch: its length so far is the
+    # distance back to the last step that did not stall.
     stalled = far & (diffs == 0.0)
-    run = 0
-    for k in range(stalled.size):
-        run = run + 1 if stalled[k] else 0
-        if run == 10:
-            report.violations.append(Violation(int(traj.times[k + 1]), 0.0, 0.0, 0.0))
-            run = 0
+    idx = np.arange(stalled.size)
+    runlen = idx - np.maximum.accumulate(np.where(stalled, -1, idx))
+    for k in np.nonzero(stalled & (runlen % 10 == 0))[0]:
+        report.violations.append(Violation(int(traj.times[k + 1]), 0.0, 0.0, 0.0))
     report.stats["max_increase"] = float(diffs.max()) if diffs.size else None
     report.stats["final_kl"] = float(traj.kl_to_ref[-1])
     return report

@@ -55,13 +55,18 @@ class OmwuState:
         return cls(state, state)
 
 
+def require_step_size(eta: float) -> None:
+    """Reject a step size that is not a positive finite number (NaN too)."""
+    if not (math.isfinite(eta) and eta > 0):
+        raise InputError("eta must be a positive finite number")
+
+
 def exp_weights_step(x: Simplex, payoff, eta: float) -> Simplex:
     """One exponential-weights step: log-weights shift by eta * payoff.
 
     Player 1 calls this with payoff A @ x2, player 2 with -A.T @ x1.
     """
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    require_step_size(eta)
     p = np.asarray(payoff, dtype=np.float64)
     if p.shape != (len(x),):
         raise InputError(f"payoff length {p.shape} does not match strategy length {len(x)}")
@@ -75,8 +80,7 @@ def omwu_joint_step(game: PeriodicGame, t: int, state: OmwuState, eta: float) ->
     minus yesterday's (with the schedule wrapped so A_{-1} is the last matrix)."""
     if t < 0:
         raise InputError("t must be >= 0")
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    require_step_size(eta)
     if state.current.dims != (game.m, game.n):
         raise InputError("state dimensions do not match the game")
     a = game.matrix_at(t).entries
@@ -96,8 +100,7 @@ def extra_mwu_joint_step(A: PayoffMatrix, state: JointState, eta: float):
     """One extra-gradient iteration: a half step evaluated at the current
     state, then a full step from the current state using the half step's
     payoffs.  Returns (half, next)."""
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    require_step_size(eta)
     if state.dims != (A.m, A.n):
         raise InputError("state dimensions do not match the matrix")
     a = A.entries
@@ -144,8 +147,7 @@ def run_trajectory(
     algo = Algorithm(algo)
     if steps < 1:
         raise InputError("steps must be >= 1")
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    require_step_size(eta)
     if record_every is None:
         record_every = default_record_every(steps)
     if record_every < 1:
@@ -214,8 +216,7 @@ def omwu_reduced_map(parity: str, z, eta: float) -> np.ndarray:
     2x2 alternating game.  parity "even" advances a pair starting at an even
     time index, "odd" at an odd one."""
     z = _check_reduced_state(z)
-    if eta <= 0:
-        raise InputError("eta must be positive")
+    require_step_size(eta)
     if parity not in ("even", "odd"):
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     out = np.empty(4)
@@ -231,6 +232,7 @@ def omwu_reduced_composite(z, eta: float) -> np.ndarray:
 def iterate_reduced(z0, eta: float, n_steps: int) -> np.ndarray:
     """Iterate the composite map n_steps times; returns (n_steps+1, 4)."""
     z0 = _check_reduced_state(z0)
+    require_step_size(eta)
     if n_steps < 0:
         raise InputError("n_steps must be >= 0")
     out = np.empty((n_steps + 1, 4))

@@ -1,7 +1,9 @@
 """Solve, verify, and construct equilibria of bilinear zero-sum games.
 
 Desk scale only (m, n <= 6): support enumeration over square support
-pairs, the full support of a square game first.
+pairs, the full support of a square game first.  The blocks of one support
+size are solved as one stack; a vectorised best-response gap screens the
+candidates, and the exact certificate (``verify_equilibrium``) decides.
 """
 
 from __future__ import annotations
@@ -51,28 +53,41 @@ def verify_equilibrium(A: PayoffMatrix, x: Simplex, y: Simplex,
     return gap <= tol, gap
 
 
-def _equalizing_pair(sub: np.ndarray):
-    """Solve A y = v 1, 1^T y = 1 and the transposed system on a square
-    support block.  Returns (x, y, v) or None when the block is singular."""
-    k = sub.shape[0]
-    m = np.zeros((k + 1, k + 1))
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    m[:k, :k] = sub
-    m[:k, k] = -1.0
-    m[k, :k] = 1.0
+def _solve_stack(systems: np.ndarray, rhs: np.ndarray):
+    """Solve a (B, k+1, k+1) stack against a (B, k+1, 1) right-hand side
+    in one LAPACK call.  When some block is exactly singular, solve block by
+    block instead.  Returns the (B, k+1) solutions and a mask of the blocks
+    that solved (rows outside the mask are zero)."""
     try:
-        sol = np.linalg.solve(m, rhs)
+        return np.linalg.solve(systems, rhs)[..., 0], np.ones(len(systems), dtype=bool)
     except np.linalg.LinAlgError:
-        return None
-    y, v_row = sol[:k], sol[k]
-    m[:k, :k] = sub.T
-    try:
-        sol = np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    x, v_col = sol[:k], sol[k]
-    return x, y, v_row, v_col
+        pass
+    sol = np.zeros(rhs.shape[:2])
+    solved = np.ones(len(systems), dtype=bool)
+    for i, (system, r) in enumerate(zip(systems, rhs)):
+        try:
+            sol[i] = np.linalg.solve(system, r[:, 0])
+        except np.linalg.LinAlgError:
+            solved[i] = False
+    return sol, solved
+
+
+def _equalizing_pair(blocks: np.ndarray):
+    """Solve A y = v 1, 1^T y = 1 and the transposed system on every
+    square block of a (B, k, k) stack.  Returns (x, y, v_row, v_col,
+    solved): (B, k) candidates, (B,) values and the mask of the blocks
+    whose two systems are both nonsingular."""
+    count, k, _ = blocks.shape
+    systems = np.zeros((count, k + 1, k + 1))
+    systems[:, :k, k] = -1.0
+    systems[:, k, :k] = 1.0
+    rhs = np.zeros((count, k + 1, 1))
+    rhs[:, k] = 1.0
+    systems[:, :k, :k] = blocks
+    sol_y, solved_y = _solve_stack(systems, rhs)
+    systems[:, :k, :k] = blocks.transpose(0, 2, 1)
+    sol_x, solved_x = _solve_stack(systems, rhs)
+    return sol_x[:, :k], sol_y[:, :k], sol_y[:, k], sol_x[:, k], solved_x & solved_y
 
 
 def _clip_probs(p: np.ndarray) -> Optional[np.ndarray]:
@@ -85,12 +100,47 @@ def _clip_probs(p: np.ndarray) -> Optional[np.ndarray]:
     return q / total
 
 
+def _clipped_rows(p: np.ndarray) -> np.ndarray:
+    # Mask of the rows of p that _clip_probs keeps.  A row's clipped total
+    # is 0 exactly when its maximum is <= 0, and a NaN row passes both
+    # tests there and here.
+    return ~(p.min(axis=1) < -_CLIP_TOL) & ~(p.max(axis=1) <= 0)
+
+
+def _scatter(p: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
+    # Clip and normalise each row of p and place it on its support.
+    q = np.clip(p, 0.0, None)
+    out = np.zeros((len(p), size))
+    out[np.arange(len(p))[:, None], support] = q / q.sum(axis=1, keepdims=True)
+    return out
+
+
+def _screen(a: np.ndarray, xs, ys, rows, cols) -> np.ndarray:
+    """Mask of the candidates worth the exact certificate: best-response gap
+    at most ``DEFAULT_TOL + 1e-6 * max(1, max|A|)``, computed for all of
+    them at once.  A NaN gap (from an overflowing solve) passes, so that
+    the exact path raises on it as before."""
+    bound = DEFAULT_TOL + 1e-6 * max(1.0, float(np.abs(a).max()))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        px = _scatter(xs, rows, a.shape[0])
+        py = _scatter(ys, cols, a.shape[1])
+        ay = py @ a.T
+        v = (px * ay).sum(axis=1)
+        gap = np.maximum(ay.max(axis=1) - v, v - (px @ a).min(axis=1))
+    return ~(gap > bound)
+
+
 def solve_zero_sum(A: PayoffMatrix) -> EquilibriumResult:
     """Find an equilibrium of a small zero-sum game.
 
     Support enumeration over square supports: for a square game the fully
     mixed solve first (the common case here), then smallest supports first,
-    returning the first pair that verifies (gap at most ``DEFAULT_TOL``).
+    with the support pairs of one size in ``itertools.combinations`` order
+    (rows outer, columns inner).  All blocks of one size are solved in one
+    stacked call; when more than one candidate survives clipping, a
+    vectorised best-response gap with slack ``1e-6 * max(1, max|A|)``
+    screens them.  The rest go, in order, to the exact certificate, and the
+    first pair that verifies (gap at most ``DEFAULT_TOL``) is returned.
     """
     if A.m > 6 or A.n > 6:
         raise InputError("solver is desk-scale only (m, n <= 6)")
@@ -99,22 +149,24 @@ def solve_zero_sum(A: PayoffMatrix) -> EquilibriumResult:
     if A.m == A.n:
         sizes.insert(0, sizes.pop())
     for k in sizes:
-        for rows in itertools.combinations(range(A.m), k):
-            for cols in itertools.combinations(range(A.n), k):
-                pair = _equalizing_pair(a[np.ix_(rows, cols)])
-                if pair is None:
-                    continue
-                xs, ys, _, _ = pair
-                xc, yc = _clip_probs(xs), _clip_probs(ys)
-                if xc is None or yc is None:
-                    continue
-                x = np.zeros(A.m)
-                y = np.zeros(A.n)
-                x[list(rows)] = xc
-                y[list(cols)] = yc
-                res = _build_result(A, x, y)
-                if res is not None:
-                    return res
+        row_sets = np.array(list(itertools.combinations(range(A.m), k)))
+        col_sets = np.array(list(itertools.combinations(range(A.n), k)))
+        rows = np.repeat(row_sets, len(col_sets), axis=0)
+        cols = np.tile(col_sets, (len(row_sets), 1))
+        xs, ys, _, _, solved = _equalizing_pair(a[rows[:, :, None], cols[:, None, :]])
+        live = np.flatnonzero(solved & _clipped_rows(xs) & _clipped_rows(ys))
+        # Screening a lone candidate costs about as much as the one exact
+        # check it could save.
+        if live.size > 1:
+            live = live[_screen(a, xs[live], ys[live], rows[live], cols[live])]
+        for i in live:
+            x = np.zeros(A.m)
+            y = np.zeros(A.n)
+            x[rows[i]] = _clip_probs(xs[i])
+            y[cols[i]] = _clip_probs(ys[i])
+            res = _build_result(A, x, y)
+            if res is not None:
+                return res
     raise NumericalError("support enumeration found no verifiable equilibrium")
 
 
@@ -197,11 +249,10 @@ def full_support_values(A: PayoffMatrix):
     solve (None when the system is singular).  Useful as a duality check."""
     if A.m != A.n:
         raise InputError("full-support solve needs a square matrix")
-    pair = _equalizing_pair(A.entries)
-    if pair is None:
+    _, _, v_row, v_col, solved = _equalizing_pair(A.entries[None])
+    if not solved[0]:
         return None
-    _, _, v_row, v_col = pair
-    return float(v_row), float(v_col)
+    return float(v_row[0]), float(v_col[0])
 
 
 def generate_common_equilibrium_game(x_star: Simplex, y_star: Simplex,

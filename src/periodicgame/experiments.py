@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from typing import List, Optional
@@ -144,8 +145,10 @@ def parse_config(path: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"algo must be one of mwu|omwu|extra, got {cfg.algo!r}",
                               field="algo") from exc
-    if cfg.eta is not None and (not isinstance(cfg.eta, (int, float)) or cfg.eta <= 0):
-        raise ConfigError(f"eta must be a positive number, got {cfg.eta!r}", field="eta")
+    if cfg.eta is not None and (not isinstance(cfg.eta, (int, float))
+                                or not math.isfinite(cfg.eta) or cfg.eta <= 0):
+        raise ConfigError(f"eta must be a positive finite number, got {cfg.eta!r}",
+                          field="eta")
     if cfg.steps is not None and (not isinstance(cfg.steps, int) or cfg.steps < 1):
         raise ConfigError(f"steps must be a positive integer, got {cfg.steps!r}",
                           field="steps")

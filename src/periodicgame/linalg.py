@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .dynamics import require_step_size
 from .errors import InputError, NumericalError
 
 MAX_EIG_DIM = 8
@@ -84,6 +85,7 @@ def unit_eigenvector(M) -> np.ndarray:
 def interior_eigenvalue_pair(eta: float) -> tuple:
     """The two analytic eigenvalue branches of the composed reduced map's
     Jacobian at the interior equilibrium (each has multiplicity two)."""
+    require_step_size(eta)
     root = math.sqrt((eta * eta + eta + 1.0) * (eta * eta - eta + 1.0))
     base = eta * eta / 2.0 + 0.5
     return base - root / 2.0, base + root / 2.0
@@ -92,5 +94,6 @@ def interior_eigenvalue_pair(eta: float) -> tuple:
 def boundary_eigenvalue(a: float, eta: float) -> float:
     """The nontrivial analytic eigenvalue modulus of the composed reduced
     map's Jacobian on the boundary fixed-point curve."""
+    require_step_size(eta)
     e3 = math.exp(3.0 * eta)
     return math.exp(-2.0 * eta * a * (1.0 - a) * (e3 - 1.0) / (a + (1.0 - a) * e3))

@@ -59,7 +59,7 @@ class Simplex:
             raise InputError("probabilities must be finite and nonnegative")
         total = p.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-            raise InputError(f"probabilities must sum to 1, got {total!r}")
+            raise InputError(f"probabilities must sum to 1, got {float(total)!r}")
         with np.errstate(divide="ignore"):
             return cls(np.log(p / total))
 

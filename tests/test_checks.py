@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
 from conftest import generated_periodic_game, random_interior_joint
@@ -163,7 +164,30 @@ class TestExtraKlDecrease:
         rows2 = np.tile([0.4, 0.6], (50, 1))
         traj = synthetic_trajectory(rows1, rows2, algo="extra", period=2)
         report = pg.check_extra_kl_decrease(traj, EQ22)
-        assert not report.passed
+        # 49 stalled steps: one violation per ten, at the step ending each ten.
+        assert [v.t for v in report.violations] == [10, 20, 30, 40]
+        assert all((v.lhs, v.rhs, v.slack) == (0.0, 0.0, 0.0) for v in report.violations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(segments=st.lists(st.tuples(st.booleans(), st.sampled_from([9, 10, 11, 20, 25])),
+                             min_size=1, max_size=12))
+    def test_stall_scan_matches_run_counter(self, segments):
+        # Rows that either hold still (a stalled stretch) or step toward the
+        # equilibrium (KL strictly falls), in runs of the sampled lengths.
+        moves = np.concatenate([np.full(n, not still) for still, n in segments])
+        x = 0.2 + 1e-4 * np.concatenate([[0], np.cumsum(moves)])
+        rows = np.column_stack([x, 1.0 - x])
+        traj = synthetic_trajectory(rows, rows, algo="extra", period=2)
+        report = pg.check_extra_kl_decrease(traj, EQ22)
+
+        # The per-step run counter the scan replaces.
+        expected, run = [], 0
+        for k, stalled in enumerate(~moves):
+            run = run + 1 if stalled else 0
+            if run == 10:
+                expected.append(k + 1)
+                run = 0
+        assert [v.t for v in report.violations] == expected
 
 
 class TestBregmanIdentities:

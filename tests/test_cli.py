@@ -56,6 +56,16 @@ class TestParseConfig:
             pg.parse_config(self.write(tmp_path, {"experiment": "game2x2", "eta": -0.5}))
         assert err.value.field == "eta"
 
+    @pytest.mark.parametrize("eta", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_eta_names_field(self, tmp_path, eta):
+        # json.dumps cannot write these, but json.load accepts them.
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"experiment": "game2x2", "eta": {eta}}}')
+        with pytest.raises(pg.ConfigError, match="positive finite") as err:
+            pg.parse_config(str(path))
+        assert err.value.field == "eta"
+        assert main(["simulate", "--config", str(path)]) == 1
+
     def test_unknown_field_named(self, tmp_path):
         with pytest.raises(pg.ConfigError) as err:
             pg.parse_config(self.write(tmp_path, {"experiment": "game2x2", "speed": 9}))
@@ -129,6 +139,17 @@ class TestCliCommands:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "nope"}))
         assert main(["simulate", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "game2x2", "--eta", "nan", "--steps", "10"],
+        ["experiment", "game2x2", "--eta", "inf", "--steps", "10"],
+        ["analyze", "fixed-curve", "--eta", "nan"],
+        ["analyze", "eigen", "--eta", "nan"],
+        ["verify", "identities", "--eta", "nan", "--steps", "10"],
+    ])
+    def test_non_finite_eta_exit_code(self, argv, capsys):
+        assert main(argv) == 1
+        assert "eta must be a positive finite number" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as info:

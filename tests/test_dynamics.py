@@ -294,3 +294,50 @@ class TestEtaBound:
         init = pg.JointState.from_probabilities([0.2, 0.8], [0.3, 0.7])
         assert pg.omwu_eta_bound_for_divergence(init) == pytest.approx(
             3.90625e-5, rel=1e-9)
+
+
+BAD_ETAS = [float("nan"), float("inf"), -float("inf"), 0.0, -0.05]
+
+
+class TestStepSizeGuard:
+    """Every entry point that takes a step size rejects a non-finite or
+    non-positive one instead of returning NaNs."""
+
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_one_step_rules(self, eta, game2x2):
+        state = joint([0.45, 0.55], [0.45, 0.55])
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.exp_weights_step(state.x1, [1.0, 0.0], eta)
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.omwu_joint_step(game2x2, 0, pg.OmwuState.repeated(state), eta)
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.extra_mwu_joint_step(game2x2.matrices[0], state, eta)
+
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    @pytest.mark.parametrize("algo", ["mwu", "omwu", "extra"])
+    def test_run_trajectory(self, eta, algo, game2x2):
+        init = joint([0.45, 0.55], [0.45, 0.55])
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.run_trajectory(game2x2, algo, init, eta, 10)
+
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_reduced_map(self, eta):
+        z = [0.4, 0.45, 0.55, 0.6]
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.omwu_reduced_map("even", z, eta)
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.omwu_reduced_composite(z, eta)
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.iterate_reduced(z, eta, 5)
+
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_boundary_fixed_point(self, eta):
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.boundary_fixed_point(0.3, eta)
+
+    @pytest.mark.parametrize("eta", BAD_ETAS)
+    def test_analytic_eigenvalues(self, eta):
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.interior_eigenvalue_pair(eta)
+        with pytest.raises(pg.InputError, match="eta must be a positive finite number"):
+            pg.boundary_eigenvalue(0.3, eta)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +112,138 @@ class TestSolveZeroSum:
     def test_desk_scale_guard(self):
         with pytest.raises(pg.InputError):
             pg.solve_zero_sum(pg.PayoffMatrix(np.zeros((7, 7))))
+
+
+def per_block_solve(A):
+    """The solver's support enumeration written one block at a time: two
+    ``np.linalg.solve`` calls per square support pair, clipping at 1e-9 and
+    the exact certificate on every surviving candidate, in the same order.
+    The oracle for the stacked solver, which must agree with it bit for bit."""
+    a = A.entries
+    sizes = list(range(1, min(A.m, A.n) + 1))
+    if A.m == A.n:
+        sizes.insert(0, sizes.pop())
+
+    def equalize(sub):
+        k = sub.shape[0]
+        system = np.zeros((k + 1, k + 1))
+        rhs = np.zeros(k + 1)
+        rhs[k] = 1.0
+        system[:k, k] = -1.0
+        system[k, :k] = 1.0
+        system[:k, :k] = sub
+        y = np.linalg.solve(system, rhs)[:k]
+        system[:k, :k] = sub.T
+        return np.linalg.solve(system, rhs)[:k], y
+
+    def clip(p):
+        if p.min() < -1e-9:
+            return None
+        q = np.clip(p, 0.0, None)
+        total = q.sum()
+        return None if total <= 0 else q / total
+
+    for k in sizes:
+        for rows in itertools.combinations(range(A.m), k):
+            for cols in itertools.combinations(range(A.n), k):
+                try:
+                    xs, ys = equalize(a[np.ix_(rows, cols)])
+                except np.linalg.LinAlgError:
+                    continue
+                xc, yc = clip(xs), clip(ys)
+                if xc is None or yc is None:
+                    continue
+                x, y = np.zeros(A.m), np.zeros(A.n)
+                x[list(rows)] = xc
+                y[list(cols)] = yc
+                sx, sy = pg.Simplex.from_probabilities(x), pg.Simplex.from_probabilities(y)
+                ok, gap = pg.verify_equilibrium(A, sx, sy)
+                if ok:
+                    return pg.EquilibriumResult(sx, sy, float(x @ a @ y), gap,
+                                                bool(x.min() > 0 and y.min() > 0))
+    raise pg.NumericalError("support enumeration found no verifiable equilibrium")
+
+
+PARITY_KINDS = ["normal", "ternary", "tenths", "large", "small", "huge", "generated"]
+
+
+def parity_matrix(rng, kind):
+    m, n = (int(v) for v in rng.integers(2, 7, size=2))
+    if rng.random() < 0.4:
+        n = m
+    a = rng.normal(size=(m, n))
+    if kind == "ternary":
+        return rng.integers(-1, 2, size=(m, n)).astype(float)
+    if kind == "tenths":
+        return np.round(a, 1)
+    if kind == "large":
+        return a * 1e6
+    if kind == "small":
+        return a * 1e-6
+    if kind == "huge":  # overflowing solves give non-finite candidates
+        return a * 1e307
+    if kind == "generated":
+        x, y = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+        return pg.generate_common_equilibrium_game(
+            pg.Simplex.from_probabilities(x), pg.Simplex.from_probabilities(y),
+            pg.PayoffMatrix(a)).entries
+    return a
+
+
+def outcome(solve, A):
+    try:
+        res = solve(A)
+    except (pg.InputError, pg.NumericalError) as exc:
+        return type(exc)
+    return (res.x_star.log_weights.tobytes(), res.y_star.log_weights.tobytes(),
+            res.value, res.gap, res.fully_mixed)
+
+
+@pytest.fixture
+def per_block_solves(monkeypatch):
+    """Arm with ``arm()``; afterwards every ``np.linalg.solve`` call is
+    logged, True for an unstacked (2-d) system."""
+    solve, log = np.linalg.solve, []
+
+    def counting_solve(a, b):
+        log.append(a.ndim == 2)
+        return solve(a, b)
+
+    def arm():
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        return log
+
+    return arm
+
+
+class TestStackedSolverParity:
+    @pytest.mark.parametrize("kind", PARITY_KINDS)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_bitwise_equal_to_per_block_enumeration(self, kind, per_block_solves):
+        # 60 matrices of one kind, 2x2 to 6x6, square and not.
+        rng = np.random.default_rng(PARITY_KINDS.index(kind) + 40)
+        mats = [pg.PayoffMatrix(parity_matrix(rng, kind)) for _ in range(60)]
+        expected = [outcome(per_block_solve, a) for a in mats]
+        # Per-block solves happen only when LAPACK meets an exactly singular
+        # block somewhere in a stack.
+        per_block = per_block_solves()
+        got = [outcome(pg.solve_zero_sum, a) for a in mats]
+        for a, want, have in zip(mats, expected, got):
+            assert have == want, a.entries
+        assert not all(isinstance(e, type) for e in expected)
+        if kind == "ternary":
+            assert any(per_block)
+        if kind == "huge":
+            assert pg.InputError in expected
+
+    def test_singular_stack_falls_back_per_block(self, rps, per_block_solves):
+        # A duplicated strategy makes every block holding both copies
+        # singular, so those stacks are solved block by block.
+        a = pg.PayoffMatrix(np.vstack([rps.entries, rps.entries[:1]]))
+        expected = outcome(per_block_solve, a)
+        per_block = per_block_solves()
+        assert outcome(pg.solve_zero_sum, a) == expected
+        assert any(per_block)
 
 
 class TestCommonEquilibrium:

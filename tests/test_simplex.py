@@ -70,6 +70,10 @@ class TestSimplex:
         with pytest.raises(pg.InputError):
             pg.Simplex.from_probabilities([0.6, 0.6])
 
+    def test_sum_error_prints_a_plain_number(self):
+        with pytest.raises(pg.InputError, match=r"must sum to 1, got 0\.4$"):
+            pg.Simplex.from_probabilities(np.array([0.2, 0.2]))
+
 
 class TestKlDivergence:
     def test_identity_is_zero(self):

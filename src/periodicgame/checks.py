@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -68,6 +68,20 @@ def _require_2x2(traj: Trajectory, name: str):
         raise InputError(f"{name} applies to 2x2 games only")
 
 
+def _require_tol(tol: float):
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InputError(f"tol must be a nonnegative finite number, got {tol!r}")
+
+
+def _flag(report: PropertyReport, mask, times, lhs, rhs, slack):
+    # A Violation for each index where mask holds, in index order; scalar
+    # arguments stand for every index.
+    hits = np.nonzero(mask)[0]
+    if hits.size:  # most scans find nothing, and broadcasting costs more
+        cols = [np.broadcast_to(v, mask.shape)[hits].tolist() for v in (times, lhs, rhs, slack)]
+        report.violations.extend(map(Violation, *cols))
+
+
 def _kl_step_differences(traj: Trajectory, ref: JointState, stride: int = 1) -> np.ndarray:
     """KL(ref, x^{t+stride}) - KL(ref, x^t) per recorded step, via exact-ish
     log-probability differences."""
@@ -83,10 +97,10 @@ def check_omwu_ratio_identities(traj: Trajectory, eta: float,
     """Verify the six two-step log-ratio identities of the alternating 2x2
     game at every even time index with enough history, in log form to
     relative tolerance ``tol``."""
+    _require_tol(tol)
     _require(traj, Algorithm.OMWU, "ratio-identities")
     _require_2x2(traj, "ratio-identities")
     last = int(traj.times[-1])
-    report = PropertyReport("omwu-ratio-identities", 0)
     if last < 4:
         raise InputError("trajectory too short: need at least 4 steps")
 
@@ -104,16 +118,14 @@ def check_omwu_ratio_identities(traj: Trajectory, eta: float,
         5: (lg1[te + 2], lg1[te + 1] - 3 * eta + 2 * eta * (2 * b2[te + 1] + b2[te])),
         6: (lg2[te + 1], lg2[te] - 3 * eta + 2 * eta * (2 * b1[te] + b1[te - 1])),
     }
+    report = PropertyReport("omwu-ratio-identities", len(identities) * te.size)
     worst = 0.0
-    for item, (lhs, rhs) in identities.items():
-        allow = tol * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        excess = np.abs(lhs - rhs) - allow
-        worst = max(worst, float((np.abs(lhs - rhs) / allow).max() * tol))
-        for k in np.nonzero(excess > 0)[0]:
-            report.violations.append(
-                Violation(int(te[k]), float(lhs[k]), float(rhs[k]), float(excess[k]))
-            )
-        report.checked_steps += te.size
+    for lhs, rhs in identities.values():
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        residual = np.abs(lhs - rhs)
+        excess = residual - tol * scale
+        worst = max(worst, float((residual / scale).max()))
+        _flag(report, excess > 0, te, lhs, rhs, excess)
     report.stats["worst_relative_residual"] = worst
     report.stats["even_steps_checked"] = int(te.size)
     return report
@@ -167,22 +179,20 @@ def check_omwu_increments(traj: Trajectory, p: float, eta: float) -> PropertyRep
         "x12[t+1]-x12[t+2]": (b1[te + 1] - b1[te + 2], lo15, hi1),
     }
     for label, (vals, lo, hi) in bounds.items():
-        for k in np.nonzero(vals < lo)[0]:
-            report.violations.append(Violation(int(te[k]), float(vals[k]), lo, float(lo - vals[k])))
+        # Each slack is positive exactly where its bound fails.
+        short = lo - vals
+        _flag(report, short > 0, te, vals, lo, short)
         if hi is not None:
-            for k in np.nonzero(vals > hi)[0]:
-                report.violations.append(Violation(int(te[k]), float(vals[k]), hi, float(vals[k] - hi)))
-        report.checked_steps += te.size
+            over = vals - hi
+            _flag(report, over > 0, te, vals, hi, over)
         report.stats[f"min {label}"] = float(vals.min()) if te.size else None
 
     eq = JointState.from_probabilities([0.5, 0.5], [0.5, 0.5])
     kl_gain = _kl_step_differences(traj, eq, stride=2)[te]  # KL(t+2) - KL(t)
     kl_floor = 0.375 * p * p * eta ** 3
-    for k in np.nonzero(kl_gain < kl_floor)[0]:
-        report.violations.append(
-            Violation(int(te[k]), float(kl_gain[k]), kl_floor, float(kl_floor - kl_gain[k]))
-        )
-    report.checked_steps += te.size
+    short = kl_floor - kl_gain
+    _flag(report, short > 0, te, kl_gain, kl_floor, short)
+    report.checked_steps = (len(bounds) + 1) * te.size  # six bounds and the KL floor
     report.stats["min_kl_2step_gain"] = float(kl_gain.min()) if te.size else None
     report.stats["kl_floor"] = kl_floor
     report.stats["even_steps_checked"] = int(te.size)
@@ -203,6 +213,7 @@ def check_extra_kl_decrease(traj: Trajectory, eq: JointState,
     decrease must also be strict: any resolvable increase, or a stretch of
     ten exactly-stalled steps, is a violation.
     """
+    _require_tol(tol)
     _require(traj, Algorithm.EXTRA_MWU, "kl-decrease")
     if eq.dims != (traj.log_probs1.shape[1], traj.log_probs2.shape[1]):
         raise InputError("equilibrium dimensions do not match the trajectory")
@@ -212,22 +223,16 @@ def check_extra_kl_decrease(traj: Trajectory, eq: JointState,
         np.abs(np.exp(traj.log_probs2) - eq.x2.probabilities).max(axis=1),
     )
     report = PropertyReport("extra-kl-decrease", int(diffs.size))
-    for k in np.nonzero(diffs > tol)[0]:
-        report.violations.append(
-            Violation(int(traj.times[k + 1]), float(diffs[k]), tol, float(diffs[k] - tol))
-        )
+    after = traj.times[1:]
+    _flag(report, diffs > tol, after, diffs, tol, diffs - tol)
     far = dist[:-1] > 1e-8
-    for k in np.nonzero(far & (diffs >= _STRICT_FLOOR))[0]:
-        report.violations.append(
-            Violation(int(traj.times[k + 1]), float(diffs[k]), 0.0, float(diffs[k]))
-        )
+    _flag(report, far & (diffs >= _STRICT_FLOOR), after, diffs, 0.0, diffs)
     # Every tenth step of a stalled stretch: its length so far is the
     # distance back to the last step that did not stall.
     stalled = far & (diffs == 0.0)
     idx = np.arange(stalled.size)
     runlen = idx - np.maximum.accumulate(np.where(stalled, -1, idx))
-    for k in np.nonzero(stalled & (runlen % 10 == 0))[0]:
-        report.violations.append(Violation(int(traj.times[k + 1]), 0.0, 0.0, 0.0))
+    _flag(report, stalled & (runlen % 10 == 0), after, 0.0, 0.0, 0.0)
     report.stats["max_increase"] = float(diffs.max()) if diffs.size else None
     report.stats["final_kl"] = float(traj.kl_to_ref[-1])
     return report
@@ -238,6 +243,7 @@ def check_bregman_identities(p: Simplex, x: Simplex, x_prime: Simplex, y,
     """Verify the three-points identity for (p, x, x') and the exp-weights
     step identity for x-dagger = exp_weights_step(x, y, 1), both to absolute
     tolerance ``tol``."""
+    _require_tol(tol)
     for name, s in (("p", p), ("x", x), ("x_prime", x_prime)):
         if s.probabilities.min() <= 0:
             raise InputError(f"{name} must be interior")
@@ -278,12 +284,13 @@ class OrbitVerdict(str, enum.Enum):
 # threshold for ten straight periods has left the interior for good; no
 # orbit or point limit of these dynamics lives there.
 _SATURATED_BOUNDARY = 1e-12
+_ORBIT_TOL = 1e-8  # tail gaps this small count as no motion
+_NONTRIVIAL_MOTION = 1e-3  # an orbit keeps a consecutive gap this large
 
 
-def detect_periodic_orbit(traj: Trajectory, period: int,
-                          tol_orbit: float = 1e-8,
-                          tol_nontrivial: float = 1e-3) -> OrbitVerdict:
-    """Classify the tail behavior over the final 10 periods.
+def detect_periodic_orbit(traj: Trajectory) -> OrbitVerdict:
+    """Classify the tail behavior over the final 10 periods of the
+    trajectory's own schedule period.
 
     A point limit has both the period-stride and the consecutive gaps tiny;
     a nontrivial orbit keeps consecutive motion while the period-stride gap
@@ -292,8 +299,9 @@ def detect_periodic_orbit(traj: Trajectory, period: int,
     pinned far below it for the whole window (saturated phase, which can
     wiggle locally while the surviving coordinates keep cycling).
     """
+    period = traj.period
     if period < 1:
-        raise InputError("period must be >= 1")
+        raise InputError("trajectory period must be >= 1")
     if not traj.is_contiguous:
         raise InputError("orbit detection needs record_every = 1")
     span = 10 * period
@@ -304,12 +312,12 @@ def detect_periodic_orbit(traj: Trajectory, period: int,
     window = probs[-(span + 1):]
     period_gap = float(np.abs(window[period:] - window[:-period]).max())
     consec_gap = float(np.abs(window[1:] - window[:-1]).max())
-    if period_gap <= tol_orbit and consec_gap <= tol_orbit:
+    if period_gap <= _ORBIT_TOL and consec_gap <= _ORBIT_TOL:
         return OrbitVerdict.CONVERGED_POINT
     mc = traj.min_component[-(span + 1):]
     if mc.max() < _SATURATED_BOUNDARY:
         return OrbitVerdict.DIVERGING_BOUNDARY
-    if period_gap <= tol_orbit and consec_gap >= tol_nontrivial:
+    if period_gap <= _ORBIT_TOL and consec_gap >= _NONTRIVIAL_MOTION:
         return OrbitVerdict.CONVERGED_ORBIT
     stride_down = bool((mc[period:] <= mc[:-period] * (1.0 + 1e-9)).all())
     if stride_down and mc[-1] < 1e-6:

@@ -23,8 +23,7 @@ from .checks import (
 )
 from .dynamics import (
     Algorithm,
-    OmwuState,
-    iterate_reduced,
+    divergence_offset,
     max_step_size,
     omwu_eta_bound_for_divergence,
     omwu_reduced_composite,
@@ -250,6 +249,8 @@ def _report_exit(report) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # --tol replaces the checker's own default only when given.
+    tol = {} if args.tol is None else {"tol": args.tol}
     if args.what == "identities":
         spec = experiment_by_name(args.experiment or "game2x2")
         eta = args.eta if args.eta is not None else 1e-3
@@ -257,13 +258,11 @@ def _cmd_verify(args) -> int:
         init = default_init(spec.game.m, spec.game.n)
         traj = run_trajectory(spec.game, Algorithm.OMWU, init, eta, steps,
                               record_every=1)
-        return _report_exit(check_omwu_ratio_identities(traj, eta,
-                                                        tol=args.tol or 1e-10))
+        return _report_exit(check_omwu_ratio_identities(traj, eta, **tol))
     if args.what == "increments":
         spec = experiment_by_name(args.experiment or "game2x2")
         init = JointState.from_probabilities([0.45, 0.55], [0.45, 0.55])
-        p = 0.5 * min(abs(init.x1.probabilities[0] - 0.5),
-                      abs(init.x2.probabilities[0] - 0.5))
+        p = divergence_offset(init)
         eta = args.eta if args.eta is not None else omwu_eta_bound_for_divergence(init)
         steps = args.steps if args.steps is not None else 2000
         traj = run_trajectory(spec.game, Algorithm.OMWU, init, eta, steps,
@@ -279,8 +278,7 @@ def _cmd_verify(args) -> int:
         traj = run_trajectory(spec.game, Algorithm.EXTRA_MWU,
                               default_init(spec.game.m, spec.game.n), eta, steps,
                               record_every=1, reference=eq.joint)
-        return _report_exit(check_extra_kl_decrease(traj, eq.joint,
-                                                    tol=args.tol or 1e-12))
+        return _report_exit(check_extra_kl_decrease(traj, eq.joint, **tol))
     if args.what == "bregman":
         rng = np.random.default_rng(args.seed)
         worst = 0.0
@@ -288,7 +286,7 @@ def _cmd_verify(args) -> int:
             p, x, xp = (Simplex.from_probabilities(rng.dirichlet(np.ones(args.dim)))
                         for _ in range(3))
             y = rng.normal(size=args.dim)
-            report = check_bregman_identities(p, x, xp, y, tol=args.tol or 1e-10)
+            report = check_bregman_identities(p, x, xp, y, **tol)
             worst = max(worst, max(report.stats["residuals"]))
             if not report.passed:
                 print(f"bregman-identities: FAILED (worst residual {worst:.3g})")
@@ -303,7 +301,7 @@ def _cmd_verify(args) -> int:
     steps = args.steps if args.steps is not None else 30_000
     traj = run_trajectory(spec.game, algo, default_init(spec.game.m, spec.game.n),
                           eta, steps, record_every=1)
-    verdict = detect_periodic_orbit(traj, spec.game.period)
+    verdict = detect_periodic_orbit(traj)
     print(f"orbit verdict: {verdict.value} (expected {args.expect})")
     return EXIT_OK if verdict.value == args.expect else EXIT_PROPERTY
 

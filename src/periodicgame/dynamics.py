@@ -117,7 +117,7 @@ def extra_mwu_joint_step(A: PayoffMatrix, state: JointState, eta: float):
     return half, nxt
 
 
-def _resolve_init(algo: Algorithm, init) -> OmwuState:
+def _resolve_init(init) -> OmwuState:
     if isinstance(init, OmwuState):
         return init
     if isinstance(init, JointState):
@@ -153,7 +153,7 @@ def run_trajectory(
     if record_every < 1:
         raise InputError("record_every must be >= 1")
 
-    state = _resolve_init(algo, init)
+    state = _resolve_init(init)
     if state.current.dims != (game.m, game.n):
         raise InputError(
             f"init dimensions {state.current.dims} do not match game ({game.m}, {game.n})"
@@ -240,15 +240,19 @@ def iterate_reduced(z0, eta: float, n_steps: int) -> np.ndarray:
     return out
 
 
-def omwu_eta_bound_for_divergence(init: JointState) -> float:
-    """Largest step size for which the KL-increase hypothesis holds at this
-    2x2 initial condition: p = half the smaller offset of a first coordinate
-    from 1/2, bound = (p/16)^2."""
+def divergence_offset(init: JointState) -> float:
+    """p = half the smaller offset of a first coordinate from 1/2 at a 2x2
+    initial condition, the p of the divergence hypothesis."""
     if init.dims != (2, 2):
         raise InputError("divergence bound is defined for 2x2 joint states")
-    x11 = float(init.x1.probabilities[0])
-    x21 = float(init.x2.probabilities[0])
-    p = 0.5 * min(abs(x11 - 0.5), abs(x21 - 0.5))
+    return 0.5 * min(abs(float(init.x1.probabilities[0]) - 0.5),
+                     abs(float(init.x2.probabilities[0]) - 0.5))
+
+
+def omwu_eta_bound_for_divergence(init: JointState) -> float:
+    """Largest step size for which the KL-increase hypothesis holds at this
+    2x2 initial condition: (p/16)^2 with p = ``divergence_offset(init)``."""
+    p = divergence_offset(init)
     if p == 0.0:
         raise InputError("initial condition sits on the equilibrium axis (p = 0)")
     return (p / 16.0) ** 2

@@ -2,8 +2,10 @@
 
 Desk scale only (m, n <= 6): support enumeration over square support
 pairs, the full support of a square game first.  The blocks of one support
-size are solved as one stack; a vectorised best-response gap screens the
-candidates, and the exact certificate (``verify_equilibrium``) decides.
+size are solved as one stack, less any exactly singular block; the
+candidates are clipped and placed on their supports once, a vectorised
+best-response gap screens them, and the exact certificate
+(``verify_equilibrium``) decides.
 """
 
 from __future__ import annotations
@@ -55,20 +57,18 @@ def verify_equilibrium(A: PayoffMatrix, x: Simplex, y: Simplex,
 
 def _solve_stack(systems: np.ndarray, rhs: np.ndarray):
     """Solve a (B, k+1, k+1) stack against a (B, k+1, 1) right-hand side
-    in one LAPACK call.  When some block is exactly singular, solve block by
-    block instead.  Returns the (B, k+1) solutions and a mask of the blocks
-    that solved (rows outside the mask are zero)."""
+    in one LAPACK call.  When LAPACK refuses the stack, a stacked
+    ``slogdet`` marks the blocks whose LU factorization meets an exactly
+    zero pivot (sign 0, the blocks ``solve`` refuses), and the others are
+    solved as one smaller stack.  Returns the (B, k+1) solutions and a mask
+    of the blocks that solved (rows outside the mask are zero)."""
     try:
         return np.linalg.solve(systems, rhs)[..., 0], np.ones(len(systems), dtype=bool)
     except np.linalg.LinAlgError:
         pass
+    solved = np.linalg.slogdet(systems)[0] != 0
     sol = np.zeros(rhs.shape[:2])
-    solved = np.ones(len(systems), dtype=bool)
-    for i, (system, r) in enumerate(zip(systems, rhs)):
-        try:
-            sol[i] = np.linalg.solve(system, r[:, 0])
-        except np.linalg.LinAlgError:
-            solved[i] = False
+    sol[solved] = np.linalg.solve(systems[solved], rhs[solved])[..., 0]
     return sol, solved
 
 
@@ -90,40 +90,28 @@ def _equalizing_pair(blocks: np.ndarray):
     return sol_x[:, :k], sol_y[:, :k], sol_y[:, k], sol_x[:, k], solved_x & solved_y
 
 
-def _clip_probs(p: np.ndarray) -> Optional[np.ndarray]:
-    if p.min() < -_CLIP_TOL:
-        return None
-    q = np.clip(p, 0.0, None)
-    total = q.sum()
-    if total <= 0:
-        return None
-    return q / total
-
-
 def _clipped_rows(p: np.ndarray) -> np.ndarray:
-    # Mask of the rows of p that _clip_probs keeps.  A row's clipped total
-    # is 0 exactly when its maximum is <= 0, and a NaN row passes both
-    # tests there and here.
+    # Mask of the rows of p that are probabilities up to rounding: no entry
+    # below -_CLIP_TOL and a positive clipped total (a maximum above 0).  A
+    # NaN row passes, and the certificate raises on it.
     return ~(p.min(axis=1) < -_CLIP_TOL) & ~(p.max(axis=1) <= 0)
 
 
 def _scatter(p: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
     # Clip and normalise each row of p and place it on its support.
-    q = np.clip(p, 0.0, None)
+    q = np.maximum(p, 0.0)
     out = np.zeros((len(p), size))
     out[np.arange(len(p))[:, None], support] = q / q.sum(axis=1, keepdims=True)
     return out
 
 
-def _screen(a: np.ndarray, xs, ys, rows, cols) -> np.ndarray:
-    """Mask of the candidates worth the exact certificate: best-response gap
-    at most ``DEFAULT_TOL + 1e-6 * max(1, max|A|)``, computed for all of
-    them at once.  A NaN gap (from an overflowing solve) passes, so that
-    the exact path raises on it as before."""
+def _screen(a: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """Mask of the candidate rows of px, py worth the exact certificate:
+    best-response gap at most ``DEFAULT_TOL + 1e-6 * max(1, max|A|)``,
+    computed for all of them at once.  A NaN gap (from an overflowing
+    solve) passes, so that the exact path raises on it as before."""
     bound = DEFAULT_TOL + 1e-6 * max(1.0, float(np.abs(a).max()))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        px = _scatter(xs, rows, a.shape[0])
-        py = _scatter(ys, cols, a.shape[1])
         ay = py @ a.T
         v = (px * ay).sum(axis=1)
         gap = np.maximum(ay.max(axis=1) - v, v - (px @ a).min(axis=1))
@@ -155,15 +143,14 @@ def solve_zero_sum(A: PayoffMatrix) -> EquilibriumResult:
         cols = np.tile(col_sets, (len(row_sets), 1))
         xs, ys, _, _, solved = _equalizing_pair(a[rows[:, :, None], cols[:, None, :]])
         live = np.flatnonzero(solved & _clipped_rows(xs) & _clipped_rows(ys))
+        px = _scatter(xs[live], rows[live], A.m)
+        py = _scatter(ys[live], cols[live], A.n)
         # Screening a lone candidate costs about as much as the one exact
         # check it could save.
         if live.size > 1:
-            live = live[_screen(a, xs[live], ys[live], rows[live], cols[live])]
-        for i in live:
-            x = np.zeros(A.m)
-            y = np.zeros(A.n)
-            x[rows[i]] = _clip_probs(xs[i])
-            y[cols[i]] = _clip_probs(ys[i])
+            keep = _screen(a, px, py)
+            px, py = px[keep], py[keep]
+        for x, y in zip(px, py):
             res = _build_result(A, x, y)
             if res is not None:
                 return res
@@ -199,11 +186,10 @@ def _equalizer(mats: np.ndarray) -> Optional[np.ndarray]:
     for k in range(n, 0, -1):
         for cols in itertools.combinations(range(n), k):
             sol = np.linalg.lstsq(lhs[:, [*cols, *range(n, n + periods)]], rhs, rcond=None)[0]
-            yc = _clip_probs(sol[:k])
-            if yc is None:
+            cand = sol[None, :k]
+            if not _clipped_rows(cand)[0]:
                 continue
-            y = np.zeros(n)
-            y[list(cols)] = yc
+            y = _scatter(cand, np.array([cols]), n)[0]
             payoffs = mats @ y
             if (payoffs.max(axis=1) - payoffs.min(axis=1)).max() <= DEFAULT_TOL:
                 return y

@@ -11,10 +11,10 @@ from typing import List, Optional
 import numpy as np
 
 from .dynamics import Algorithm, OmwuState, max_step_size, run_trajectory
-from .equilibrium import EquilibriumResult, common_equilibrium
+from .equilibrium import common_equilibrium
 from .errors import ConfigError, InputError
 from .output import emit_csv, emit_svg_plot
-from .simplex import JointState, PeriodicGame, Simplex, Trajectory
+from .simplex import JointState, PeriodicGame, Trajectory
 
 # Payoff schedules transcribed verbatim (tuples are matrix rows; index 0 is
 # the matrix used at t = 0).
@@ -110,7 +110,8 @@ _CONFIG_FIELDS = {f.name for f in fields(RunConfig)} - {"log_y"}
 
 def parse_config(path: str) -> RunConfig:
     """Parse and validate a JSON run configuration; unknown fields and
-    schema violations are rejected with the offending field named."""
+    schema violations (JSON true/false count as no number) are rejected
+    with the offending field named."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -130,6 +131,9 @@ def parse_config(path: str) -> RunConfig:
     if (cfg.experiment is None) == (not has_inline):
         raise ConfigError("exactly one of 'experiment' or 'matrices' is required",
                           field="experiment")
+    if cfg.period is not None and (type(cfg.period) is not int or cfg.period < 1):
+        raise ConfigError(f"period must be a positive integer, got {cfg.period!r}",
+                          field="period")
     if has_inline:
         try:
             game = PeriodicGame(tuple(cfg.matrices))
@@ -145,17 +149,17 @@ def parse_config(path: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"algo must be one of mwu|omwu|extra, got {cfg.algo!r}",
                               field="algo") from exc
-    if cfg.eta is not None and (not isinstance(cfg.eta, (int, float))
+    if cfg.eta is not None and (type(cfg.eta) not in (int, float)
                                 or not math.isfinite(cfg.eta) or cfg.eta <= 0):
         raise ConfigError(f"eta must be a positive finite number, got {cfg.eta!r}",
                           field="eta")
-    if cfg.steps is not None and (not isinstance(cfg.steps, int) or cfg.steps < 1):
+    if cfg.steps is not None and (type(cfg.steps) is not int or cfg.steps < 1):
         raise ConfigError(f"steps must be a positive integer, got {cfg.steps!r}",
                           field="steps")
-    if cfg.record_every is not None and (not isinstance(cfg.record_every, int)
+    if cfg.record_every is not None and (type(cfg.record_every) is not int
                                          or cfg.record_every < 1):
         raise ConfigError("record_every must be a positive integer", field="record_every")
-    if cfg.seed is not None and (not isinstance(cfg.seed, int) or cfg.seed < 0):
+    if cfg.seed is not None and (type(cfg.seed) is not int or cfg.seed < 0):
         raise ConfigError("seed must be a nonnegative integer", field="seed")
     for name in ("init", "init_prev"):
         value = getattr(cfg, name)

@@ -17,12 +17,11 @@ from .dynamics import require_step_size
 from .errors import InputError, NumericalError
 
 MAX_EIG_DIM = 8
+_FD_STEP = 1e-6
 
 
-def jacobian_fd(func, point, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian; column j probes point +- h e_j."""
-    if h <= 0:
-        raise InputError("h must be positive")
+def jacobian_fd(func, point) -> np.ndarray:
+    """Central finite-difference Jacobian; column j probes point +- _FD_STEP e_j."""
     x = np.asarray(point, dtype=np.float64)
     if x.ndim != 1:
         raise InputError("point must be a vector")
@@ -30,12 +29,12 @@ def jacobian_fd(func, point, h: float = 1e-6) -> np.ndarray:
     jac = np.empty((n, n))
     for j in range(n):
         step = np.zeros(n)
-        step[j] = h
+        step[j] = _FD_STEP
         hi = np.asarray(func(x + step), dtype=np.float64)
         lo = np.asarray(func(x - step), dtype=np.float64)
         if hi.shape != (n,) or lo.shape != (n,):
             raise InputError("map must return a vector of the same dimension")
-        jac[:, j] = (hi - lo) / (2.0 * h)
+        jac[:, j] = (hi - lo) / (2.0 * _FD_STEP)
     return jac
 
 

@@ -213,8 +213,7 @@ def test_criterion_09_no_common_equilibrium():
         start = time.perf_counter()
         extra = pg.run_trajectory(spec.game, "extra", init, 0.1, 30_000,
                                   record_every=1)
-        verdict = pg.detect_periodic_orbit(extra, 3, tol_orbit=1e-8,
-                                           tol_nontrivial=1e-3)
+        verdict = pg.detect_periodic_orbit(extra)
         extra_elapsed = time.perf_counter() - start
         assert verdict is pg.OrbitVerdict.CONVERGED_ORBIT
         probs = np.hstack([extra.probabilities1, extra.probabilities2])
@@ -226,8 +225,7 @@ def test_criterion_09_no_common_equilibrium():
         start = time.perf_counter()
         omwu = pg.run_trajectory(spec.game, "omwu", init, 0.05, 100_000,
                                  record_every=1)
-        verdict = pg.detect_periodic_orbit(omwu, 3, tol_orbit=1e-8,
-                                           tol_nontrivial=1e-3)
+        verdict = pg.detect_periodic_orbit(omwu)
         omwu_elapsed = time.perf_counter() - start
         assert verdict is pg.OrbitVerdict.DIVERGING_BOUNDARY
         assert omwu_elapsed < 10.0

@@ -23,6 +23,121 @@ def synthetic_trajectory(p1_rows, p2_rows, algo="extra", period=3, eta=0.1):
     )
 
 
+# Violation lists recorded from the checkers' per-violation loops before
+# they shared one recording helper: every (t, lhs, rhs, slack) of a failing
+# run of each checker, in report order.
+IDENTITIES_WRONG_ETA = [
+    (2, -0.20368584166408965, -0.20368735628428355, 1.514520193904248e-06),
+    (4, -0.20370091583190642, -0.2037024232486881, 1.5073167816764294e-06),
+    (6, -0.20371599108378446, -0.2037174986089723, 1.5074251878216012e-06),
+    (2, -0.19768524915039754, -0.19768670451922202, 1.4552688244822727e-06),
+    (4, -0.1976998777615615, -0.197701340622678, 1.4627611164912986e-06),
+    (6, -0.19771450742796381, -0.19771597039460415, 1.462866640330965e-06),
+    (2, -0.20071525498053355, -0.20071674048903318, 1.4854084996268086e-06),
+    (4, -0.2007301107719507, -0.20073159635109236, 1.4854791416745756e-06),
+    (6, -0.20074496763380523, -0.20074645331999072, 1.4855861854928294e-06),
+    (2, -0.20071524161249688, -0.20071672667519141, 1.4849626945395184e-06),
+    (4, -0.20073009294488053, -0.20073157807811906, 1.4850332385268368e-06),
+    (6, -0.20074494534639076, -0.20074643058654187, 1.485140151116729e-06),
+    (2, -0.20071525498053355, -0.20041819631217797, 0.00029705856835558205),
+    (4, -0.2007301107719507, -0.2004330302659551, 0.0002970804059955839),
+    (6, -0.20074496763380523, -0.20044786528880731, 0.0002971022449979127),
+    (2, -0.19768524915039754, -0.1973837349668821, 0.0003015140835154278),
+    (4, -0.1976998777615615, -0.19739834137646806, 0.0003015362850934483),
+    (6, -0.19771450742796381, -0.19741294887627217, 0.00030155845169164416),
+]
+INCREMENTS_PERTURBED = [
+    (10, 0.00010018127463973237, 7.324218750000001e-06, 9.285705588973236e-05),
+    (10, -9.999999978083096e-05, 2.7284841053187865e-19, 9.999999978083123e-05),
+    (10, -2.0222631083421927e-05, 3.4106051316484836e-21, 2.022263108342193e-05),
+]
+KL_MWU_RISING = [
+    (1, 0.0006186874904116069, 1e-12, 0.0006186874894116069),
+    (2, 0.0006564338591580898, 1e-12, 0.0006564338581580898),
+    (3, 0.0006958429394871013, 1e-12, 0.0006958429384871013),
+    (4, 0.0007381677041953805, 1e-12, 0.0007381677031953805),
+    (5, 0.0007822559550967334, 1e-12, 0.0007822559540967334),
+    (6, 0.000829674640485889, 1e-12, 0.000829674639485889),
+    (1, 0.0006186874904116069, 0.0, 0.0006186874904116069),
+    (2, 0.0006564338591580898, 0.0, 0.0006564338591580898),
+    (3, 0.0006958429394871013, 0.0, 0.0006958429394871013),
+    (4, 0.0007381677041953805, 0.0, 0.0007381677041953805),
+    (5, 0.0007822559550967334, 0.0, 0.0007822559550967334),
+    (6, 0.000829674640485889, 0.0, 0.000829674640485889),
+]
+KL_RISE_AND_STALL = [
+    (1, 0.019716916683724883, 1e-12, 0.019716916682724885),
+    (2, 0.021105077836530206, 1e-12, 0.021105077835530207),
+    (3, 0.02257432203853882, 1e-12, 0.02257432203753882),
+    (1, 0.019716916683724883, 0.0, 0.019716916683724883),
+    (2, 0.021105077836530206, 0.0, 0.021105077836530206),
+    (3, 0.02257432203853882, 0.0, 0.02257432203853882),
+    (13, 0.0, 0.0, 0.0),
+    (23, 0.0, 0.0, 0.0),
+]
+
+
+def as_tuples(report):
+    return [(v.t, v.lhs, v.rhs, v.slack) for v in report.violations]
+
+
+class TestGoldenViolations:
+    def test_identities_at_wrong_eta(self, game2x2):
+        traj = pg.run_trajectory(game2x2, "omwu", INIT_4555, 1e-2, 8, record_every=1)
+        report = pg.check_omwu_ratio_identities(traj, 1.1e-2)
+        assert as_tuples(report) == IDENTITIES_WRONG_ETA
+
+    def test_increments_on_perturbed_run(self, game2x2):
+        # Lifting x22 at t = 10 breaches the upper bound on x22[t]-x22[t+1]
+        # and the lower bounds on x22[t+2]-x22[t] and the KL gain.
+        p = 0.025
+        eta = (p / 16.0) ** 2
+        traj = pg.run_trajectory(game2x2, "omwu", INIT_4555, eta, 24, record_every=1)
+        lp2 = traj.log_probs2.copy()
+        b = float(np.exp(lp2[10, 1])) + 1e-4
+        lp2[10] = np.log([1.0 - b, b])
+        report = pg.check_omwu_increments(dataclasses.replace(traj, log_probs2=lp2), p, eta)
+        assert as_tuples(report) == INCREMENTS_PERTURBED
+
+    def test_kl_decrease_on_mwu_run(self, game2x2):
+        traj = pg.run_trajectory(game2x2, "mwu", INIT_4555, 0.5, 6, record_every=1,
+                                 reference=EQ22)
+        report = pg.check_extra_kl_decrease(dataclasses.replace(traj, algo="extra"), EQ22)
+        assert as_tuples(report) == KL_MWU_RISING
+
+    def test_kl_decrease_rise_and_stall(self):
+        # Three steps away from the equilibrium, 21 stalled steps, three back.
+        x = np.concatenate([0.3 - 0.01 * np.arange(4), np.full(21, 0.27),
+                            0.27 + 0.01 * np.arange(1, 4)])
+        rows = np.column_stack([x, 1.0 - x])
+        traj = synthetic_trajectory(rows, rows, algo="extra", period=2)
+        report = pg.check_extra_kl_decrease(traj, EQ22)
+        assert as_tuples(report) == KL_RISE_AND_STALL
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
+    def test_bad_tol_rejected(self, game2x2, tol):
+        omwu = pg.run_trajectory(game2x2, "omwu", INIT_4555, 1e-3, 10, record_every=1)
+        extra = pg.run_trajectory(game2x2, "extra", INIT_4555, 0.1, 10, record_every=1,
+                                  reference=EQ22)
+        u = pg.Simplex.from_probabilities([0.5, 0.5])
+        for check in (lambda: pg.check_omwu_ratio_identities(omwu, 1e-3, tol=tol),
+                      lambda: pg.check_extra_kl_decrease(extra, EQ22, tol=tol),
+                      lambda: pg.check_bregman_identities(u, u, u, np.zeros(2), tol=tol)):
+            with pytest.raises(pg.InputError, match="tol must be"):
+                check()
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_tol_is_exact(self, game2x2):
+        # At tol = 0 any rounding residual is a violation, and the worst
+        # relative residual is still a finite number.
+        traj = pg.run_trajectory(game2x2, "omwu", INIT_4555, 1e-3, 200, record_every=1)
+        report = pg.check_omwu_ratio_identities(traj, 1e-3, tol=0.0)
+        assert not report.passed
+        assert 0.0 < report.stats["worst_relative_residual"] <= 1e-14
+
+
 class TestBoundaryFixedPoint:
     def test_endpoints(self):
         assert np.array_equal(pg.boundary_fixed_point(0.0, 0.1), [0, 0, 0, 0])
@@ -252,14 +367,14 @@ class TestOrbitDetector:
         rows1 = np.tile([0.3, 0.3, 0.4], (40, 1))
         rows2 = np.tile([0.2, 0.5, 0.3], (40, 1))
         traj = synthetic_trajectory(rows1, rows2, period=3)
-        assert pg.detect_periodic_orbit(traj, 3) is pg.OrbitVerdict.CONVERGED_POINT
+        assert pg.detect_periodic_orbit(traj) is pg.OrbitVerdict.CONVERGED_POINT
 
     def test_synthetic_orbit(self):
         cycle = np.array([[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]])
         rows1 = np.tile(cycle, (14, 1))
         rows2 = np.tile([0.4, 0.6], (42, 1))
         traj = synthetic_trajectory(rows1, rows2, period=3)
-        assert pg.detect_periodic_orbit(traj, 3) is pg.OrbitVerdict.CONVERGED_ORBIT
+        assert pg.detect_periodic_orbit(traj) is pg.OrbitVerdict.CONVERGED_ORBIT
 
     def test_synthetic_boundary_decay(self):
         n = 40
@@ -267,7 +382,7 @@ class TestOrbitDetector:
         rows1 = np.column_stack([eps, 1.0 - eps])
         rows2 = np.tile([0.5, 0.5], (n, 1))
         traj = synthetic_trajectory(rows1, rows2, period=3)
-        assert pg.detect_periodic_orbit(traj, 3) is pg.OrbitVerdict.DIVERGING_BOUNDARY
+        assert pg.detect_periodic_orbit(traj) is pg.OrbitVerdict.DIVERGING_BOUNDARY
 
     def test_saturated_boundary_with_wiggle(self):
         # deep below the threshold the smallest component may wobble while
@@ -278,20 +393,20 @@ class TestOrbitDetector:
         cycle = np.array([[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]])
         rows2 = np.tile(cycle, (14, 1))[:n]
         traj = synthetic_trajectory(rows1, rows2, period=3)
-        assert pg.detect_periodic_orbit(traj, 3) is pg.OrbitVerdict.DIVERGING_BOUNDARY
+        assert pg.detect_periodic_orbit(traj) is pg.OrbitVerdict.DIVERGING_BOUNDARY
 
     def test_wandering_is_inconclusive(self):
         rng = np.random.default_rng(34)
         rows1 = rng.dirichlet(np.ones(2), size=40)
         rows2 = rng.dirichlet(np.ones(2), size=40)
         traj = synthetic_trajectory(rows1, rows2, period=3)
-        assert pg.detect_periodic_orbit(traj, 3) is pg.OrbitVerdict.INCONCLUSIVE
+        assert pg.detect_periodic_orbit(traj) is pg.OrbitVerdict.INCONCLUSIVE
 
     def test_short_trajectory_rejected(self):
         rows = np.tile([0.5, 0.5], (10, 1))
         traj = synthetic_trajectory(rows, rows, period=3)
         with pytest.raises(pg.InputError):
-            pg.detect_periodic_orbit(traj, 3)
+            pg.detect_periodic_orbit(traj)
 
 
 class TestOmwuQuadrants:

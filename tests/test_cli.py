@@ -66,6 +66,16 @@ class TestParseConfig:
         assert err.value.field == "eta"
         assert main(["simulate", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("field", ["eta", "steps", "record_every", "seed", "period"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_number_names_field(self, tmp_path, field, value):
+        # JSON true/false load as bool, a subclass of int.
+        path = self.write(tmp_path, {"experiment": "game2x2", field: value})
+        with pytest.raises(pg.ConfigError) as err:
+            pg.parse_config(path)
+        assert err.value.field == field
+        assert main(["simulate", "--config", path]) == 1
+
     def test_unknown_field_named(self, tmp_path):
         with pytest.raises(pg.ConfigError) as err:
             pg.parse_config(self.write(tmp_path, {"experiment": "game2x2", "speed": 9}))
@@ -177,6 +187,18 @@ class TestCliCommands:
 
     def test_verify_bregman_passes(self, capsys):
         assert main(["verify", "bregman", "--cases", "50"]) == 0
+
+    def test_verify_zero_tol_is_honoured(self, capsys):
+        # tol = 0 leaves no room for rounding: the identities fail.
+        assert main(["verify", "identities", "--steps", "200", "--tol", "0"]) == 3
+        assert "FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("what", ["identities", "kl-monotone", "bregman"])
+    @pytest.mark.parametrize("tol", ["-1e-10", "nan", "inf"])
+    def test_verify_bad_tol_exit_code(self, what, tol, capsys):
+        argv = ["verify", what, "--steps", "20", "--cases", "2", f"--tol={tol}"]
+        assert main(argv) == 1
+        assert "tol must be a nonnegative finite number" in capsys.readouterr().err
 
     def test_verify_orbit_mismatch_is_property_failure(self, capsys):
         code = main(["verify", "orbit", "--steps", "1000",

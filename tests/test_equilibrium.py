@@ -200,50 +200,62 @@ def outcome(solve, A):
 
 
 @pytest.fixture
-def per_block_solves(monkeypatch):
-    """Arm with ``arm()``; afterwards every ``np.linalg.solve`` call is
-    logged, True for an unstacked (2-d) system."""
-    solve, log = np.linalg.solve, []
+def linalg_calls(monkeypatch):
+    """Arm with ``arm()``; afterwards every ``np.linalg.solve`` call logs
+    ("solve", ndim of the system) and every ``np.linalg.slogdet`` call logs
+    ("slogdet", number of zero signs)."""
+    solve, slogdet, log = np.linalg.solve, np.linalg.slogdet, []
 
-    def counting_solve(a, b):
-        log.append(a.ndim == 2)
+    def logged_solve(a, b):
+        log.append(("solve", a.ndim))
         return solve(a, b)
 
+    def logged_slogdet(a):
+        sign, logdet = slogdet(a)
+        log.append(("slogdet", int(np.count_nonzero(sign == 0))))
+        return sign, logdet
+
     def arm():
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "solve", logged_solve)
+        monkeypatch.setattr(np.linalg, "slogdet", logged_slogdet)
         return log
 
     return arm
 
 
+def assert_singular_blocks_masked(log):
+    # Every solve is stacked (3-d), and some stack met an exactly singular
+    # block, which the slogdet mask found.
+    assert all(ndim == 3 for kind, ndim in log if kind == "solve")
+    assert any(kind == "slogdet" and zeros > 0 for kind, zeros in log)
+
+
 class TestStackedSolverParity:
     @pytest.mark.parametrize("kind", PARITY_KINDS)
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_bitwise_equal_to_per_block_enumeration(self, kind, per_block_solves):
+    def test_bitwise_equal_to_per_block_enumeration(self, kind, linalg_calls):
         # 60 matrices of one kind, 2x2 to 6x6, square and not.
         rng = np.random.default_rng(PARITY_KINDS.index(kind) + 40)
         mats = [pg.PayoffMatrix(parity_matrix(rng, kind)) for _ in range(60)]
         expected = [outcome(per_block_solve, a) for a in mats]
-        # Per-block solves happen only when LAPACK meets an exactly singular
-        # block somewhere in a stack.
-        per_block = per_block_solves()
+        log = linalg_calls()
         got = [outcome(pg.solve_zero_sum, a) for a in mats]
         for a, want, have in zip(mats, expected, got):
             assert have == want, a.entries
         assert not all(isinstance(e, type) for e in expected)
         if kind == "ternary":
-            assert any(per_block)
+            assert_singular_blocks_masked(log)
         if kind == "huge":
             assert pg.InputError in expected
 
-    def test_singular_stack_falls_back_per_block(self, rps, per_block_solves):
+    def test_singular_blocks_are_masked_out(self, rps, linalg_calls):
         # A duplicated strategy makes every block holding both copies
-        # singular, so those stacks are solved block by block.
+        # singular; the slogdet mask drops those blocks from the stack.
         a = pg.PayoffMatrix(np.vstack([rps.entries, rps.entries[:1]]))
         expected = outcome(per_block_solve, a)
-        per_block = per_block_solves()
+        log = linalg_calls()
         assert outcome(pg.solve_zero_sum, a) == expected
-        assert any(per_block)
+        assert_singular_blocks_masked(log)
 
 
 class TestCommonEquilibrium:

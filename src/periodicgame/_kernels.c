@@ -9,10 +9,17 @@
  * owns every buffer, scratch space included, so nothing here allocates.
  * A return value of -1 means exp() overflowed on a finite argument, where
  * Python's math.exp raises OverflowError.
+ *
+ * format_csv_rows and format_points write the bytes that Python's
+ * "%d,%d,%.17g,..." and "%.3f,%.3f" templates write, for the emitters in
+ * output.py.
  */
 
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 #define ALGO_MWU 0
 #define ALGO_OMWU 1
@@ -174,4 +181,125 @@ long run_reduced_composite(const double *z0, double eta, long n_steps, double *o
             out[(step + 1) * 4 + k] = z[k];
     }
     return 0;
+}
+
+/* Room for one formatted value and snprintf's terminating NUL: "%.17g" takes
+ * at most 24 bytes ("-1.2345678901234567e-308"), "%.3f" of a finite double
+ * at most 314 (309 integer digits), an int64 20.  The slack covers a
+ * multibyte locale decimal point before it is replaced. */
+#define G17_ROOM 32
+#define F3_ROOM 320
+#define INT_ROOM 24
+
+static char *put_uint(char *p, uint64_t u)
+{
+    char digits[20];
+    int k = 0;
+    do {
+        digits[k++] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+static char *put_int(char *p, int64_t v)
+{
+    if (v < 0) {
+        *p++ = '-';
+        return put_uint(p, 0 - (uint64_t)v);
+    }
+    return put_uint(p, (uint64_t)v);
+}
+
+/* snprintf of one double, spelled as Python's % operator spells it: NaN is
+ * "nan" whatever its sign bit (glibc writes "-nan") and the decimal point
+ * is '.' whatever the C locale says. */
+static char *put_printf(char *p, char *end, const char *fmt, double v, const char *point)
+{
+    if (isnan(v)) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    int len = snprintf(p, (size_t)(end - p), fmt, v);
+    size_t width = strlen(point);
+    char *d;
+    if ((width != 1 || point[0] != '.') && (d = strstr(p, point)) != NULL) {
+        *d = '.';
+        memmove(d + 1, d + width, strlen(d + width) + 1);
+        len -= (int)width - 1;
+    }
+    return p + len;
+}
+
+/* "%.3f" of v, rounded as Python rounds it: to the nearest thousandth of
+ * the exact binary value, ties to even.  x + e == |v| * 1000 exactly, and
+ * x is the double nearest that product, so x and the product round to the
+ * same integer unless x is a half-integer; then the sign of e decides. */
+static char *put_fixed3(char *p, char *end, double v, const char *point)
+{
+    double a = fabs(v);
+    if (!(a < 0x1p53 / 1000))   /* NaN, inf, or too large to scale exactly */
+        return put_printf(p, end, "%.3f", v, point);
+    double x = a * 1000.0;
+    double e = fma(a, 1000.0, -x);
+    double f = floor(x);
+    double frac = x - f;
+    uint64_t r = (uint64_t)f;
+    if (frac > 0.5 || (frac == 0.5 && (e > 0 || (e == 0 && r % 2))))
+        r += 1;
+    if (signbit(v))
+        *p++ = '-';
+    p = put_uint(p, r / 1000);
+    unsigned milli = (unsigned)(r % 1000);
+    p[0] = '.';
+    p[1] = (char)('0' + milli / 100);
+    p[2] = (char)('0' + milli / 10 % 10);
+    p[3] = (char)('0' + milli % 10);
+    return p + 4;
+}
+
+/* CSV lines "t,phase,c_1,...,c_k\n" for rows start.. of cells: (rows, k),
+ * t and phase as %d, cells as %.17g.  Stops before a row that might not fit
+ * in cap bytes; stores the bytes written in *len and returns the next row. */
+long format_csv_rows(const int64_t *t, const int64_t *phase, const double *cells, long k,
+                     long start, long rows, char *buf, long cap, long *len)
+{
+    const char *point = localeconv()->decimal_point;
+    long row_room = 2 * INT_ROOM + k * (1 + G17_ROOM) + 1;
+    char *p = buf, *end = buf + cap;
+    long r = start;
+    for (; r < rows && end - p >= row_room; r++) {
+        p = put_int(p, t[r]);
+        *p++ = ',';
+        p = put_int(p, phase[r]);
+        for (long j = 0; j < k; j++) {
+            *p++ = ',';
+            p = put_printf(p, end, "%.17g", cells[r * k + j], point);
+        }
+        *p++ = '\n';
+    }
+    *len = (long)(p - buf);
+    return r;
+}
+
+/* Points start.. of xy: (n, 2) as "x,y" pairs at %.3f, each pair after the
+ * first (index 0) preceded by a space.  Stops before a pair that might not
+ * fit in cap bytes; stores the bytes written in *len and returns the next
+ * index. */
+long format_points(const double *xy, long start, long n, char *buf, long cap, long *len)
+{
+    const char *point = localeconv()->decimal_point;
+    char *p = buf, *end = buf + cap;
+    long i = start;
+    for (; i < n && end - p >= 2 * F3_ROOM + 2; i++) {
+        if (i > 0)
+            *p++ = ' ';
+        p = put_fixed3(p, end, xy[2 * i], point);
+        *p++ = ',';
+        p = put_fixed3(p, end, xy[2 * i + 1], point);
+    }
+    *len = (long)(p - buf);
+    return i;
 }

@@ -1,18 +1,20 @@
-"""Hot inner loops for trajectory iteration: a C kernel with a Python fallback.
+"""Hot inner loops: a C library with a Python fallback.
 
-``_kernels.c`` holds ``run_schedule`` (all three rules) and
-``run_reduced_composite``, written operation for operation like the
-pure-Python kernels in this module, so both backends give the same bits.
+``_kernels.c`` holds the trajectory kernels ``run_schedule`` (all three
+rules) and ``run_reduced_composite``, written operation for operation like
+the pure-Python kernels in this module, so both backends give the same bits,
+and the text formatters ``format_csv_rows`` and ``format_points``, which
+write the same bytes as the Python templates they replace.
 On first import the C source is compiled with ``$CC`` (default ``cc``) into
 ``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
 variable is unset), under a name keyed by a sha256 of the source, the
 compiler flags, the ``$CC`` words and the resolved compiler's size and
 mtime; later imports load the cached library with ctypes and start no
 process.  When anything fails (no compiler, a compile error, an unwritable
-cache, a library that does not load) the Python kernels run instead and
+cache, a library that does not load) the Python functions run instead and
 ``backend_reason()`` says why.  ``PERIODICGAME_BACKEND=python``
-forces them.  ``run_schedule_py`` and ``run_reduced_composite_py`` stay the
-reference that the native kernels are tested against.
+forces them.  The ``*_py`` functions stay the reference that the native
+ones are tested against.
 
 Log-weights passed in must already be normalized log-probabilities; the
 kernels keep them normalized after every step.
@@ -193,6 +195,32 @@ def run_reduced_composite_py(z0, eta, n_steps, out):
             out[step + 1, k] = z[k]
 
 
+# Rows or points per block of the Python formatters (it keeps their lists
+# of Python floats small), and bytes per block of the native ones.
+_PY_BLOCK = 1024
+_BLOCK_BYTES = 1 << 18
+
+
+def format_csv_rows_py(times, phases, cells, fh):
+    """Write one CSV line per row of ``cells`` (rows, k) to the binary
+    handle ``fh``: the time and the phase as %d, then each cell as %.17g
+    ('%.17g' also spells nan, inf, -inf and -0)."""
+    row_fmt = "%d,%d" + ",%.17g" * cells.shape[1] + "\n"
+    for lo in range(0, len(cells), _PY_BLOCK):
+        hi = lo + _PY_BLOCK
+        rows = zip(times[lo:hi].tolist(), phases[lo:hi].tolist(), cells[lo:hi].tolist())
+        fh.write("".join([row_fmt % (t, ph, *row) for t, ph, row in rows]).encode())
+
+
+def format_points_py(xy, fh):
+    """Write the rows of ``xy`` (N, 2) to the binary handle ``fh`` as
+    "x,y" pairs at %.3f, joined by spaces."""
+    for lo in range(0, len(xy), _PY_BLOCK):
+        block = xy[lo:lo + _PY_BLOCK]
+        pairs = " ".join(["%.3f,%.3f"] * len(block)) % tuple(block.ravel().tolist())
+        fh.write(((" " if lo else "") + pairs).encode())
+
+
 class _BuildError(Exception):
     pass
 
@@ -264,6 +292,10 @@ def _load(environ):
     lib.run_schedule.restype = long_
     lib.run_reduced_composite.argtypes = [ptr, double, long_, ptr]
     lib.run_reduced_composite.restype = long_
+    lib.format_csv_rows.argtypes = [ptr, ptr, ptr] + [long_] * 3 + [ptr, long_, ptr]
+    lib.format_csv_rows.restype = long_
+    lib.format_points.argtypes = [ptr, long_, long_, ptr, long_, ptr]
+    lib.format_points.restype = long_
     return lib, f"native: {how} {path}"
 
 
@@ -318,14 +350,43 @@ def _bind(lib):
         if lib.run_reduced_composite(z.ctypes.data, float(eta), n_steps, out.ctypes.data) < 0:
             raise OverflowError("math range error")
 
-    return run_schedule, run_reduced_composite
+    def write_blocks(fill, args, total, fh, cap):
+        # fill(*args, start, total, buf, cap, &length) formats items from
+        # start until the buffer is full and returns the next index.
+        buf = np.empty(cap, dtype=np.uint8)
+        length = ctypes.c_long()
+        start = 0
+        while start < total:
+            start = fill(*args, start, total, buf.ctypes.data, cap, ctypes.byref(length))
+            fh.write(buf[:length.value])
+
+    def format_csv_rows(times, phases, cells, fh):
+        t = np.ascontiguousarray(times, dtype=np.int64)
+        ph = np.ascontiguousarray(phases, dtype=np.int64)
+        c = np.ascontiguousarray(cells, dtype=np.float64)
+        if c.ndim != 2 or t.shape != (c.shape[0],) or ph.shape != t.shape:
+            raise InputError("cells must be (rows, k) with one time and phase per row")
+        k = c.shape[1]
+        # The C side stops before a row that might not fit; a worst-case
+        # row takes under 64 bytes a cell, so every block holds one.
+        write_blocks(lib.format_csv_rows, (t.ctypes.data, ph.ctypes.data, c.ctypes.data, k),
+                     len(c), fh, _BLOCK_BYTES + 64 * k)
+
+    def format_points(xy, fh):
+        pts = np.ascontiguousarray(xy, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise InputError(f"xy must have shape (N, 2), got {pts.shape}")
+        write_blocks(lib.format_points, (pts.ctypes.data,), len(pts), fh, _BLOCK_BYTES)
+
+    return run_schedule, run_reduced_composite, format_csv_rows, format_points
 
 
 _lib, _reason = _load(os.environ)
 if _lib is not None:
-    run_schedule, run_reduced_composite = _bind(_lib)
+    run_schedule, run_reduced_composite, format_csv_rows, format_points = _bind(_lib)
 else:
     run_schedule, run_reduced_composite = run_schedule_py, run_reduced_composite_py
+    format_csv_rows, format_points = format_csv_rows_py, format_points_py
 
 
 def backend_name() -> str:

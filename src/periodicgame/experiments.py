@@ -127,6 +127,9 @@ def parse_config(path: str) -> RunConfig:
                           field=sorted(unknown)[0])
 
     cfg = RunConfig(**raw)
+    for name in ("matrices", "init", "init_prev"):
+        if _holds_bool(getattr(cfg, name)):
+            raise ConfigError(f"{name} must hold numbers, got JSON true/false", field=name)
     has_inline = cfg.matrices is not None
     if (cfg.experiment is None) == (not has_inline):
         raise ConfigError("exactly one of 'experiment' or 'matrices' is required",
@@ -170,6 +173,13 @@ def parse_config(path: str) -> RunConfig:
         except (InputError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid {name}: {exc}", field=name) from exc
     return cfg
+
+
+def _holds_bool(value) -> bool:
+    # JSON true/false load as bool, a subclass of int, which numpy takes as 1/0.
+    if isinstance(value, list):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def _init_state(pair) -> JointState:

@@ -2,7 +2,8 @@
 
 Both formats are bit-deterministic for identical input: floats are written
 with 17 significant digits (lossless for binary64), lines end with LF, and
-the SVG contains no timestamps or random ids.
+the SVG contains no timestamps or random ids.  The per-value formatting runs
+in ``_kernels`` (native or Python, the same bytes either way).
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import InputError
 from .simplex import Trajectory
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
-_CSV_BLOCK = 1024
 
 
 def emit_csv(traj: Trajectory, path: str) -> None:
@@ -28,16 +29,11 @@ def emit_csv(traj: Trajectory, path: str) -> None:
               + [f"x1_{i + 1}" for i in range(m)]
               + [f"x2_{j + 1}" for j in range(n)]
               + ["kl_to_ref", "min_component"])
-    table = np.column_stack([traj.times, traj.phases, traj.probabilities1,
-                             traj.probabilities2, traj.kl_to_ref, traj.min_component])
-    # '%.17g' also writes nan, inf, -inf and -0, so one template per row.
-    row_fmt = "%d,%d" + ",%.17g" * (m + n + 2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        # Blocks of rows keep the Python row lists small.
-        for lo in range(0, len(table), _CSV_BLOCK):
-            rows = table[lo:lo + _CSV_BLOCK].tolist()
-            fh.write("".join([row_fmt % tuple(row) for row in rows]))
+    cells = np.column_stack([traj.probabilities1, traj.probabilities2,
+                             traj.kl_to_ref, traj.min_component])
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        _kernels.format_csv_rows(traj.times, traj.phases, cells, fh)
 
 
 def read_csv(path: str) -> dict:
@@ -143,26 +139,36 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
         f'<text x="{_MARGIN_L - 6}" y="{_MARGIN_T + 12}" {axis_font} '
         f'text-anchor="end">{y_hi_label}</text>',
     ]
-    for idx, (label, ts, vs) in enumerate(cleaned):
-        if ts.size == 0:
-            continue
-        color = _PALETTE[idx % len(_PALETTE)]
-        sx = _MARGIN_L + (ts - x_lo) / (x_hi - x_lo) * plot_w
-        sy = _MARGIN_T + (y_hi - vs) / (y_hi - y_lo) * plot_h
-        coords = (" ".join(["%.3f,%.3f"] * ts.size)
-                  % tuple(np.column_stack([sx, sy]).ravel().tolist()))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                   f'points="{coords}"/>')
+    legend = []
     legend_y = _MARGIN_T + 18
     for idx, (label, _, _) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         y = legend_y + idx * 18
-        out.append(f'<line x1="{_WIDTH - 170}" y1="{y - 4}" x2="{_WIDTH - 140}" '
-                   f'y2="{y - 4}" stroke="{color}" stroke-width="2"/>')
-        out.append(f'<text x="{_WIDTH - 132}" y="{y}" {axis_font}>{_escape(label)}</text>')
-    out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(out) + "\n")
+        legend.append(f'<line x1="{_WIDTH - 170}" y1="{y - 4}" x2="{_WIDTH - 140}" '
+                      f'y2="{y - 4}" stroke="{color}" stroke-width="2"/>')
+        legend.append(f'<text x="{_WIDTH - 132}" y="{y}" {axis_font}>{_escape(label)}</text>')
+    legend.append("</svg>")
+    with open(path, "wb") as fh:
+        fh.write("".join(line + "\n" for line in out).encode())
+        for idx, (label, ts, vs) in enumerate(cleaned):
+            if ts.size == 0:
+                continue
+            color = _PALETTE[idx % len(_PALETTE)]
+            sx = _MARGIN_L + _scale(ts, x_lo, x_hi, plot_w)
+            sy = _MARGIN_T + _scale(vs, y_hi, y_lo, plot_h)
+            fh.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                     f'points="'.encode())
+            _kernels.format_points(np.column_stack([sx, sy]), fh)
+            fh.write(b'"/>\n')
+        fh.write("".join(line + "\n" for line in legend).encode())
+
+
+def _scale(v, start, stop, size):
+    """(v - start) / (stop - start) * size.  When stop - start overflows,
+    every operand is halved first, which is exact and keeps the ratio."""
+    if not math.isfinite(stop - start):
+        v, start, stop = v / 2, start / 2, stop / 2
+    return (v - start) / (stop - start) * size
 
 
 def _escape(text: str) -> str:

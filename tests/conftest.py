@@ -31,9 +31,8 @@ def native_kernels():
         pytest.skip("no C compiler 'cc' on PATH")
     lib, reason = _kernels._load(clean_env())
     assert lib is not None, reason
-    run_schedule, run_reduced_composite = _kernels._bind(lib)
-    return types.SimpleNamespace(run_schedule=run_schedule,
-                                 run_reduced_composite=run_reduced_composite)
+    names = ("run_schedule", "run_reduced_composite", "format_csv_rows", "format_points")
+    return types.SimpleNamespace(**dict(zip(names, _kernels._bind(lib))))
 
 
 @pytest.fixture(scope="session", params=["native", "python"])

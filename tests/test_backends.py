@@ -1,13 +1,17 @@
-"""The C kernels must agree with the pure-Python reference bit for bit, and
-the backend switch must build, load and report the kernel it says."""
+"""The C kernels must agree with the pure-Python reference bit for bit, the
+C formatters byte for byte, and the backend switch must build, load and
+report the kernel it says."""
 
+import io
 import itertools
 import shutil
 import subprocess
 import sys
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
 from periodicgame import _kernels
@@ -82,6 +86,125 @@ class TestNativeMatchesPython:
                 fn(np.array([0.1, 0.9, 0.1, 0.9]), 500.0, 3, np.empty((4, 4)))
 
 
+def _csv_bytes(fn, times, phases, cells):
+    fh = io.BytesIO()
+    fn(times, phases, cells, fh)
+    return fh.getvalue()
+
+
+def _point_bytes(fn, xy):
+    fh = io.BytesIO()
+    fn(xy, fh)
+    return fh.getvalue()
+
+
+def _from_bits(*bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+# NaN with either sign bit, +-inf, +-0, the smallest subnormal, +-DBL_MAX.
+SPECIAL = np.concatenate([
+    _from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+               0xFFFFFFFFFFFFFFFF),
+    [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+     1.7976931348623157e308, -1.7976931348623157e308],
+])
+_SCALE_LIMIT = 2.0**53 / 1000
+_POINTS = st.tuples(st.integers(0, 60), st.just(2))
+
+
+def _bit_patterns(shape):
+    """float64 arrays drawn as raw bit patterns: every NaN, inf, subnormal
+    and normal value can appear."""
+    return hnp.arrays(np.uint64, shape).map(lambda a: a.view(np.float64))
+
+
+class TestFormattersMatchPython:
+    """The native formatters write the bytes of the *_py reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(0, 40), k=st.integers(1, 6))
+    def test_csv_rows_bytes(self, native_kernels, data, rows, k):
+        ints = hnp.arrays(np.int64, rows)
+        args = (data.draw(ints), data.draw(ints), data.draw(_bit_patterns((rows, k))))
+        assert (_csv_bytes(native_kernels.format_csv_rows, *args)
+                == _csv_bytes(_kernels.format_csv_rows_py, *args))
+
+    def test_csv_rows_special_values(self, native_kernels):
+        cells = np.concatenate([SPECIAL, [1 / 3, -2.5e-5, 1e16, 1e17, 123456789.0]])
+        cells = np.repeat(cells[:, None], 3, axis=1)
+        times = np.arange(len(cells)) * 1_000_000_007 - 2**62
+        args = (times, times % 7, cells)
+        native = _csv_bytes(native_kernels.format_csv_rows, *args)
+        assert native == _csv_bytes(_kernels.format_csv_rows_py, *args)
+        assert b"-nan" not in native and b",nan,nan,nan\n" in native
+
+    @settings(max_examples=300, deadline=None)
+    @given(xy=st.one_of(_bit_patterns(_POINTS), hnp.arrays(np.float64, _POINTS,
+                                                         elements=st.floats(-1e13, 1e13))))
+    def test_points_bytes(self, native_kernels, xy):
+        assert (_point_bytes(native_kernels.format_points, xy)
+                == _point_bytes(_kernels.format_points_py, xy))
+
+    def test_points_special_values(self, native_kernels):
+        thousandth_ties = (np.arange(800_000) + 0.5) / 1000
+        exact_ties = np.arange(1, 20_001, 2) / 16        # v * 1000 == k + 0.5
+        past_limit = _SCALE_LIMIT * np.array([1.0, 1 + 2**-52, 2.0, 1e3, 1e290])
+        values = np.concatenate([
+            SPECIAL, thousandth_ties, exact_ties, past_limit,
+            [np.nextafter(_SCALE_LIMIT, 0), -0.0004, 0.0004999999999999999]])
+        xy = np.column_stack([values, -values])
+        native = _point_bytes(native_kernels.format_points, xy)
+        assert native == _point_bytes(_kernels.format_points_py, xy)
+        assert native.startswith(b"nan,nan nan,nan ")
+        assert b" -0.000,0.000 " in native
+        assert b" 0.062,-0.062 " in native                 # 0.0625: the tie goes to even
+
+    def test_blocks_join_seamlessly(self, native_kernels):
+        # More bytes than one native block, so the output spans several.
+        xy = np.random.default_rng(0).uniform(-1e6, 1e6, size=(60_000, 2))
+        cells = np.random.default_rng(1).normal(size=(30_000, 5))
+        times = np.arange(len(cells))
+        assert (_point_bytes(native_kernels.format_points, xy)
+                == _point_bytes(_kernels.format_points_py, xy))
+        assert (_csv_bytes(native_kernels.format_csv_rows, times, times % 3, cells)
+                == _csv_bytes(_kernels.format_csv_rows_py, times, times % 3, cells))
+
+
+LOCALE_SCRIPT = (
+    "import io, locale, os, sys\n"
+    "import numpy as np\n"
+    "from periodicgame import _kernels\n"
+    "locale.setlocale(locale.LC_ALL, sys.argv[1])\n"
+    "print(locale.localeconv()['decimal_point'])\n"
+    "native = _kernels._bind(_kernels._load(os.environ)[0])\n"
+    "xy = np.array([[0.5, -1e300], [1 / 3, 2.0**53], [float('nan'), 1e-9]])\n"
+    "t = np.arange(3)\n"
+    "for fn, ref, args in ((native[2], _kernels.format_csv_rows_py, (t, t, xy)),\n"
+    "                      (native[3], _kernels.format_points_py, (xy,))):\n"
+    "    out = [io.BytesIO(), io.BytesIO()]\n"
+    "    fn(*args, out[0])\n"
+    "    ref(*args, out[1])\n"
+    "    print(out[0].getvalue() == out[1].getvalue())\n"
+)
+
+
+@pytest.mark.skipif(not (HAVE_CC and shutil.which("localedef")),
+                    reason="needs 'cc' and 'localedef' on PATH")
+@pytest.mark.parametrize("name, point", [("de_DE", ","), ("ps_AF", "\u066b")])
+def test_formatters_ignore_the_locale_decimal_point(tmp_path, name, point):
+    # Python's % operator always writes '.', while snprintf follows
+    # LC_NUMERIC; the locale is compiled into a private LOCPATH.
+    build = subprocess.run(["localedef", "-i", name, "-f", "UTF-8",
+                            str(tmp_path / f"{name}.UTF-8")], capture_output=True)
+    if build.returncode != 0:
+        pytest.skip(f"cannot build the {name} locale: {build.stderr[-200:]!r}")
+    proc = subprocess.run(
+        [sys.executable, "-c", LOCALE_SCRIPT, f"{name}.UTF-8"], capture_output=True,
+        text=True, check=True, env=clean_env(LOCPATH=str(tmp_path)))
+    assert proc.stdout.split() == [point, "True", "True"]
+
+
 class TestNativeWrapper:
     def _args(self, **over):
         args = dict(algo=_kernels.ALGO_MWU, mats=np.ones((1, 2, 3)), eta=0.1, steps=2,
@@ -112,6 +235,17 @@ class TestNativeWrapper:
     def test_bad_buffers_rejected(self, native_kernels, name, bad):
         with pytest.raises(pg.InputError):
             native_kernels.run_schedule(*self._args(**{name: bad}).values())
+
+    def test_formatter_shapes_rejected(self, native_kernels):
+        fh = io.BytesIO()
+        t = np.arange(3)
+        for times, cells in ((t[:2], np.ones((3, 2))), (t, np.ones(3))):
+            with pytest.raises(pg.InputError):
+                native_kernels.format_csv_rows(times, t, cells, fh)
+        for xy in (np.ones(4), np.ones((2, 3))):
+            with pytest.raises(pg.InputError):
+                native_kernels.format_points(xy, fh)
+        assert fh.getvalue() == b""
 
     def test_reduced_buffers_rejected(self, native_kernels):
         z0 = np.full(4, 0.5)

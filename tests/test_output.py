@@ -175,6 +175,20 @@ class TestSvg:
         pg.emit_svg_plot([("a", [(0, first), (1, -first), (2, 1.0)])], str(path))
         assert f'text-anchor="end">{label}</text>' in path.read_text()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("points", [
+        [(-1e308, 1.0), (0.0, 2.0), (1e308, 3.0)],
+        [(1.0, -1e308), (2.0, 0.0), (3.0, 1e308)],
+    ], ids=["x", "y"])
+    def test_axis_span_past_float_range(self, points, tmp_path):
+        path = tmp_path / "wide.svg"
+        pg.emit_svg_plot([("a", points)], str(path))
+        pts = path.read_text().split('points="')[1].split('"')[0].split()
+        coords = [tuple(map(float, p.split(","))) for p in pts]
+        # The plot box spans x 72..784 and y 16..552.
+        assert all(72 <= x <= 784 and 16 <= y <= 552 for x, y in coords)
+        assert coords[1] == (428.0, 284.0)
+
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(pg.InputError):
             pg.emit_svg_plot([], str(tmp_path / "x.svg"))

@@ -12,7 +12,10 @@
  *
  * format_csv_rows and format_points write the bytes that Python's
  * "%d,%d,%.17g,..." and "%.3f,%.3f" templates write, for the emitters in
- * output.py.
+ * output.py.  Both round exactly without printf (put_g17, put_fixed3);
+ * snprintf writes only the cells outside 1e-16 < |v| < 1e16 (zeros, NaN
+ * and inf among them), every cell where the compiler has no unsigned
+ * __int128, and the points of |v| >= 2^53 / 1000.
  */
 
 #include <locale.h>
@@ -233,6 +236,118 @@ static char *put_printf(char *p, char *end, const char *fmt, double v, const cha
     return p + len;
 }
 
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+#define P5_27 7450580596923828125uLL
+#define TEN16 10000000000000000uLL
+
+/* 5^k for k = 0..32; 5^32 * 2^53 < 2^128. */
+static const u128 POW5[33] = {
+    1u, 5u, 25u, 125u, 625u, 3125u, 15625u, 78125u, 390625u, 1953125u, 9765625u,
+    48828125u, 244140625u, 1220703125u, 6103515625uLL, 30517578125uLL,
+    152587890625uLL, 762939453125uLL, 3814697265625uLL, 19073486328125uLL,
+    95367431640625uLL, 476837158203125uLL, 2384185791015625uLL,
+    11920928955078125uLL, 59604644775390625uLL, 298023223876953125uLL,
+    1490116119384765625uLL, P5_27, (u128)P5_27 * 5, (u128)P5_27 * 25,
+    (u128)P5_27 * 125, (u128)P5_27 * 625, (u128)P5_27 * 3125,
+};
+
+/* "%.17g" of v for 10^-16 < |v| < 10^16, from exact integer arithmetic.
+ * With |v| = m * 2^(e - 53) and decimal exponent x, the 17 significant
+ * digits are d = |v| * 10^(16 - x) = m * 5^(16 - x) * 2^(e - 37 - x),
+ * rounded half to even on the exact remainder, as glibc and Python round.
+ * %g picks its style from x after rounding, so a carry to 10^17 moves x. */
+static char *put_g17(char *p, double v)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int e = (int)(bits >> 52 & 0x7ff) - 1022;   /* v is normal here */
+    uint64_t m = (bits & 0xfffffffffffffuLL) | 1uLL << 52;
+    /* floor(e * log10(2)), exact for |e| < 1650: |v| < 2^e, so this is the
+     * decimal exponent or one above it, and one above leaves q < 10^16. */
+    int x = e * 78913 >> 18;
+    u128 q, rem, half;
+    for (;; x--) {
+        u128 n = m * POW5[16 - x];
+        int s = e - 37 - x;
+        if (s >= 0) {     /* exact: nothing to round */
+            q = n << s;
+            rem = 0;
+            half = 1;
+        } else {
+            q = n >> -s;
+            rem = n - (q << -s);
+            half = (u128)1 << (-s - 1);
+        }
+        if (q >= TEN16)
+            break;
+    }
+    uint64_t d = (uint64_t)q;
+    if (rem > half || (rem == half && d % 2))
+        d += 1;
+    if (d == 10 * TEN16) {
+        d = TEN16;
+        x += 1;
+    }
+    char dig[17];
+    uint32_t hi = (uint32_t)(d / 100000000u), lo = (uint32_t)(d % 100000000u);
+    for (int i = 16; i >= 9; i--) {   /* two independent chains of 8 */
+        dig[i] = (char)('0' + lo % 10);
+        lo /= 10;
+        dig[i - 8] = (char)('0' + hi % 10);
+        hi /= 10;
+    }
+    dig[0] = (char)('0' + hi);
+    int nd = 17;    /* digits left once %g drops the trailing zeros */
+    while (dig[nd - 1] == '0')
+        nd--;
+    if (signbit(v))
+        *p++ = '-';
+    if (x < -4) {   /* exponent style; x < 17 always holds here */
+        *p++ = dig[0];
+        if (nd > 1) {
+            *p++ = '.';
+            memcpy(p, dig + 1, (size_t)(nd - 1));
+            p += nd - 1;
+        }
+        p[0] = 'e';
+        p[1] = '-';
+        p[2] = (char)('0' - x / 10);
+        p[3] = (char)('0' - x % 10);
+        return p + 4;
+    }
+    if (x < 0) {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', (size_t)(-x - 1));
+        p += -x - 1;
+        memcpy(p, dig, (size_t)nd);
+        return p + nd;
+    }
+    memcpy(p, dig, (size_t)(x + 1));
+    p += x + 1;
+    if (nd > x + 1) {
+        *p++ = '.';
+        memcpy(p, dig + x + 1, (size_t)(nd - x - 1));
+        p += nd - x - 1;
+    }
+    return p;
+}
+#endif
+
+/* One CSV cell at "%.17g".  POW5 covers decimal exponents from -16 up,
+ * and the double nearest 1e-16 lies below 10^-16: the bound is exclusive. */
+static char *put_cell(char *p, char *end, double v, const char *point)
+{
+#ifdef __SIZEOF_INT128__
+    double a = fabs(v);
+    if (a > 1e-16 && a < 1e16)
+        return put_g17(p, v);
+#endif
+    return put_printf(p, end, "%.17g", v, point);
+}
+
 /* "%.3f" of v, rounded as Python rounds it: to the nearest thousandth of
  * the exact binary value, ties to even.  x + e == |v| * 1000 exactly, and
  * x is the double nearest that product, so x and the product round to the
@@ -276,7 +391,7 @@ long format_csv_rows(const int64_t *t, const int64_t *phase, const double *cells
         p = put_int(p, phase[r]);
         for (long j = 0; j < k; j++) {
             *p++ = ',';
-            p = put_printf(p, end, "%.17g", cells[r * k + j], point);
+            p = put_cell(p, end, cells[r * k + j], point);
         }
         *p++ = '\n';
     }

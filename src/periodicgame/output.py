@@ -8,7 +8,9 @@ in ``_kernels`` (native or Python, the same bytes either way).
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -83,15 +85,15 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 16, 16, 48
 def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     """Standalone SVG 1.1 line chart: one polyline per series, linear or
     log10 y-axis, min/max tick labels, and a legend.  The points of a series
-    are (t, v) pairs or an (N, 2) array.  Non-finite values (and nonpositive
-    ones under log_y) are dropped; the dropped count is noted in an SVG
-    comment."""
+    are (t, v) pairs or an (N, 2) array; any other point raises InputError
+    naming the series.  Non-finite values (and nonpositive ones under log_y)
+    are dropped; the dropped count is noted in an SVG comment."""
     if not series:
         raise InputError("no series to plot")
     cleaned = []
     dropped = 0
     for label, points in series:
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        pts = _points(label, points)
         keep = np.isfinite(pts).all(axis=1)
         if log_y:
             keep &= pts[:, 1] > 0
@@ -111,9 +113,9 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     x_lo, x_hi = float(xs[xs.argmin()]), float(xs[xs.argmax()])
     y_lo, y_hi = float(ys[ys.argmin()]), float(ys[ys.argmax()])
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        x_lo, x_hi = _widen(x_lo)
     if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+        y_lo, y_hi = _widen(y_lo)
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -161,6 +163,30 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
             _kernels.format_points(np.column_stack([sx, sy]), fh)
             fh.write(b'"/>\n')
         fh.write("".join(line + "\n" for line in legend).encode())
+
+
+def _points(label, points):
+    """The (N, 2) float64 array of one series: an array is reshaped, and a
+    sequence must hold (t, v) pairs only."""
+    if isinstance(points, np.ndarray):
+        return np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    try:
+        pairs = set(map(len, points)) <= {2}
+    except TypeError:
+        pairs = False
+    if not pairs:
+        raise InputError(f"series {label!r}: every point must be a (t, v) pair")
+    return np.fromiter(itertools.chain.from_iterable(points), np.float64,
+                       count=2 * len(points)).reshape(-1, 2)
+
+
+def _widen(v):
+    """A finite range lo < hi around the constant axis value v: v -+ 0.5
+    while that moves v, else one ulp each way, clamped to the float range."""
+    if v - 0.5 != v and v + 0.5 != v:
+        return v - 0.5, v + 0.5
+    pad = math.ulp(v)
+    return max(v - pad, -sys.float_info.max), min(v + pad, sys.float_info.max)
 
 
 def _scale(v, start, stop, size):

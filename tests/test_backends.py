@@ -160,6 +160,34 @@ class TestFormattersMatchPython:
         assert b" -0.000,0.000 " in native
         assert b" 0.062,-0.062 " in native                 # 0.0625: the tie goes to even
 
+    def test_csv_rows_exact_digits_boundaries(self, native_kernels):
+        # The integer path serves 1e-16 < |v| < 1e16: exact 18-digit ties
+        # (2^-25 is 2.98023223876953125e-08), powers of ten and their
+        # neighbours, the range edges, and the values next to %g's switch
+        # between exponent and fixed style.  The double 1e-14 lies below
+        # 10^-14 and its 17 digits carry up to it.
+        tens = 10.0 ** np.arange(-17, 18)
+        values = np.concatenate([
+            2.0 ** -np.arange(1, 61), tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+            [np.nextafter(e, d) for e in (1e-16, 1e16) for d in (0, np.inf)],
+            [np.nextafter(1e-4, 0), np.nextafter(1e-5, 0)]])
+        cells = np.column_stack([values, -values])
+        times = np.arange(len(cells))
+        native = _csv_bytes(native_kernels.format_csv_rows, times, times, cells)
+        assert native == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells)
+        assert b",2.9802322387695312e-08," in native     # the tie goes to even
+        assert b",1e-14," in native
+
+    def test_csv_rows_million_decades(self, native_kernels):
+        # Decimal exponents uniform over [-20, 20]: most values take the
+        # integer path, the rest snprintf.
+        rng = np.random.default_rng(11)
+        cells = (rng.uniform(1, 10, 1_000_000) * 10.0 ** rng.integers(-20, 21, 1_000_000)
+                 * rng.choice([-1.0, 1.0], 1_000_000)).reshape(-1, 4)
+        times = np.arange(len(cells))
+        assert (_csv_bytes(native_kernels.format_csv_rows, times, times, cells)
+                == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells))
+
     def test_blocks_join_seamlessly(self, native_kernels):
         # More bytes than one native block, so the output spans several.
         xy = np.random.default_rng(0).uniform(-1e6, 1e6, size=(60_000, 2))
@@ -169,6 +197,21 @@ class TestFormattersMatchPython:
                 == _point_bytes(_kernels.format_points_py, xy))
         assert (_csv_bytes(native_kernels.format_csv_rows, times, times % 3, cells)
                 == _csv_bytes(_kernels.format_csv_rows_py, times, times % 3, cells))
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+def test_csv_rows_without_int128(tmp_path):
+    # Without unsigned __int128 every cell goes through snprintf.
+    lib, reason = _kernels._load(clean_env(CC="cc -U__SIZEOF_INT128__",
+                                           XDG_CACHE_HOME=str(tmp_path)))
+    assert lib is not None, reason
+    format_csv_rows = _kernels._bind(lib)[2]
+    cells = np.concatenate([SPECIAL, 2.0 ** -np.arange(1, 61), 10.0 ** np.arange(-17, 18),
+                            np.random.default_rng(12).normal(size=400)])
+    cells = np.column_stack([cells, -cells])
+    times = np.arange(len(cells))
+    assert (_csv_bytes(format_csv_rows, times, times, cells)
+            == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells))
 
 
 LOCALE_SCRIPT = (

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import periodicgame as pg
 from periodicgame.experiments import _svg_series
 
+DBL_MAX = np.finfo(np.float64).max
+
 
 @pytest.fixture
 def small_traj(game2x2):
@@ -188,6 +190,27 @@ class TestSvg:
         # The plot box spans x 72..784 and y 16..552.
         assert all(72 <= x <= 784 and 16 <= y <= 552 for x, y in coords)
         assert coords[1] == (428.0, 284.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [1e20, 2.0**53, DBL_MAX, -DBL_MAX])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_constant_axis_past_half_unit_steps(self, value, axis, tmp_path):
+        # v +- 0.5 == v here, so the axis is widened by a pad scaled to v.
+        path = tmp_path / "flat.svg"
+        points = [(value, 1.0), (value, 2.0)] if axis == "x" else [(1.0, value), (2.0, value)]
+        pg.emit_svg_plot([("a", points)], str(path))
+        pts = path.read_text().split('points="')[1].split('"')[0].split()
+        coords = [tuple(map(float, p.split(","))) for p in pts]
+        assert all(72 <= x <= 784 and 16 <= y <= 552 for x, y in coords)
+        if abs(value) < DBL_MAX:    # the pad fits on both sides: the middle
+            assert {x if axis == "x" else y for x, y in coords} == {
+                428.0 if axis == "x" else 284.0}
+
+    @pytest.mark.parametrize("points", [[(1, 2, 3), (4, 5)], [(1,), (2, 3)], [1.0, 2.0]],
+                             ids=["long", "short", "scalars"])
+    def test_malformed_points_rejected(self, points, tmp_path):
+        with pytest.raises(pg.InputError, match="series 'bad'"):
+            pg.emit_svg_plot([("ok", [(0, 1.0)]), ("bad", points)], str(tmp_path / "x.svg"))
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(pg.InputError):

@@ -5,8 +5,9 @@
  * bits.  Build without -ffast-math and with -ffp-contract=off: fused
  * multiply-adds or reassociated sums would change the last bits.
  *
- * Arrays are C-contiguous float64 (int64 for record times); the caller
- * owns every buffer, scratch space included, so nothing here allocates.
+ * Arrays are C-contiguous float64 (int64 for record times, CSV times and
+ * phases); the caller owns every buffer, scratch space included, so nothing
+ * here allocates but the copy of a CSV cell too long for the stack.
  * A return value of -1 means exp() overflowed on a finite argument, where
  * Python's math.exp raises OverflowError.
  *
@@ -16,12 +17,21 @@
  * snprintf writes only the cells outside 1e-16 < |v| < 1e16 (zeros, NaN
  * and inf among them), every cell where the compiler has no unsigned
  * __int128, and the points of |v| >= 2^53 / 1000.
+ *
+ * parse_csv_rows reads such a file back for read_csv: the columns t and
+ * phase as exact int64, every other cell as the nearest double, which is
+ * the written one.  Cells of up to 19 significant digits with a decimal
+ * exponent in [-31, 19] are rounded exactly without strtod
+ * (exact_decimal); strtod, with the locale's decimal point put in, reads
+ * the rest.
  */
 
 #include <locale.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define ALGO_MWU 0
@@ -417,4 +427,229 @@ long format_points(const double *xy, long start, long n, char *buf, long cap, lo
     }
     *len = (long)(p - buf);
     return i;
+}
+
+/* The blanks a cell may carry on either side: the ASCII whitespace that
+ * Python's float() strips, less the line ends. */
+static int is_blank(char c)
+{
+    return c == ' ' || c == '\t' || c == '\v' || c == '\f';
+}
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* The int64 "[+-]digits" spelled by [s, e); 0 when the cell is not one or
+ * is out of range. */
+static int read_int(const char *s, const char *e, int64_t *out)
+{
+    int neg = s < e && *s == '-';
+    if (s < e && (*s == '+' || *s == '-'))
+        s++;
+    if (s == e)
+        return 0;
+    uint64_t u = 0, limit = neg ? (uint64_t)INT64_MAX + 1 : (uint64_t)INT64_MAX;
+    for (; s < e; s++) {
+        if (!is_digit(*s) || u > (limit - (uint64_t)(*s - '0')) / 10)
+            return 0;
+        u = u * 10 + (uint64_t)(*s - '0');
+    }
+    *out = neg ? -(int64_t)(u - 1) - 1 : (int64_t)u;
+    return 1;
+}
+
+/* Whether [s, e) is w in any case. */
+static int is_word(const char *s, const char *e, const char *w)
+{
+    size_t n = strlen(w);
+    if ((size_t)(e - s) != n)
+        return 0;
+    for (size_t i = 0; i < n; i++)
+        if ((s[i] | 0x20) != w[i])
+            return 0;
+    return 1;
+}
+
+#ifdef __SIZEOF_INT128__
+/* The double nearest to d * 10^q, ties to even, for d < 10^19 and
+ * -31 <= q <= 19, from exact integer arithmetic: the inverse of put_g17.
+ * For q >= 0, d * 10^q < 2^128 and the integer-to-double conversion rounds
+ * correctly.  For q < 0, d * 10^q = (N / 5^-q) * 2^(q - s) with
+ * N = d * 2^s in [2^127, 2^128); the quotient keeps at least 56 bits as
+ * 5^31 < 2^72, so a sticky bit for a nonzero remainder below them rounds
+ * as the exact value does, and the power-of-two scaling stays normal. */
+static double exact_decimal(uint64_t d, int q)
+{
+    if (q >= 0)
+        return (double)((u128)d * (POW5[q] << q));
+    int s = 64 + __builtin_clzll(d);
+    u128 n = (u128)d << s, quo = n / POW5[-q];
+    quo |= n - quo * POW5[-q] != 0;
+    return ldexp((double)quo, q - s);
+}
+#endif
+
+/* The double spelled by [s, e): an optional sign, then inf, infinity or
+ * nan in any case, or digits with at most one '.' and at least one digit,
+ * then an optional exponent "[eE][+-]digits".  This is the grammar of
+ * Python's float() less underscores; strtod alone would also take hex
+ * floats and "nan(...)".  Up to 19 significant digits with a decimal
+ * exponent in [-31, 19] go through exact_decimal; the rest through strtod,
+ * which rounds correctly too (glibc; Clinger, PLDI 1990) and reads a copy
+ * whose '.' is the locale's decimal point, as put_printf writes.  Returns
+ * 1, 0 for a cell outside the grammar, -1 when no memory holds the copy of
+ * a long cell. */
+#define CELL_ROOM 128
+
+static int read_double(const char *s, const char *e, const char *point, double *out)
+{
+    int neg = s < e && *s == '-';
+    const char *q = s + (s < e && (*s == '+' || *s == '-'));
+    if (is_word(q, e, "inf") || is_word(q, e, "infinity")) {
+        *out = neg ? -INFINITY : INFINITY;
+        return 1;
+    }
+    if (is_word(q, e, "nan")) {
+        *out = neg ? -NAN : NAN;
+        return 1;
+    }
+    /* sig counts the digits from the first nonzero one; d holds the first
+     * 19 of them, and scale counts the fraction digits in d and the zeros
+     * before it. */
+    uint64_t d = 0;
+    int digits = 0, sig = 0, scale = 0;
+    const char *dot = NULL;
+    for (; q < e && (is_digit(*q) || (*q == '.' && !dot)); q++) {
+        if (*q == '.') {
+            dot = q;
+            continue;
+        }
+        digits++;
+        if (sig < 19) {
+            d = d * 10 + (uint64_t)(*q - '0');
+            sig += d != 0;
+            scale -= dot != NULL;
+        } else {
+            sig++;
+        }
+    }
+    if (!digits)
+        return 0;
+    int x = 0;
+    if (q < e && (*q == 'e' || *q == 'E')) {
+        int xneg = q + 1 < e && q[1] == '-';
+        q += 1 + (q + 1 < e && (q[1] == '+' || q[1] == '-'));
+        if (q == e)
+            return 0;
+        for (; q < e && is_digit(*q); q++)
+            if (x < 100000)
+                x = x * 10 + (*q - '0');
+        x = xneg ? -x : x;
+    }
+    if (q != e)
+        return 0;
+#ifdef __SIZEOF_INT128__
+    if (sig <= 19 && (d == 0 || (x + scale >= -31 && x + scale <= 19))) {
+        double v = d == 0 ? 0.0 : exact_decimal(d, x + scale);
+        *out = neg ? -v : v;
+        return 1;
+    }
+#endif
+
+    size_t width = strlen(point), n = (size_t)(e - s);
+    char room[CELL_ROOM], *copy = room;
+    if (n + width + 1 > CELL_ROOM && (copy = malloc(n + width + 1)) == NULL)
+        return -1;
+    size_t at = (size_t)(dot ? dot - s : (ptrdiff_t)n);
+    memcpy(copy, s, at);
+    if (dot) {
+        memcpy(copy + at, point, width);
+        memcpy(copy + at + width, dot + 1, n - at - 1);
+        n += width - 1;
+    }
+    copy[n] = '\0';
+    char *stop;
+    *out = strtod(copy, &stop);
+    int ok = stop == copy + n;
+    if (copy != room)
+        free(copy);
+    return ok;
+}
+
+/* The end of the cell that starts at p: its ',', '#', line end or end. */
+static const char *cell_end(const char *p, const char *end)
+{
+    while (p < end && *p != ',' && *p != '#' && *p != '\n' && *p != '\r')
+        p++;
+    return p;
+}
+
+/* CSV body rows from buf[pos..size) into t, phase (one int64 each a row)
+ * and cells (rows, ncols - 2: the other columns in order).  Lines end in
+ * "\n", "\r\n" or "\r"; '#' starts a comment; a line that is blank up to
+ * its comment is skipped.  Every row holds ncols cells, each a number as
+ * read_double reads it (read_int for columns t_col and phase_col) with
+ * blanks on either side; a row's first ncols cells are read before its
+ * length is checked.  The caller sizes the outputs for one row per line.  line is the file line number of buf[pos].  Returns the rows read,
+ * -2 when no memory is left, or -1 with err = {line, column, cell start,
+ * cell end} for a bad cell and err = {line, -1, cells in the line, 0} for a
+ * row of the wrong length. */
+long parse_csv_rows(const char *buf, long pos, long size, long line, long ncols,
+                    long t_col, long phase_col, int64_t *t, int64_t *phase,
+                    double *cells, int64_t *err)
+{
+    const char *point = localeconv()->decimal_point;
+    const char *p = buf + pos, *end = buf + size;
+    long rows = 0;
+    double *row = cells;
+    for (; p < end; line++) {
+        const char *s = p;
+        while (s < end && is_blank(*s))
+            s++;
+        if (s < end && *s != '#' && *s != '\n' && *s != '\r') {
+            /* Count every cell of the line; read the first ncols. */
+            long j = 0;
+            for (;; j++) {
+                const char *c = p;
+                p = cell_end(p, end);
+                if (j < ncols) {
+                    const char *a = c, *b = p;
+                    while (a < b && is_blank(*a))
+                        a++;
+                    while (b > a && is_blank(b[-1]))
+                        b--;
+                    int ok = j == t_col ? read_int(a, b, &t[rows])
+                             : j == phase_col ? read_int(a, b, &phase[rows])
+                             : read_double(a, b, point, row++);
+                    if (ok < 0)
+                        return -2;
+                    if (!ok) {
+                        err[0] = line;
+                        err[1] = j;
+                        err[2] = c - buf;
+                        err[3] = p - buf;
+                        return -1;
+                    }
+                }
+                if (p == end || *p != ',')
+                    break;
+                p++;
+            }
+            if (j + 1 != ncols) {
+                err[0] = line;
+                err[1] = -1;
+                err[2] = j + 1;
+                err[3] = 0;
+                return -1;
+            }
+            rows++;
+        }
+        while (p < end && *p != '\n' && *p != '\r')
+            p++;
+        if (p < end)
+            p += (*p == '\r' && p + 1 < end && p[1] == '\n') ? 2 : 1;
+    }
+    return rows;
 }

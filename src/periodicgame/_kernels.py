@@ -3,8 +3,11 @@
 ``_kernels.c`` holds the trajectory kernels ``run_schedule`` (all three
 rules) and ``run_reduced_composite``, written operation for operation like
 the pure-Python kernels in this module, so both backends give the same bits,
-and the text formatters ``format_csv_rows`` and ``format_points``, which
-write the same bytes as the Python templates they replace.
+the text formatters ``format_csv_rows`` and ``format_points``, which
+write the same bytes as the Python templates they replace, and the CSV
+reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
+same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
+written as integers.
 On first import the C source is compiled with ``$CC`` (default ``cc``) into
 ``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
 variable is unset), under a name keyed by a sha256 of the source, the
@@ -24,6 +27,7 @@ import ctypes
 import hashlib
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -221,6 +225,80 @@ def format_points_py(xy, fh):
         fh.write(((" " if lo else "") + pairs).encode())
 
 
+# A cell's blanks as parse_csv_rows in _kernels.c reads them.
+_BLANKS = " \t\v\f"
+# The cells it accepts, spelled as regular expressions; they only name the
+# bad cell once np.loadtxt or int() has refused one.
+_INT_CELL = re.compile(r"[ \t\v\f]*[+-]?[0-9]+[ \t\v\f]*")
+_FLOAT_CELL = re.compile(r"[ \t\v\f]*[+-]?(?:inf|infinity|nan|(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+                         r"(?:e[+-]?[0-9]+)?)[ \t\v\f]*", re.IGNORECASE)
+
+
+def _bad_cell(line, name, cell, integer):
+    return f"line {line}, column {name!r}: {cell!r} is not {'an integer' if integer else 'a number'}"
+
+
+def _bad_length(line, count, ncols):
+    return f"line {line} has {count} cells, the header names {ncols}"
+
+
+def _first_bad_cell(lines, line, names, int_cols):
+    """The message for the first bad cell or row of ``lines``, numbered
+    from ``line``."""
+    for number, row in enumerate(lines, line):
+        if not row.strip(_BLANKS):
+            continue
+        cells = row.split(",")
+        for j, cell in enumerate(cells[:len(names)]):
+            if j in int_cols:
+                ok = _INT_CELL.fullmatch(cell) and -2**63 <= int(cell) < 2**63
+            else:
+                ok = _FLOAT_CELL.fullmatch(cell)
+            if not ok:
+                return _bad_cell(number, names[j], cell, j in int_cols)
+        if len(cells) != len(names):
+            return _bad_length(number, len(cells), len(names))
+    return None
+
+
+def parse_csv_rows_py(data, start, line, names, t_col, phase_col):
+    """Read the CSV body ``data[start:]`` (UTF-8 bytes whose first line is
+    file line ``line``) under the header ``names``: returns int64 ``t`` and
+    ``phase`` (columns ``t_col`` and ``phase_col``) and float64 ``cells``
+    (rows, len(names) - 2) holding the other columns in order.  Lines end in
+    \\n, \\r\\n or \\r, '#' starts a comment, and a line blank up to its
+    comment is skipped.  A cell is a decimal, inf, infinity or nan (any
+    case, optional sign; an integer in columns t and phase) with blanks on
+    either side; np.loadtxt reads the numbers.  A bad cell or a row of the
+    wrong length raises ValueError naming its line and column."""
+    text = data[start:].decode()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [row.partition("#")[0] for row in lines]
+    rows = [row for row in lines if row.strip(_BLANKS)]
+    ncols = len(names)
+    split_at = max(t_col, phase_col) + 1
+    try:
+        # np.loadtxt would take the separators \x1c-\x1f and non-ASCII
+        # spaces for blanks.
+        joined = "\n".join(rows)
+        if not joined.isascii() or any(c in joined for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError
+        body = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows
+                else np.empty((0, ncols)))
+        if body.shape[1] != ncols:
+            raise ValueError
+        split = [row.split(",", split_at) for row in rows]
+        t = np.array([int(cells[t_col]) for cells in split], dtype=np.int64)
+        phase = np.array([int(cells[phase_col]) for cells in split], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(_first_bad_cell(lines, line, names, (t_col, phase_col))
+                         or str(exc)) from None
+    return t, phase, body[:, [j for j in range(ncols) if j not in (t_col, phase_col)]]
+
+
 class _BuildError(Exception):
     pass
 
@@ -296,6 +374,8 @@ def _load(environ):
     lib.format_csv_rows.restype = long_
     lib.format_points.argtypes = [ptr, long_, long_, ptr, long_, ptr]
     lib.format_points.restype = long_
+    lib.parse_csv_rows.argtypes = [ctypes.c_char_p] + [long_] * 6 + [ptr] * 4
+    lib.parse_csv_rows.restype = long_
     return lib, f"native: {how} {path}"
 
 
@@ -378,15 +458,44 @@ def _bind(lib):
             raise InputError(f"xy must have shape (N, 2), got {pts.shape}")
         write_blocks(lib.format_points, (pts.ctypes.data,), len(pts), fh, _BLOCK_BYTES)
 
-    return run_schedule, run_reduced_composite, format_csv_rows, format_points
+    def parse_csv_rows(data, start, line, names, t_col, phase_col):
+        ncols = len(names)
+        if not (isinstance(data, bytes) and 0 <= start <= len(data)
+                and t_col != phase_col and 0 <= min(t_col, phase_col)
+                and max(t_col, phase_col) < ncols):
+            raise InputError("data must be bytes, start an offset into it, and t_col and "
+                             "phase_col two columns of names")
+        # One row per line at most: every line but the last ends in \n or \r.
+        cap = data.count(b"\n", start) + 1
+        if data.find(b"\r", start) >= 0:
+            cap += data.count(b"\r", start)
+        t = np.empty(cap, dtype=np.int64)
+        phase = np.empty(cap, dtype=np.int64)
+        cells = np.empty((cap, ncols - 2))
+        err = np.zeros(4, dtype=np.int64)
+        rows = lib.parse_csv_rows(data, start, len(data), line, ncols, t_col, phase_col,
+                                  t.ctypes.data, phase.ctypes.data, cells.ctypes.data,
+                                  err.ctypes.data)
+        if rows == -2:
+            raise MemoryError("no memory for a CSV cell")
+        if rows < 0:
+            number, j, a, b = err.tolist()
+            raise ValueError(_bad_length(number, a, ncols) if j < 0 else
+                             _bad_cell(number, names[j], data[a:b].decode(),
+                                       j in (t_col, phase_col)))
+        return t[:rows], phase[:rows], cells[:rows]
+
+    return run_schedule, run_reduced_composite, format_csv_rows, format_points, parse_csv_rows
 
 
 _lib, _reason = _load(os.environ)
 if _lib is not None:
-    run_schedule, run_reduced_composite, format_csv_rows, format_points = _bind(_lib)
+    (run_schedule, run_reduced_composite, format_csv_rows, format_points,
+     parse_csv_rows) = _bind(_lib)
 else:
     run_schedule, run_reduced_composite = run_schedule_py, run_reduced_composite_py
     format_csv_rows, format_points = format_csv_rows_py, format_points_py
+    parse_csv_rows = parse_csv_rows_py
 
 
 def backend_name() -> str:

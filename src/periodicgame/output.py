@@ -2,14 +2,16 @@
 
 Both formats are bit-deterministic for identical input: floats are written
 with 17 significant digits (lossless for binary64), lines end with LF, and
-the SVG contains no timestamps or random ids.  The per-value formatting runs
-in ``_kernels`` (native or Python, the same bytes either way).
+the SVG contains no timestamps or random ids.  The per-value formatting, and
+the parsing of a CSV read back, run in ``_kernels`` (native or Python, the
+same bytes and bits either way).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 from typing import Sequence, Tuple, Union
 
@@ -21,6 +23,7 @@ from .simplex import Trajectory
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
+_EOL = re.compile(rb"\r\n?|\n")
 
 
 def emit_csv(traj: Trajectory, path: str) -> None:
@@ -39,38 +42,52 @@ def emit_csv(traj: Trajectory, path: str) -> None:
 
 
 def read_csv(path: str) -> dict:
-    """Parse a trajectory CSV back into arrays (exact float round-trip);
-    a malformed file raises InputError naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
-    if len(lines) < 2:
-        raise InputError(f"{path} holds no data rows")
-    header = lines[0].rstrip("\n").split(",")
+    """Parse a trajectory CSV back into arrays: ``t`` and ``phase`` as exact
+    int64 (a cell there must be an integer), every other column with the
+    float64 bits that were written.  A malformed file raises InputError
+    naming it, and the file line and column header of a bad cell."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    # The header is the first line that is not blank.
+    start, line = 0, 1
+    while True:
+        eol = _EOL.search(data, start)
+        text = data[start:eol.start() if eol else len(data)].decode()
+        if text.strip(_kernels._BLANKS) or eol is None:
+            break
+        start, line = eol.end(), line + 1
+    header = text.split(",")
     cols = {name: idx for idx, name in enumerate(header)}
     missing = sorted({"t", "phase", "kl_to_ref", "min_component"} - cols.keys())
     if missing:
         raise InputError(f"{path} has no {missing[0]!r} column")
+    t_col, phase_col = cols["t"], cols["phase"]
     try:
-        body = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+        t, phase, cells = _kernels.parse_csv_rows(data, eol.end() if eol else len(data),
+                                                  line + 1, header, t_col, phase_col)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if body.shape[1] != len(header):
-        raise InputError(f"{path}: rows have {body.shape[1]} cells, the header "
-                         f"names {len(header)}")
+    if not len(t):
+        raise InputError(f"{path} holds no data rows")
+
+    def at(i):   # the cells column of header column i
+        return i - (i > t_col) - (i > phase_col)
 
     def block(prefix):
-        return body[:, [i for name, i in cols.items() if name.startswith(prefix)]]
+        return cells[:, [at(i) for name, i in cols.items() if name.startswith(prefix)]]
 
     return {
-        "t": body[:, cols["t"]].astype(np.int64),
-        "phase": body[:, cols["phase"]].astype(np.int64),
+        "t": t,
+        "phase": phase,
         "x1": block("x1_"),
         "x2": block("x2_"),
-        "kl_to_ref": body[:, cols["kl_to_ref"]],
-        "min_component": body[:, cols["min_component"]],
+        "kl_to_ref": cells[:, at(cols["kl_to_ref"])],
+        "min_component": cells[:, at(cols["min_component"])],
     }
 
 

@@ -31,7 +31,8 @@ def native_kernels():
         pytest.skip("no C compiler 'cc' on PATH")
     lib, reason = _kernels._load(clean_env())
     assert lib is not None, reason
-    names = ("run_schedule", "run_reduced_composite", "format_csv_rows", "format_points")
+    names = ("run_schedule", "run_reduced_composite", "format_csv_rows", "format_points",
+             "parse_csv_rows")
     return types.SimpleNamespace(**dict(zip(names, _kernels._bind(lib))))
 
 

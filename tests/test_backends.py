@@ -199,6 +199,154 @@ class TestFormattersMatchPython:
                 == _csv_bytes(_kernels.format_csv_rows_py, times, times % 3, cells))
 
 
+NAMES = ["t", "phase", "x1_1", "x2_1", "kl_to_ref", "min_component"]
+HEADER = ",".join(NAMES).encode() + b"\n"
+
+
+def _parse(fn, body, names=NAMES, t_col=0, phase_col=1):
+    """fn's (t, phase, cells) for a file of the header and body, or the
+    message of the ValueError it raises."""
+    data = ",".join(names).encode() + b"\n" + body
+    try:
+        return fn(data, data.index(b"\n") + 1, 2, names, t_col, phase_col)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_bits(a, b):
+    """Equal shapes and dtypes and bits, except that NaNs equal any NaN."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    if a.dtype.kind != "f":
+        return bool((a == b).all())
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()
+                and (a[~nan].view(np.int64) == b[~nan].view(np.int64)).all())
+
+
+def _both(native_kernels, body, **kw):
+    """The two parsers' results for one body, checked equal."""
+    native = _parse(native_kernels.parse_csv_rows, body, **kw)
+    python = _parse(_kernels.parse_csv_rows_py, body, **kw)
+    if isinstance(native, str) or isinstance(python, str):
+        assert native == python
+    else:
+        assert all(_same_bits(a, b) for a, b in zip(native, python))
+    return native
+
+
+# Cells and the float64 bits that read_csv gave for them when it parsed
+# with np.loadtxt alone.  The long cells go through strtod with a copy on
+# the heap: 2^-1074 in full, and 10^300.
+TINY = format(5e-324, ".1074f")
+EDGE_CELLS = {
+    " 0.5": 0x3FE0000000000000, "0.5 ": 0x3FE0000000000000, "+0.5": 0x3FE0000000000000,
+    ".5": 0x3FE0000000000000, "5.": 0x4014000000000000, "1E5": 0x40F86A0000000000,
+    "\t0.5\v": 0x3FE0000000000000, "inf": 0x7FF0000000000000, "-inf": 0xFFF0000000000000,
+    "Infinity": 0x7FF0000000000000, "-INFINITY": 0xFFF0000000000000,
+    "nan": 0x7FF8000000000000, "-nan": 0xFFF8000000000000, "NaN": 0x7FF8000000000000,
+    "1e400": 0x7FF0000000000000, "1e-400": 0x0, "-1e-400": 0x8000000000000000,
+    "-0": 0x8000000000000000, "0e99999999999": 0x0, "1.e5": 0x40F86A0000000000,
+    "9007199254740993": 0x4340000000000000, "9007199254740995": 0x4340000000000002,
+    "0.1000000000000000055511151231257827021181583404541015625": 0x3FB999999999999A,
+    TINY: 0x1, "1" + "0" * 300: 0x7E37E43C8800759C,
+    # A hair above a halfway point between two doubles: the integer path
+    # must round up on the remainder, not to the even neighbour below.
+    "3356064425258417328e-28": 0x3DF7100D0CAC3273, "4306906422018948740e-29": 0x3DC7AD6E9294FDD7,
+    "7368248133177167818e-30": 0x3DA033F4772B2A57, "8761568686074521373e-31": 0x3D6ED3B830C18809,
+}
+# np.loadtxt refuses these as well, but for "0.5\x1c" and "\u00a00.5": it
+# takes \x1c-\x1f and non-ASCII spaces for blanks, which the readers do not.
+BAD_CELLS = ["0x1p3", "1_0", "", " ", "nan(1)", "1e", "e5", ".", "+-1", "1.5.", "infinit",
+             "1d5", '"0.5"', "0.5\x00", "0.5\x1c", "\u00a00.5", "\uff11"]
+
+
+class TestParserMatchesPython:
+    """parse_csv_rows reads what parse_csv_rows_py (np.loadtxt) reads, with
+    the same bits, and refuses what it refuses with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 40), k=st.integers(1, 6))
+    def test_written_bits_read_back(self, native_kernels, data, rows, k):
+        times, phases = data.draw(hnp.arrays(np.int64, rows)), data.draw(hnp.arrays(np.int64, rows))
+        cells = data.draw(_bit_patterns((rows, k)))
+        names = ["t", "phase"] + [f"c{j}" for j in range(k)]
+        fh = io.BytesIO()
+        native_kernels.format_csv_rows(times, phases, cells, fh)
+        t, phase, back = _both(native_kernels, fh.getvalue(), names=names)
+        assert _same_bits(t, times) and _same_bits(phase, phases) and _same_bits(back, cells)
+
+    def test_million_cells(self, native_kernels):
+        rng = np.random.default_rng(13)
+        n = 125_000    # 8 cells a row
+        cells = (rng.uniform(1, 10, (n, 6)) * 10.0 ** rng.integers(-40, 41, (n, 6))
+                 * rng.choice([-1.0, 1.0], (n, 6)))
+        cells[::7, 2] = rng.integers(0, 2**64, n // 7 + 1, dtype=np.uint64).view(np.float64)
+        times = rng.integers(-2**63, 2**63 - 1, n, endpoint=True)
+        fh = io.BytesIO()
+        native_kernels.format_csv_rows(times, times // 3, cells, fh)
+        t, phase, back = _both(native_kernels, fh.getvalue(),
+                               names=["t", "phase"] + [f"c{j}" for j in range(6)])
+        assert _same_bits(t, times) and _same_bits(phase, times // 3)
+        assert _same_bits(back, cells)
+
+    @pytest.mark.parametrize("cell", list(EDGE_CELLS))
+    def test_edge_cells(self, native_kernels, cell):
+        got = _both(native_kernels, f"0,0,{cell},0.5,0,0.5\n".encode())
+        assert got[2][0, 0].view(np.uint64) == EDGE_CELLS[cell]
+
+    @pytest.mark.parametrize("cell", BAD_CELLS)
+    def test_bad_cells_refused(self, native_kernels, cell):
+        body = f"0,0,0.5,0.5,0,0.5\n\n1,1,{cell},0.5,0,0.5\n".encode()
+        assert _both(native_kernels, body) == f"line 4, column 'x1_1': {cell!r} is not a number"
+
+    @pytest.mark.parametrize("cell, value", [
+        ("9007199254740993", 2**53 + 1), (" +4\t", 4), ("-9223372036854775808", -2**63),
+        ("9223372036854775807", 2**63 - 1), ("007", 7),
+        ("9223372036854775808", None), ("-9223372036854775809", None), ("1.7", None),
+        ("1.0", None), ("1e3", None), ("nan", None), ("0x10", None), ("1_0", None), ("", None),
+        ("+", None)])
+    def test_time_and_phase_are_integers(self, native_kernels, cell, value):
+        got = _both(native_kernels, f"5,{cell},0.5,0.5,0,0.5\n".encode(), t_col=1, phase_col=0)
+        if value is None:
+            assert got == f"line 2, column 'phase': {cell!r} is not an integer"
+        else:
+            assert got[0].tolist() == [value] and got[1].tolist() == [5]
+
+    @pytest.mark.parametrize("body, t", [
+        (b"0,0,0.5,0.5,0,0.5\r\n1,1,0.5,0.5,0,0.5\r\n", [0, 1]),
+        (b"0,0,0.5,0.5,0,0.5\r1,1,0.5,0.5,0,0.5\r", [0, 1]),
+        (b"0,0,0.5,0.5,0,0.5\n \t\v\f \n\n1,1,0.5,0.5,0,0.5\n", [0, 1]),
+        (b"# comment, with a comma\n0,0,0.5,0.5,0,0.5 # trailing\n  # indented\n", [0]),
+        (b"0,0,0.5,0.5,0,0.5\n1,1,0.5,0.5,0,0.5", [0, 1]),
+        (b"# caf\xc3\xa9\n2,0,0.5,0.5,0,0.5\n", [2]),
+        (b"", []), (b"\n\n# only comments\n", []),
+    ])
+    def test_edge_lines(self, native_kernels, body, t):
+        got = _both(native_kernels, body)
+        assert got[0].tolist() == t and got[2].shape == (len(t), 4)
+
+    @pytest.mark.parametrize("body, message", [
+        (b"0,0,0.5,0.5,0\n", "line 2 has 5 cells, the header names 6"),
+        (b"0,0,0.5,0.5,0,0.5,1,2\n", "line 2 has 8 cells, the header names 6"),
+        (b"0,0,0.5,0.5,0,0.5\r\n\r\n1,1,0.5,0.5,0\r\n", "line 4 has 5 cells, the header names 6"),
+        (b"0,0,0.5,0.5,0,0.5,\n", "line 2 has 7 cells, the header names 6"),
+        (b"0,0,0.5#,0.5,0,0.5\n", "line 2 has 3 cells, the header names 6"),
+        (b"0,0,0.5,0.5,0,#\n", "line 2, column 'min_component': '' is not a number"),
+        (b"0,0,abc,0.5,0\n", "line 2, column 'x1_1': 'abc' is not a number"),
+        (b"0,0,0.5,0.5,0,0.5,abc\n", "line 2 has 7 cells, the header names 6"),
+    ])
+    def test_bad_rows_refused(self, native_kernels, body, message):
+        assert _both(native_kernels, body) == message
+
+    def test_columns_in_any_order(self, native_kernels):
+        names = ["x1_1", "phase", "kl_to_ref", "t", "min_component", "x2_1"]
+        t, phase, cells = _both(native_kernels, b"0.25,3,0.5,-7,1.5,2.5\n", names=names,
+                                t_col=3, phase_col=1)
+        assert t.tolist() == [-7] and phase.tolist() == [3]
+        assert cells.tolist() == [[0.25, 0.5, 1.5, 2.5]]
+
+
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
 def test_csv_rows_without_int128(tmp_path):
     # Without unsigned __int128 every cell goes through snprintf.
@@ -210,8 +358,12 @@ def test_csv_rows_without_int128(tmp_path):
                             np.random.default_rng(12).normal(size=400)])
     cells = np.column_stack([cells, -cells])
     times = np.arange(len(cells))
-    assert (_csv_bytes(format_csv_rows, times, times, cells)
-            == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells))
+    written = _csv_bytes(format_csv_rows, times, times, cells)
+    assert written == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells)
+    # ... and every cell is read by strtod.
+    data = b"t,phase,a,b\n" + written
+    t, _, back = _kernels._bind(lib)[4](data, 12, 2, ["t", "phase", "a", "b"], 0, 1)
+    assert _same_bits(t, times) and _same_bits(back, cells)
 
 
 LOCALE_SCRIPT = (
@@ -232,20 +384,61 @@ LOCALE_SCRIPT = (
 )
 
 
-@pytest.mark.skipif(not (HAVE_CC and shutil.which("localedef")),
-                    reason="needs 'cc' and 'localedef' on PATH")
-@pytest.mark.parametrize("name, point", [("de_DE", ","), ("ps_AF", "\u066b")])
-def test_formatters_ignore_the_locale_decimal_point(tmp_path, name, point):
-    # Python's % operator always writes '.', while snprintf follows
-    # LC_NUMERIC; the locale is compiled into a private LOCPATH.
-    build = subprocess.run(["localedef", "-i", name, "-f", "UTF-8",
-                            str(tmp_path / f"{name}.UTF-8")], capture_output=True)
-    if build.returncode != 0:
-        pytest.skip(f"cannot build the {name} locale: {build.stderr[-200:]!r}")
+READ_SCRIPT = (
+    "import io, locale, os, sys\n"
+    "import numpy as np\n"
+    "from periodicgame import _kernels\n"
+    "locale.setlocale(locale.LC_ALL, sys.argv[1])\n"
+    "print(locale.localeconv()['decimal_point'])\n"
+    "native = _kernels._bind(_kernels._load(os.environ)[0])\n"
+    "cells = np.array([[0.5, -1e300], [1 / 3, 2.0**53], [5e-324, 1e-9], [1.5e-20, -2.5e25]])\n"
+    "t = np.arange(4)\n"
+    "out = io.BytesIO()\n"
+    "native[2](t, t, cells, out)\n"
+    "data = b't,phase,a,b\\n' + out.getvalue()\n"
+    "for parse in (native[4], _kernels.parse_csv_rows_py):\n"
+    "    back = parse(data, 12, 2, ['t', 'phase', 'a', 'b'], 0, 1)[2]\n"
+    "    print(back.tobytes() == cells.tobytes())\n"
+)
+LOCALES = [("de_DE", ","), ("ps_AF", "\u066b")]
+
+
+@pytest.fixture(scope="module")
+def locpath(tmp_path_factory):
+    """A private LOCPATH holding the locale it is called with, compiled once
+    for the module."""
+    if not (HAVE_CC and shutil.which("localedef")):
+        pytest.skip("needs 'cc' and 'localedef' on PATH")
+    root = tmp_path_factory.mktemp("locales")
+
+    def build(name):
+        if not (root / f"{name}.UTF-8").exists():
+            proc = subprocess.run(["localedef", "-i", name, "-f", "UTF-8",
+                                   str(root / f"{name}.UTF-8")], capture_output=True)
+            if proc.returncode != 0:
+                pytest.skip(f"cannot build the {name} locale: {proc.stderr[-200:]!r}")
+        return str(root)
+    return build
+
+
+def _run_in_locale(locpath, name, script):
     proc = subprocess.run(
-        [sys.executable, "-c", LOCALE_SCRIPT, f"{name}.UTF-8"], capture_output=True,
-        text=True, check=True, env=clean_env(LOCPATH=str(tmp_path)))
-    assert proc.stdout.split() == [point, "True", "True"]
+        [sys.executable, "-c", script, f"{name}.UTF-8"], capture_output=True,
+        text=True, check=True, env=clean_env(LOCPATH=locpath(name)))
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("name, point", LOCALES)
+def test_formatters_ignore_the_locale_decimal_point(locpath, name, point):
+    # Python's % operator always writes '.', while snprintf follows
+    # LC_NUMERIC.
+    assert _run_in_locale(locpath, name, LOCALE_SCRIPT) == [point, "True", "True"]
+
+
+@pytest.mark.parametrize("name, point", LOCALES)
+def test_reader_ignores_the_locale_decimal_point(locpath, name, point):
+    # strtod reads the locale's decimal point, and a written file holds '.'.
+    assert _run_in_locale(locpath, name, READ_SCRIPT) == [point, "True", "True"]
 
 
 class TestNativeWrapper:
@@ -289,6 +482,16 @@ class TestNativeWrapper:
             with pytest.raises(pg.InputError):
                 native_kernels.format_points(xy, fh)
         assert fh.getvalue() == b""
+
+    def test_parser_arguments_rejected(self, native_kernels):
+        data = HEADER + b"0,0,0.5,0.5,0,0.5\n"
+        for args in ((data.decode(), len(HEADER), 2, NAMES, 0, 1),
+                     (data, len(data) + 1, 2, NAMES, 0, 1),
+                     (data, -1, 2, NAMES, 0, 1),
+                     (data, len(HEADER), 2, NAMES, 1, 1),
+                     (data, len(HEADER), 2, NAMES, 0, 6)):
+            with pytest.raises(pg.InputError):
+                native_kernels.parse_csv_rows(*args)
 
     def test_reduced_buffers_rejected(self, native_kernels):
         z0 = np.full(4, 0.5)

@@ -235,6 +235,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("body", [
         pytest.param(GOOD_CSV.replace("1,1,0.5", "1,1,abc"), id="non-numeric-cell"),
+        pytest.param(GOOD_CSV.replace("1,1,0.5", "1.7,1,0.5"), id="non-integer-time"),
         pytest.param(GOOD_CSV.replace("0,0.5\n", "0\n", 1), id="ragged-row"),
         pytest.param(GOOD_CSV.replace("0,0.5\n", "0\n"), id="rows-shorter-than-header"),
         pytest.param(GOOD_CSV.replace("t,", "time,", 1), id="no-t-column"),

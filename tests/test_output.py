@@ -127,6 +127,31 @@ class TestCsvRoundTrip:
         assert data["t"].shape == (small_traj.n_records,)
         assert _same_bits(data["x1"], small_traj.probabilities1)
 
+    def test_times_read_back_as_exact_integers(self, tmp_path):
+        times = np.array([3, 2**53 + 1, 2**63 - 1])
+        half = np.log(np.full((3, 2), 0.5))
+        traj = pg.Trajectory(times=times, log_probs1=half, log_probs2=half,
+                             kl_to_ref=np.zeros(3), min_component=np.full(3, 0.5),
+                             period=7, eta=0.1, algo="mwu")
+        path = tmp_path / "run.csv"
+        pg.emit_csv(traj, str(path))
+        data = pg.read_csv(str(path))
+        assert data["t"].tolist() == times.tolist()
+        assert data["phase"].tolist() == (times % 7).tolist()
+
+    @pytest.mark.parametrize("line, message", [
+        ("1.7,1,0.5,0.5,0,0.5", "line 4, column 't': '1.7' is not an integer"),
+        ("1,1,abc,0.5,0,0.5", "line 4, column 'x1_1': 'abc' is not a number"),
+        ("1,1,0.5,0.5,0", "line 4 has 5 cells, the header names 6"),
+    ])
+    def test_errors_name_the_file_line_and_column(self, tmp_path, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("t,phase,x1_1,x2_1,kl_to_ref,min_component\n"
+                        f"0,0,0.5,0.5,0,0.5\n\n{line}\n")
+        with pytest.raises(pg.InputError) as info:
+            pg.read_csv(str(path))
+        assert str(info.value) == f"{path}: {message}"
+
     def test_single_row_shapes(self, game2x2, tmp_path):
         traj = pg.run_trajectory(game2x2, "mwu", pg.JointState.uniform(2, 2), 0.1, 1)
         path = tmp_path / "run.csv"

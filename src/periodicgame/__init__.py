@@ -30,7 +30,6 @@ from .dynamics import (
 from .equilibrium import (
     EquilibriumResult,
     common_equilibrium,
-    full_support_values,
     generate_common_equilibrium_game,
     solve_zero_sum,
     verify_equilibrium,

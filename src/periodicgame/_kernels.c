@@ -7,7 +7,7 @@
  *
  * Arrays are C-contiguous float64 (int64 for record times, CSV times and
  * phases); the caller owns every buffer, scratch space included, so nothing
- * here allocates but the copy of a CSV cell too long for the stack.
+ * here allocates but the one locale object of init_locale.
  * A return value of -1 means exp() overflowed on a finite argument, where
  * Python's math.exp raises OverflowError.
  *
@@ -22,13 +22,17 @@
  * phase as exact int64, every other cell as the nearest double, which is
  * the written one.  Cells of up to 19 significant digits with a decimal
  * exponent in [-31, 19] are rounded exactly without strtod
- * (exact_decimal); strtod, with the locale's decimal point put in, reads
- * the rest.
+ * (exact_decimal); strtod reads the rest in place.
+ *
+ * The three text functions switch the calling thread to the "C" LC_NUMERIC
+ * locale with uselocale and restore the caller's before they return, so
+ * snprintf writes '.' and strtod reads it whatever the process locale is.
  */
+
+#define _POSIX_C_SOURCE 200809L   /* newlocale, uselocale under -std=c99 */
 
 #include <locale.h>
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
@@ -196,10 +200,21 @@ long run_reduced_composite(const double *z0, double eta, long n_steps, double *o
     return 0;
 }
 
+/* The "C" LC_NUMERIC locale the text functions run in; a second load of
+ * the library in the same process finds it made and keeps it. */
+static locale_t c_numeric;
+
+/* Called by _kernels.py on load: 1 when the locale exists, else 0. */
+int init_locale(void)
+{
+    if (c_numeric == (locale_t)0)
+        c_numeric = newlocale(LC_NUMERIC_MASK, "C", (locale_t)0);
+    return c_numeric != (locale_t)0;
+}
+
 /* Room for one formatted value and snprintf's terminating NUL: "%.17g" takes
  * at most 24 bytes ("-1.2345678901234567e-308"), "%.3f" of a finite double
- * at most 314 (309 integer digits), an int64 20.  The slack covers a
- * multibyte locale decimal point before it is replaced. */
+ * at most 314 (309 integer digits), an int64 20. */
 #define G17_ROOM 32
 #define F3_ROOM 320
 #define INT_ROOM 24
@@ -227,23 +242,14 @@ static char *put_int(char *p, int64_t v)
 }
 
 /* snprintf of one double, spelled as Python's % operator spells it: NaN is
- * "nan" whatever its sign bit (glibc writes "-nan") and the decimal point
- * is '.' whatever the C locale says. */
-static char *put_printf(char *p, char *end, const char *fmt, double v, const char *point)
+ * "nan" whatever its sign bit (glibc writes "-nan"). */
+static char *put_printf(char *p, char *end, const char *fmt, double v)
 {
     if (isnan(v)) {
         memcpy(p, "nan", 3);
         return p + 3;
     }
-    int len = snprintf(p, (size_t)(end - p), fmt, v);
-    size_t width = strlen(point);
-    char *d;
-    if ((width != 1 || point[0] != '.') && (d = strstr(p, point)) != NULL) {
-        *d = '.';
-        memmove(d + 1, d + width, strlen(d + width) + 1);
-        len -= (int)width - 1;
-    }
-    return p + len;
+    return p + snprintf(p, (size_t)(end - p), fmt, v);
 }
 
 #ifdef __SIZEOF_INT128__
@@ -348,25 +354,25 @@ static char *put_g17(char *p, double v)
 
 /* One CSV cell at "%.17g".  POW5 covers decimal exponents from -16 up,
  * and the double nearest 1e-16 lies below 10^-16: the bound is exclusive. */
-static char *put_cell(char *p, char *end, double v, const char *point)
+static char *put_cell(char *p, char *end, double v)
 {
 #ifdef __SIZEOF_INT128__
     double a = fabs(v);
     if (a > 1e-16 && a < 1e16)
         return put_g17(p, v);
 #endif
-    return put_printf(p, end, "%.17g", v, point);
+    return put_printf(p, end, "%.17g", v);
 }
 
 /* "%.3f" of v, rounded as Python rounds it: to the nearest thousandth of
  * the exact binary value, ties to even.  x + e == |v| * 1000 exactly, and
  * x is the double nearest that product, so x and the product round to the
  * same integer unless x is a half-integer; then the sign of e decides. */
-static char *put_fixed3(char *p, char *end, double v, const char *point)
+static char *put_fixed3(char *p, char *end, double v)
 {
     double a = fabs(v);
     if (!(a < 0x1p53 / 1000))   /* NaN, inf, or too large to scale exactly */
-        return put_printf(p, end, "%.3f", v, point);
+        return put_printf(p, end, "%.3f", v);
     double x = a * 1000.0;
     double e = fma(a, 1000.0, -x);
     double f = floor(x);
@@ -391,7 +397,7 @@ static char *put_fixed3(char *p, char *end, double v, const char *point)
 long format_csv_rows(const int64_t *t, const int64_t *phase, const double *cells, long k,
                      long start, long rows, char *buf, long cap, long *len)
 {
-    const char *point = localeconv()->decimal_point;
+    locale_t caller = uselocale(c_numeric);
     long row_room = 2 * INT_ROOM + k * (1 + G17_ROOM) + 1;
     char *p = buf, *end = buf + cap;
     long r = start;
@@ -401,11 +407,12 @@ long format_csv_rows(const int64_t *t, const int64_t *phase, const double *cells
         p = put_int(p, phase[r]);
         for (long j = 0; j < k; j++) {
             *p++ = ',';
-            p = put_cell(p, end, cells[r * k + j], point);
+            p = put_cell(p, end, cells[r * k + j]);
         }
         *p++ = '\n';
     }
     *len = (long)(p - buf);
+    uselocale(caller);
     return r;
 }
 
@@ -415,17 +422,18 @@ long format_csv_rows(const int64_t *t, const int64_t *phase, const double *cells
  * index. */
 long format_points(const double *xy, long start, long n, char *buf, long cap, long *len)
 {
-    const char *point = localeconv()->decimal_point;
+    locale_t caller = uselocale(c_numeric);
     char *p = buf, *end = buf + cap;
     long i = start;
     for (; i < n && end - p >= 2 * F3_ROOM + 2; i++) {
         if (i > 0)
             *p++ = ' ';
-        p = put_fixed3(p, end, xy[2 * i], point);
+        p = put_fixed3(p, end, xy[2 * i]);
         *p++ = ',';
-        p = put_fixed3(p, end, xy[2 * i + 1], point);
+        p = put_fixed3(p, end, xy[2 * i + 1]);
     }
     *len = (long)(p - buf);
+    uselocale(caller);
     return i;
 }
 
@@ -497,13 +505,11 @@ static double exact_decimal(uint64_t d, int q)
  * Python's float() less underscores; strtod alone would also take hex
  * floats and "nan(...)".  Up to 19 significant digits with a decimal
  * exponent in [-31, 19] go through exact_decimal; the rest through strtod,
- * which rounds correctly too (glibc; Clinger, PLDI 1990) and reads a copy
- * whose '.' is the locale's decimal point, as put_printf writes.  Returns
- * 1, 0 for a cell outside the grammar, -1 when no memory holds the copy of
- * a long cell. */
-#define CELL_ROOM 128
-
-static int read_double(const char *s, const char *e, const char *point, double *out)
+ * which rounds correctly too (glibc; Clinger, PLDI 1990).  strtod reads the
+ * cell in place: it is in the grammar, and *e (a blank, ',', '#', a line
+ * end or the NUL after the buffer) cannot extend a number.  Returns 1, or
+ * 0 for a cell outside the grammar. */
+static int read_double(const char *s, const char *e, double *out)
 {
     int neg = s < e && *s == '-';
     const char *q = s + (s < e && (*s == '+' || *s == '-'));
@@ -557,25 +563,9 @@ static int read_double(const char *s, const char *e, const char *point, double *
         return 1;
     }
 #endif
-
-    size_t width = strlen(point), n = (size_t)(e - s);
-    char room[CELL_ROOM], *copy = room;
-    if (n + width + 1 > CELL_ROOM && (copy = malloc(n + width + 1)) == NULL)
-        return -1;
-    size_t at = (size_t)(dot ? dot - s : (ptrdiff_t)n);
-    memcpy(copy, s, at);
-    if (dot) {
-        memcpy(copy + at, point, width);
-        memcpy(copy + at + width, dot + 1, n - at - 1);
-        n += width - 1;
-    }
-    copy[n] = '\0';
     char *stop;
-    *out = strtod(copy, &stop);
-    int ok = stop == copy + n;
-    if (copy != room)
-        free(copy);
-    return ok;
+    *out = strtod(s, &stop);
+    return stop == e;
 }
 
 /* The end of the cell that starts at p: its ',', '#', line end or end. */
@@ -592,15 +582,16 @@ static const char *cell_end(const char *p, const char *end)
  * its comment is skipped.  Every row holds ncols cells, each a number as
  * read_double reads it (read_int for columns t_col and phase_col) with
  * blanks on either side; a row's first ncols cells are read before its
- * length is checked.  The caller sizes the outputs for one row per line.  line is the file line number of buf[pos].  Returns the rows read,
- * -2 when no memory is left, or -1 with err = {line, column, cell start,
- * cell end} for a bad cell and err = {line, -1, cells in the line, 0} for a
- * row of the wrong length. */
+ * length is checked.  The caller sizes the outputs for one row per line
+ * and passes a buffer whose byte buf[size] is NUL.  line is the file line
+ * number of buf[pos].  Returns the rows read, or -1 with err = {line,
+ * column, cell start, cell end} for a bad cell and err = {line, -1, cells
+ * in the line, 0} for a row of the wrong length. */
 long parse_csv_rows(const char *buf, long pos, long size, long line, long ncols,
                     long t_col, long phase_col, int64_t *t, int64_t *phase,
                     double *cells, int64_t *err)
 {
-    const char *point = localeconv()->decimal_point;
+    locale_t caller = uselocale(c_numeric);
     const char *p = buf + pos, *end = buf + size;
     long rows = 0;
     double *row = cells;
@@ -622,15 +613,14 @@ long parse_csv_rows(const char *buf, long pos, long size, long line, long ncols,
                         b--;
                     int ok = j == t_col ? read_int(a, b, &t[rows])
                              : j == phase_col ? read_int(a, b, &phase[rows])
-                             : read_double(a, b, point, row++);
-                    if (ok < 0)
-                        return -2;
+                             : read_double(a, b, row++);
                     if (!ok) {
                         err[0] = line;
                         err[1] = j;
                         err[2] = c - buf;
                         err[3] = p - buf;
-                        return -1;
+                        rows = -1;
+                        goto done;
                     }
                 }
                 if (p == end || *p != ',')
@@ -642,7 +632,8 @@ long parse_csv_rows(const char *buf, long pos, long size, long line, long ncols,
                 err[1] = -1;
                 err[2] = j + 1;
                 err[3] = 0;
-                return -1;
+                rows = -1;
+                goto done;
             }
             rows++;
         }
@@ -651,5 +642,7 @@ long parse_csv_rows(const char *buf, long pos, long size, long line, long ncols,
         if (p < end)
             p += (*p == '\r' && p + 1 < end && p[1] == '\n') ? 2 : 1;
     }
+done:
+    uselocale(caller);
     return rows;
 }

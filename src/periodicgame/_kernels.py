@@ -13,11 +13,12 @@ On first import the C source is compiled with ``$CC`` (default ``cc``) into
 variable is unset), under a name keyed by a sha256 of the source, the
 compiler flags, the ``$CC`` words and the resolved compiler's size and
 mtime; later imports load the cached library with ctypes and start no
-process.  When anything fails (no compiler, a compile error, an unwritable
-cache, a library that does not load) the Python functions run instead and
-``backend_reason()`` says why.  ``PERIODICGAME_BACKEND=python``
-forces them.  The ``*_py`` functions stay the reference that the native
-ones are tested against.
+process.  The library's text functions run in the "C" numeric locale,
+which it makes once on load.  When anything fails (no compiler, a compile
+error, an unwritable cache, a library that does not load or cannot make that
+locale) the Python functions run instead and ``backend_reason()`` says why;
+a ``$CC`` that names no compiler forces them.  The ``*_py`` functions stay
+the reference that the native ones are tested against.
 
 Log-weights passed in must already be normalized log-probabilities; the
 kernels keep them normalized after every step.
@@ -32,6 +33,7 @@ import shlex
 import shutil
 import subprocess
 import tempfile
+import types
 
 import numpy as np
 
@@ -351,11 +353,6 @@ def _build_library(environ):
 
 def _load(environ):
     """(ctypes library or None, reason) for the given environment."""
-    choice = environ.get("PERIODICGAME_BACKEND", "").strip().lower()
-    if choice == "python":
-        return None, "python: PERIODICGAME_BACKEND=python"
-    if choice not in ("", "native"):
-        return None, f"python: PERIODICGAME_BACKEND={choice!r} is not 'native' or 'python'"
     try:
         path, how = _build_library(environ)
     except _BuildError as exc:
@@ -364,6 +361,8 @@ def _load(environ):
         lib = ctypes.CDLL(path)
     except OSError as exc:
         return None, f"python: cannot load {path}: {exc}"
+    if not lib.init_locale():
+        return None, "python: cannot make the C numeric locale"
     ptr, long_, double = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
     lib.run_schedule.argtypes = [ctypes.c_int, ptr, long_, long_, long_, double, long_,
                                  ptr, long_] + [ptr] * 7
@@ -394,8 +393,9 @@ def _out_buffer(name, a, shape, min_rows=None):
 
 def _bind(lib):
     """Thin wrappers with the Python kernels' signatures and in-place
-    effects around the C functions of ``lib``.  Every array handed to C
-    stays bound to a local name until the call returns."""
+    effects around the C functions of ``lib``, in a namespace keyed by
+    name like ``_PYTHON``.  Every array handed to C stays bound to a local
+    name until the call returns."""
 
     def run_schedule(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, out2):
         mats = np.ascontiguousarray(mats, dtype=np.float64)
@@ -473,11 +473,11 @@ def _bind(lib):
         phase = np.empty(cap, dtype=np.int64)
         cells = np.empty((cap, ncols - 2))
         err = np.zeros(4, dtype=np.int64)
+        # A bytes object keeps a NUL after its last byte, where strtod stops
+        # on a last cell that has no line end.
         rows = lib.parse_csv_rows(data, start, len(data), line, ncols, t_col, phase_col,
                                   t.ctypes.data, phase.ctypes.data, cells.ctypes.data,
                                   err.ctypes.data)
-        if rows == -2:
-            raise MemoryError("no memory for a CSV cell")
         if rows < 0:
             number, j, a, b = err.tolist()
             raise ValueError(_bad_length(number, a, ncols) if j < 0 else
@@ -485,17 +485,24 @@ def _bind(lib):
                                        j in (t_col, phase_col)))
         return t[:rows], phase[:rows], cells[:rows]
 
-    return run_schedule, run_reduced_composite, format_csv_rows, format_points, parse_csv_rows
+    return types.SimpleNamespace(
+        run_schedule=run_schedule, run_reduced_composite=run_reduced_composite,
+        format_csv_rows=format_csv_rows, format_points=format_points,
+        parse_csv_rows=parse_csv_rows)
 
+
+_PYTHON = types.SimpleNamespace(
+    run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
+    format_csv_rows=format_csv_rows_py, format_points=format_points_py,
+    parse_csv_rows=parse_csv_rows_py)
 
 _lib, _reason = _load(os.environ)
-if _lib is not None:
-    (run_schedule, run_reduced_composite, format_csv_rows, format_points,
-     parse_csv_rows) = _bind(_lib)
-else:
-    run_schedule, run_reduced_composite = run_schedule_py, run_reduced_composite_py
-    format_csv_rows, format_points = format_csv_rows_py, format_points_py
-    parse_csv_rows = parse_csv_rows_py
+_active = _PYTHON if _lib is None else _bind(_lib)
+run_schedule = _active.run_schedule
+run_reduced_composite = _active.run_reduced_composite
+format_csv_rows = _active.format_csv_rows
+format_points = _active.format_points
+parse_csv_rows = _active.parse_csv_rows
 
 
 def backend_name() -> str:

@@ -74,9 +74,9 @@ def _solve_stack(systems: np.ndarray, rhs: np.ndarray):
 
 def _equalizing_pair(blocks: np.ndarray):
     """Solve A y = v 1, 1^T y = 1 and the transposed system on every
-    square block of a (B, k, k) stack.  Returns (x, y, v_row, v_col,
-    solved): (B, k) candidates, (B,) values and the mask of the blocks
-    whose two systems are both nonsingular."""
+    square block of a (B, k, k) stack.  Returns (x, y, solved): (B, k)
+    candidates and the mask of the blocks whose two systems are both
+    nonsingular."""
     count, k, _ = blocks.shape
     systems = np.zeros((count, k + 1, k + 1))
     systems[:, :k, k] = -1.0
@@ -87,7 +87,7 @@ def _equalizing_pair(blocks: np.ndarray):
     sol_y, solved_y = _solve_stack(systems, rhs)
     systems[:, :k, :k] = blocks.transpose(0, 2, 1)
     sol_x, solved_x = _solve_stack(systems, rhs)
-    return sol_x[:, :k], sol_y[:, :k], sol_y[:, k], sol_x[:, k], solved_x & solved_y
+    return sol_x[:, :k], sol_y[:, :k], solved_x & solved_y
 
 
 def _clipped_rows(p: np.ndarray) -> np.ndarray:
@@ -141,7 +141,7 @@ def solve_zero_sum(A: PayoffMatrix) -> EquilibriumResult:
         col_sets = np.array(list(itertools.combinations(range(A.n), k)))
         rows = np.repeat(row_sets, len(col_sets), axis=0)
         cols = np.tile(col_sets, (len(row_sets), 1))
-        xs, ys, _, _, solved = _equalizing_pair(a[rows[:, :, None], cols[:, None, :]])
+        xs, ys, solved = _equalizing_pair(a[rows[:, :, None], cols[:, None, :]])
         live = np.flatnonzero(solved & _clipped_rows(xs) & _clipped_rows(ys))
         px = _scatter(xs[live], rows[live], A.m)
         py = _scatter(ys[live], cols[live], A.n)
@@ -228,17 +228,6 @@ def common_equilibrium(game: PeriodicGame) -> Optional[EquilibriumResult]:
     if x is None or y is None:
         return None
     return _on_every_matrix(game, _build_result(game.matrices[0], x, y))
-
-
-def full_support_values(A: PayoffMatrix):
-    """Game values from the y-system and the x-system of the fully mixed
-    solve (None when the system is singular).  Useful as a duality check."""
-    if A.m != A.n:
-        raise InputError("full-support solve needs a square matrix")
-    _, _, v_row, v_col, solved = _equalizing_pair(A.entries[None])
-    if not solved[0]:
-        return None
-    return float(v_row[0]), float(v_col[0])
 
 
 def generate_common_equilibrium_game(x_star: Simplex, y_star: Simplex,

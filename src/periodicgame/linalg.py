@@ -1,7 +1,7 @@
-"""Dense linear algebra for tiny matrices (n <= 8): finite-difference
-Jacobians, characteristic-polynomial values, and eigenvalues.
+"""Dense linear algebra for small matrices: finite-difference Jacobians,
+characteristic-polynomial values, eigenvalues and eigenvectors.
 
-Eigenvalues come from LAPACK through ``np.linalg.eigvals``;
+Eigenvalues and eigenvectors come from LAPACK through ``np.linalg``;
 ``char_poly_eval`` (the LAPACK determinant of M - lam I, through
 ``np.linalg.det``) is the independent cross-check on any claimed
 eigenvalue: it factors the matrix instead of iterating to its spectrum.
@@ -16,7 +16,6 @@ import numpy as np
 from .dynamics import require_step_size
 from .errors import InputError, NumericalError
 
-MAX_EIG_DIM = 8
 _FD_STEP = 1e-6
 
 
@@ -57,28 +56,22 @@ def eigenvalues_small(M) -> np.ndarray:
     """All eigenvalues of a small matrix (LAPACK), sorted by modulus
     descending, then by real and imaginary part descending."""
     a = _check_square(M)
-    if a.shape[0] > MAX_EIG_DIM:
-        raise InputError(f"eigenvalues_small handles n <= {MAX_EIG_DIM}")
     roots = np.linalg.eigvals(a).astype(np.complex128)
     order = np.lexsort((roots.imag, roots.real, np.abs(roots)))[::-1]
     return roots[order]
 
 
 def unit_eigenvector(M) -> np.ndarray:
-    """Eigenvector for an eigenvalue near 1 by one inverse-iteration solve of
-    (M - (1 + 1e-9) I) v = e_last, normalized to unit length."""
+    """Real part of the eigenvector (LAPACK) of the eigenvalue nearest 1,
+    normalized to unit length."""
     a = _check_square(M).astype(np.float64)
-    n = a.shape[0]
-    rhs = np.zeros(n)
-    rhs[-1] = 1.0
     try:
-        v = np.linalg.solve(a - (1.0 + 1e-9) * np.eye(n), rhs)
+        values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"inverse iteration solve failed: {exc}") from exc
-    norm = np.linalg.norm(v)
-    if norm == 0 or not np.isfinite(norm):
-        raise NumericalError("inverse iteration produced a degenerate vector")
-    return v / norm
+        raise NumericalError(f"eigen decomposition failed: {exc}") from exc
+    # LAPACK returns unit vectors whose largest component is real.
+    v = vectors[:, np.argmin(np.abs(values - 1.0))].real
+    return v / np.linalg.norm(v)
 
 
 def interior_eigenvalue_pair(eta: float) -> tuple:

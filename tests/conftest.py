@@ -1,6 +1,5 @@
 import os
 import shutil
-import types
 
 import numpy as np
 import pytest
@@ -13,10 +12,10 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def clean_env(**updates):
-    """os.environ without the backend overrides, with this checkout's src
-    first on PYTHONPATH so child processes import the tree under test, plus
+    """os.environ without ``CC``, with this checkout's src first on
+    PYTHONPATH so child processes import the tree under test, plus
     ``updates``."""
-    env = {k: v for k, v in os.environ.items() if k not in ("CC", "PERIODICGAME_BACKEND")}
+    env = {k: v for k, v in os.environ.items() if k != "CC"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.update(updates)
     return env
@@ -24,24 +23,20 @@ def clean_env(**updates):
 
 @pytest.fixture(scope="session")
 def native_kernels():
-    """The C kernels built with the default compiler, whatever CC or
-    PERIODICGAME_BACKEND select for the session; skipped only where no
-    ``cc`` is on PATH."""
+    """The C kernels built with the default compiler, whatever CC selects
+    for the session; skipped only where no ``cc`` is on PATH."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler 'cc' on PATH")
     lib, reason = _kernels._load(clean_env())
     assert lib is not None, reason
-    names = ("run_schedule", "run_reduced_composite", "format_csv_rows", "format_points",
-             "parse_csv_rows")
-    return types.SimpleNamespace(**dict(zip(names, _kernels._bind(lib))))
+    return _kernels._bind(lib)
 
 
 @pytest.fixture(scope="session", params=["native", "python"])
 def kernels(request):
     """Each backend's kernels in turn."""
     if request.param == "python":
-        return types.SimpleNamespace(run_schedule=_kernels.run_schedule_py,
-                                     run_reduced_composite=_kernels.run_reduced_composite_py)
+        return _kernels._PYTHON
     return request.getfixturevalue("native_kernels")
 
 

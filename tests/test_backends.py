@@ -321,6 +321,8 @@ class TestParserMatchesPython:
         (b"0,0,0.5,0.5,0,0.5\n1,1,0.5,0.5,0,0.5", [0, 1]),
         (b"# caf\xc3\xa9\n2,0,0.5,0.5,0,0.5\n", [2]),
         (b"", []), (b"\n\n# only comments\n", []),
+        # strtod reads the last cell up to the NUL after the bytes.
+        (b"0,0,0.5,0.5,0,0.5\n1,1,0.5,0.5,0,-2.5e25", [0, 1]),
     ])
     def test_edge_lines(self, native_kernels, body, t):
         got = _both(native_kernels, body)
@@ -353,16 +355,16 @@ def test_csv_rows_without_int128(tmp_path):
     lib, reason = _kernels._load(clean_env(CC="cc -U__SIZEOF_INT128__",
                                            XDG_CACHE_HOME=str(tmp_path)))
     assert lib is not None, reason
-    format_csv_rows = _kernels._bind(lib)[2]
+    native = _kernels._bind(lib)
     cells = np.concatenate([SPECIAL, 2.0 ** -np.arange(1, 61), 10.0 ** np.arange(-17, 18),
                             np.random.default_rng(12).normal(size=400)])
     cells = np.column_stack([cells, -cells])
     times = np.arange(len(cells))
-    written = _csv_bytes(format_csv_rows, times, times, cells)
+    written = _csv_bytes(native.format_csv_rows, times, times, cells)
     assert written == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells)
     # ... and every cell is read by strtod.
     data = b"t,phase,a,b\n" + written
-    t, _, back = _kernels._bind(lib)[4](data, 12, 2, ["t", "phase", "a", "b"], 0, 1)
+    t, _, back = native.parse_csv_rows(data, 12, 2, ["t", "phase", "a", "b"], 0, 1)
     assert _same_bits(t, times) and _same_bits(back, cells)
 
 
@@ -375,12 +377,13 @@ LOCALE_SCRIPT = (
     "native = _kernels._bind(_kernels._load(os.environ)[0])\n"
     "xy = np.array([[0.5, -1e300], [1 / 3, 2.0**53], [float('nan'), 1e-9]])\n"
     "t = np.arange(3)\n"
-    "for fn, ref, args in ((native[2], _kernels.format_csv_rows_py, (t, t, xy)),\n"
-    "                      (native[3], _kernels.format_points_py, (xy,))):\n"
+    "for fn, ref, args in ((native.format_csv_rows, _kernels.format_csv_rows_py, (t, t, xy)),\n"
+    "                      (native.format_points, _kernels.format_points_py, (xy,))):\n"
     "    out = [io.BytesIO(), io.BytesIO()]\n"
     "    fn(*args, out[0])\n"
     "    ref(*args, out[1])\n"
     "    print(out[0].getvalue() == out[1].getvalue())\n"
+    "print(locale.localeconv()['decimal_point'], locale.str(0.5))\n"
 )
 
 
@@ -394,11 +397,12 @@ READ_SCRIPT = (
     "cells = np.array([[0.5, -1e300], [1 / 3, 2.0**53], [5e-324, 1e-9], [1.5e-20, -2.5e25]])\n"
     "t = np.arange(4)\n"
     "out = io.BytesIO()\n"
-    "native[2](t, t, cells, out)\n"
+    "native.format_csv_rows(t, t, cells, out)\n"
     "data = b't,phase,a,b\\n' + out.getvalue()\n"
-    "for parse in (native[4], _kernels.parse_csv_rows_py):\n"
+    "for parse in (native.parse_csv_rows, _kernels.parse_csv_rows_py):\n"
     "    back = parse(data, 12, 2, ['t', 'phase', 'a', 'b'], 0, 1)[2]\n"
     "    print(back.tobytes() == cells.tobytes())\n"
+    "print(locale.localeconv()['decimal_point'], locale.str(0.5))\n"
 )
 LOCALES = [("de_DE", ","), ("ps_AF", "\u066b")]
 
@@ -431,14 +435,17 @@ def _run_in_locale(locpath, name, script):
 @pytest.mark.parametrize("name, point", LOCALES)
 def test_formatters_ignore_the_locale_decimal_point(locpath, name, point):
     # Python's % operator always writes '.', while snprintf follows
-    # LC_NUMERIC.
-    assert _run_in_locale(locpath, name, LOCALE_SCRIPT) == [point, "True", "True"]
+    # LC_NUMERIC; afterwards the caller's locale is back in force.
+    assert _run_in_locale(locpath, name, LOCALE_SCRIPT) == [
+        point, "True", "True", point, f"0{point}5"]
 
 
 @pytest.mark.parametrize("name, point", LOCALES)
 def test_reader_ignores_the_locale_decimal_point(locpath, name, point):
-    # strtod reads the locale's decimal point, and a written file holds '.'.
-    assert _run_in_locale(locpath, name, READ_SCRIPT) == [point, "True", "True"]
+    # strtod reads the process locale's decimal point unless the C side
+    # switches, and a written file holds '.'.
+    assert _run_in_locale(locpath, name, READ_SCRIPT) == [
+        point, "True", "True", point, f"0{point}5"]
 
 
 class TestNativeWrapper:
@@ -525,16 +532,13 @@ def _child(tmp_path, name, **env):
 
 def test_env_flag_selects_python_backend(tmp_path):
     default = _child(tmp_path, "default")
-    forced = _child(tmp_path, "forced", PERIODICGAME_BACKEND="python")
     no_cc = _child(tmp_path, "no_cc", CC="/nonexistent/cc")
     if HAVE_CC:
         library = next((tmp_path / "default" / "periodicgame").glob("_kernels-*.so"))
         assert default[:2] == ("native", f"native: compiled {library}")
     else:
         assert default[:2] == ("python", "python: compiler 'cc' not found")
-    assert forced[:2] == ("python", "python: PERIODICGAME_BACKEND=python")
     assert no_cc[:2] == ("python", "python: compiler '/nonexistent/cc' not found")
-    assert np.array_equal(default[2], forced[2])
     assert np.array_equal(default[2], no_cc[2])
 
 
@@ -595,8 +599,3 @@ class TestFallbackReasons:
         lib, reason = _kernels._load(env)
         assert lib is None
         assert reason.startswith(f"python: cannot load {path}: ")
-
-    def test_unknown_backend_name(self):
-        lib, reason = _kernels._load(clean_env(PERIODICGAME_BACKEND="fortran"))
-        assert lib is None
-        assert reason == "python: PERIODICGAME_BACKEND='fortran' is not 'native' or 'python'"

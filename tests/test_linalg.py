@@ -79,6 +79,10 @@ class TestEigenvaluesSmall:
                 max(min(abs(a - b) for b in ref) for a in mine),
             )
             assert h <= 1e-8 * max(1.0, np.abs(ref).max())
+        # No size cap: the one-period map of OMWU on a 6x6 schedule is 20-d.
+        m = rng.normal(size=(20, 20))
+        assert np.allclose(np.sort_complex(pg.eigenvalues_small(m)),
+                           np.sort_complex(np.linalg.eigvals(m)), rtol=0, atol=1e-12)
 
     def test_repeated_roots(self):
         # a triple root is conditioned like eps^(1/3)
@@ -88,8 +92,9 @@ class TestEigenvaluesSmall:
         assert np.abs(np.sort(np.abs(eigs)) - [0.25, 1.0, 1.0]).max() <= 1e-7
 
     def test_dimension_guard(self):
-        with pytest.raises(pg.InputError):
-            pg.eigenvalues_small(np.eye(9))
+        for bad in (np.ones((2, 3)), np.ones(4)):
+            with pytest.raises(pg.InputError):
+                pg.eigenvalues_small(bad)
 
 
 class TestReducedMapSpectra:

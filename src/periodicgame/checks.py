@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import Algorithm, exp_weights_step, require_step_size
 from .errors import InputError
-from .simplex import JointState, Simplex, Trajectory, kl_simplex
+from .simplex import JointState, Simplex, Trajectory, fold_columns, kl_simplex
 
 
 @dataclass(frozen=True)
@@ -219,8 +219,8 @@ def check_extra_kl_decrease(traj: Trajectory, eq: JointState,
         raise InputError("equilibrium dimensions do not match the trajectory")
     diffs = _kl_step_differences(traj, eq, stride=1)  # KL(t+1) - KL(t)
     dist = np.maximum(
-        np.abs(np.exp(traj.log_probs1) - eq.x1.probabilities).max(axis=1),
-        np.abs(np.exp(traj.log_probs2) - eq.x2.probabilities).max(axis=1),
+        fold_columns(np.maximum, np.abs(np.exp(traj.log_probs1) - eq.x1.probabilities)),
+        fold_columns(np.maximum, np.abs(np.exp(traj.log_probs2) - eq.x2.probabilities)),
     )
     report = PropertyReport("extra-kl-decrease", int(diffs.size))
     after = traj.times[1:]
@@ -308,8 +308,8 @@ def detect_periodic_orbit(traj: Trajectory) -> OrbitVerdict:
     if traj.n_records < span + 1:
         raise InputError(f"trajectory must cover at least {span} steps")
 
-    probs = np.hstack([np.exp(traj.log_probs1), np.exp(traj.log_probs2)])
-    window = probs[-(span + 1):]
+    window = np.exp(np.hstack([traj.log_probs1[-(span + 1):],
+                               traj.log_probs2[-(span + 1):]]))
     period_gap = float(np.abs(window[period:] - window[:-period]).max())
     consec_gap = float(np.abs(window[1:] - window[:-1]).max())
     if period_gap <= _ORBIT_TOL and consec_gap <= _ORBIT_TOL:

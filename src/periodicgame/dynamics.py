@@ -21,6 +21,7 @@ from .simplex import (
     PeriodicGame,
     Simplex,
     Trajectory,
+    fold_columns,
     kl_to_reference,
     normalize_log_weights,
 )
@@ -177,7 +178,8 @@ def run_trajectory(
     if written != rec.size:  # pragma: no cover - internal consistency
         raise NumericalError(f"recorded {written} states, expected {rec.size}")
 
-    minc = np.minimum(np.exp(out1).min(axis=1), np.exp(out2).min(axis=1))
+    minc = np.minimum(fold_columns(np.minimum, np.exp(out1)),
+                      fold_columns(np.minimum, np.exp(out2)))
     if reference is not None:
         kl = kl_to_reference(reference, out1, out2)
     else:

@@ -111,7 +111,7 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     dropped = 0
     for label, points in series:
         pts = _points(label, points)
-        keep = np.isfinite(pts).all(axis=1)
+        keep = np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1])
         if log_y:
             keep &= pts[:, 1] > 0
         dropped += pts.shape[0] - int(keep.sum())

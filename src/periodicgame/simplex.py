@@ -9,9 +9,10 @@ exact boundary coordinate.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,6 +21,26 @@ from .errors import InputError
 # Double precision underflows near exp(-745.13); below this a coordinate
 # counts as exactly zero and KL against positive reference mass is +inf.
 LOG_ZERO = -745.0
+
+
+def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1)`` of a 2-d array as a left-to-right fold
+    over its columns, in a new array; a sum starts from +0.0, as numpy's
+    does, so a row of -0.0 sums to +0.0.
+
+    The fold fixes the summation order instead of leaving it to how numpy
+    iterates a reduction, and a few whole-column operations cost far less
+    than numpy's per-row reduction of a narrow array.
+    """
+    acc = a[:, 0] + 0.0 if ufunc is np.add else a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        ufunc(acc, a[:, j], out=acc)
+    return acc
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
@@ -48,9 +69,7 @@ class Simplex:
             raise InputError("log_weights must not contain NaN or +inf")
         if not np.isfinite(arr).any():
             raise InputError("log_weights must contain at least one finite entry")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "log_weights", arr)
+        object.__setattr__(self, "log_weights", _read_only(arr.copy()))
 
     @classmethod
     def from_probabilities(cls, probs) -> "Simplex":
@@ -66,18 +85,19 @@ class Simplex:
     def __len__(self) -> int:
         return self.log_weights.size
 
-    @property
+    # Both derived arrays are computed on first access and kept, read-only.
+    @functools.cached_property
     def log_probabilities(self) -> np.ndarray:
         """Normalized log-weights (logsumexp equals zero)."""
         lw = self.log_weights
         m = lw.max()
-        return lw - (m + math.log(np.exp(lw - m).sum()))
+        return _read_only(lw - (m + math.log(np.exp(lw - m).sum())))
 
-    @property
+    @functools.cached_property
     def probabilities(self) -> np.ndarray:
         lw = self.log_weights
         w = np.exp(lw - lw.max())
-        return w / w.sum()
+        return _read_only(w / w.sum())
 
 
 def normalize_log_weights(logw) -> Simplex:
@@ -103,9 +123,7 @@ class PayoffMatrix:
             raise InputError(f"payoff matrix must be at least 2x2, got {arr.shape}")
         if not np.isfinite(arr).all():
             raise InputError("payoff matrix entries must be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _read_only(arr.copy()))
 
     @property
     def m(self) -> int:
@@ -189,8 +207,8 @@ def _kl_rows(ref: Simplex, log_probs: np.ndarray) -> np.ndarray:
     sub = log_probs[:, mask]
     # Using ref's normalized log-probabilities (not log(rp)) makes the
     # identity case cancel exactly.
-    contrib = (rp[mask] * (ref.log_probabilities[mask][None, :] - sub)).sum(axis=1)
-    contrib[(sub < LOG_ZERO).any(axis=1)] = math.inf
+    contrib = fold_columns(np.add, rp[mask] * (ref.log_probabilities[mask] - sub))
+    contrib[fold_columns(np.logical_or, sub < LOG_ZERO)] = math.inf
     return contrib
 
 

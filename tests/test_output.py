@@ -255,6 +255,10 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _circulant(row):
+    return [np.roll(row, k) for k in range(len(row))]
+
+
 def _golden_trajectories():
     eq22 = pg.JointState.from_probabilities([0.5, 0.5], [0.5, 0.5])
     game2x2 = pg.experiment_by_name("game2x2").game
@@ -264,7 +268,25 @@ def _golden_trajectories():
                                [[0.0, 1.0, 0.5, -1.0], [1.0, -1.0, 0.0, 0.25]]))
     boundary_init = pg.JointState.from_probabilities([0.45, 0.55], [0.45, 0.55])
     short = pg.run_trajectory(game2x2, "extra", boundary_init, 0.1, 5, reference=eq22)
+    # Wider runs: a circulant matrix has the uniform equilibrium, so the KL
+    # column sums over every coordinate, 8 and more included at 9x9.
+    circ6 = pg.PeriodicGame(tuple(_circulant(r) for r in ([0, 1, -2, 0.5, 1, -0.5],
+                                                          [0, -1, 0.25, 1, -0.5, 0.25])))
+    circ9 = pg.PeriodicGame((_circulant([0, 1, -1, 0.5, -0.25, 0.75, -1, 0.3, -0.3]),))
+    game5x3 = pg.PeriodicGame(([[1.0, -1.0, 0.5], [-0.5, 1.0, -1.0], [0.25, 0.0, -0.25],
+                                [-1.0, 0.5, 1.0], [0.0, -0.75, 0.5]],))
+    eq5x3 = pg.solve_zero_sum(game5x3.matrices[0]).joint
     return {
+        "extra6x6": pg.run_trajectory(
+            circ6, "extra", pg.JointState.from_probabilities(
+                [0.3, 0.1, 0.2, 0.15, 0.05, 0.2], [0.05, 0.25, 0.1, 0.3, 0.2, 0.1]),
+            0.1, 600, record_every=1, reference=pg.JointState.uniform(6, 6)),
+        "mwu5x3": pg.run_trajectory(game5x3, "mwu", pg.JointState.uniform(5, 3), 0.2, 500,
+                                    record_every=1, reference=eq5x3),
+        "omwu9x9": pg.run_trajectory(
+            circ9, "omwu", pg.JointState(pg.Simplex(np.linspace(-1.0, 1.0, 9)),
+                                         pg.Simplex(np.cos(np.arange(9.0)))),
+            0.2, 700, record_every=1, reference=pg.JointState.uniform(9, 9)),
         "extra3x3": pg.run_trajectory(
             rps, "extra", pg.JointState.from_probabilities([0.6, 0.3, 0.1], [0.2, 0.2, 0.6]),
             0.1, 400, record_every=1, reference=uniform3),
@@ -303,6 +325,15 @@ GOLDEN = {
     "extra3x3": ("8e465bc4074e20a8dd82a249f42f4ffa741024fe5fe4f50eb7b1b3bebe54971d",
                 "40388857f88c11867537da54ccefa150f8b95d078fd0dc0fac371c7c7acf980d",
                 "e212d849fc22f1fd3e72264caeee5a4492f72673211561308d747b6ba01b291a"),
+    "extra6x6": ("1692ba69ec553fa19506333c45bddcc0f1fd424167e41e3d97be0e68912be679",
+                "553f21976d779d86d777e76a144e27984c160102c81219b7c4f2acbd173b453a",
+                "bc265f111a822539480337ed6504f0a8a4275376a321e97ecd66a0baeffc03c5"),
+    "mwu5x3": ("fe34d9e9c3c8d193d031ee7a3686bad3fe2185c0a42b3f4cbafe89c5bd98c570",
+              "689400813297a0e949ed7c41fa1f6cd07835d5693502739293a11ec57396ed53",
+              "34c1f1b56e22fb07016d13cada420f4550ebf47e6a16339b3a15fd656dabce22"),
+    "omwu9x9": ("a1c288887f1af73999fcaaf0e12b70831a09bd994c1728e4402094f0dc039a7a",
+               "38600176a12ceba95c4f3a16bde942d6e09b50281afa5dda19e0690b479a78fd",
+               "4df16cb061409858cfebca2385e24dc5eb0c57c8273c7bc5ea3134eb6eb8d946"),
     "mwu2x4_noref": ("8cb8a426c50161bfced09706b4ac61c871b8b137433b5ecbab931e601dc60f7a",
                     "b30baf251a5c75f4133463bc71241f006d5f7df03d715eba8f8d2301b0bb33e0",
                     "a6986075ccef4449304d4887fc516009f024be5878dd8accef1806526e7640ce"),

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import periodicgame as pg
-from periodicgame.simplex import LOG_ZERO
+from periodicgame.simplex import LOG_ZERO, fold_columns
 
 # 0.5*ln(4/3) to 50 digits (offline extended-precision evaluation)
 KL_QUARTER_THREEQ = 0.14384103622589046371960950299691371575175485544888
@@ -70,6 +71,26 @@ class TestSimplex:
         with pytest.raises(pg.InputError):
             pg.Simplex.from_probabilities([0.6, 0.6])
 
+    @pytest.mark.parametrize("name", ["probabilities", "log_probabilities"])
+    def test_derived_arrays_cached_and_read_only(self, name):
+        s = pg.Simplex([0.5, -1.0, 2.0])
+        first = getattr(s, name)
+        assert getattr(s, name) is first
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        with pytest.raises(ValueError):
+            first += 1.0
+
+    @pytest.mark.parametrize("name", ["probabilities", "log_probabilities"])
+    def test_new_simplex_computes_fresh_values(self, name):
+        s = pg.Simplex([0.5, -1.0, 2.0])
+        cached = getattr(s, name)
+        moved = dataclasses.replace(s, log_weights=[2.0, -1.0, 0.5])
+        assert np.array_equal(getattr(moved, name), getattr(s, name)[::-1])
+        again = pg.Simplex([0.5, -1.0, 2.0])
+        assert getattr(again, name) is not cached
+        assert np.array_equal(getattr(again, name), cached)
+
     def test_sum_error_prints_a_plain_number(self):
         with pytest.raises(pg.InputError, match=r"must sum to 1, got 0\.4$"):
             pg.Simplex.from_probabilities(np.array([0.2, 0.2]))
@@ -116,6 +137,69 @@ class TestKlDivergence:
         with pytest.raises(pg.InputError):
             pg.kl_divergence(joint([0.5, 0.5], [0.5, 0.5]),
                              joint([0.5, 0.5], [1 / 3] * 3))
+
+
+# Row values for the fold parity tests: infinities, both zeros, NaN, values
+# below LOG_ZERO and ordinary numbers.
+_FOLD_POOL = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, LOG_ZERO - 1.0, -1e308,
+                       -2.5, 1.0, 3.0, 5e-324])
+
+
+def _bits(a):
+    """The bit patterns of a float array, with every NaN as one pattern."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+def _row_loop(ufunc, a, start=None):
+    """The reference fold: one row at a time, left to right, in Python."""
+    out = []
+    for row in a:
+        acc = row[0] if start is None else ufunc(start, row[0])
+        for v in row[1:]:
+            acc = ufunc(acc, v)
+        out.append(acc)
+    return np.array(out, dtype=a.dtype)
+
+
+class TestFoldColumns:
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("ufunc", [np.minimum, np.maximum])
+    def test_min_max_match_reduce(self, ufunc, width):
+        rng = np.random.default_rng(width)
+        a = rng.choice(_FOLD_POOL, size=(4000, width))
+        folded, reduced = fold_columns(ufunc, a), ufunc.reduce(a, axis=1)
+        # numpy's vectorised reductions pick either zero of a +0/-0 tie by
+        # their lane order (from width 9 up with numpy 2.4), so a zero result
+        # is compared by value; its sign is the left-to-right one below.
+        zero = (folded == 0.0) & (reduced == 0.0)
+        assert np.array_equal(_bits(folded)[~zero], _bits(reduced)[~zero])
+        assert np.array_equal(_bits(folded), _bits(_row_loop(ufunc, a)))
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    @pytest.mark.parametrize("ufunc", [np.logical_or, np.logical_and])
+    def test_logical_match_reduce(self, ufunc, width):
+        rng = np.random.default_rng(100 + width)
+        a = rng.choice(_FOLD_POOL, size=(4000, width))
+        for mask in (a < LOG_ZERO, np.isfinite(a)):
+            assert np.array_equal(fold_columns(ufunc, mask), ufunc.reduce(mask, axis=1))
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_sum_is_left_to_right_from_positive_zero(self, width):
+        rng = np.random.default_rng(200 + width)
+        a = rng.standard_normal((500, width)) * 10.0 ** rng.integers(-12, 12, (500, width))
+        a[:50] = rng.choice(_FOLD_POOL, size=(50, width))
+        a[50:60] = -0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf and 1e308 sums
+            folded = fold_columns(np.add, a)
+            looped = _row_loop(np.add, a, start=0.0)
+        assert np.array_equal(_bits(folded), _bits(looped))
+        assert _bits(folded[50:60]).tolist() == [0] * 10  # +0.0, not -0.0
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.minimum, np.logical_or])
+    def test_result_is_a_new_array(self, ufunc):
+        a = np.zeros((5, 1), dtype=bool if ufunc is np.logical_or else np.float64)
+        assert not np.shares_memory(fold_columns(ufunc, a), a)
 
 
 class TestGameTypes:

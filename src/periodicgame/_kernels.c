@@ -576,6 +576,19 @@ static const char *cell_end(const char *p, const char *end)
     return p;
 }
 
+/* The number of bytes c in buf[pos..size), with which the caller sizes
+ * parse_csv_rows's outputs. */
+long count_byte(const char *buf, long pos, long size, int c)
+{
+    const char *p = buf + pos, *end = buf + size;
+    long n = 0;
+    while (p < end && (p = memchr(p, c, (size_t)(end - p))) != NULL) {
+        n++;
+        p++;
+    }
+    return n;
+}
+
 /* CSV body rows from buf[pos..size) into t, phase (one int64 each a row)
  * and cells (rows, ncols - 2: the other columns in order).  Lines end in
  * "\n", "\r\n" or "\r"; '#' starts a comment; a line that is blank up to

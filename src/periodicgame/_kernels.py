@@ -375,6 +375,8 @@ def _load(environ):
     lib.format_points.restype = long_
     lib.parse_csv_rows.argtypes = [ctypes.c_char_p] + [long_] * 6 + [ptr] * 4
     lib.parse_csv_rows.restype = long_
+    lib.count_byte.argtypes = [ctypes.c_char_p, long_, long_, ctypes.c_int]
+    lib.count_byte.restype = long_
     return lib, f"native: {how} {path}"
 
 
@@ -466,9 +468,8 @@ def _bind(lib):
             raise InputError("data must be bytes, start an offset into it, and t_col and "
                              "phase_col two columns of names")
         # One row per line at most: every line but the last ends in \n or \r.
-        cap = data.count(b"\n", start) + 1
-        if data.find(b"\r", start) >= 0:
-            cap += data.count(b"\r", start)
+        cap = (lib.count_byte(data, start, len(data), ord("\n")) + 1
+               + lib.count_byte(data, start, len(data), ord("\r")))
         t = np.empty(cap, dtype=np.int64)
         phase = np.empty(cap, dtype=np.int64)
         cells = np.empty((cap, ncols - 2))

@@ -17,9 +17,17 @@ from typing import List
 
 import numpy as np
 
-from .dynamics import Algorithm, exp_weights_step, require_step_size
+from .dynamics import Algorithm, require_step_size
 from .errors import InputError
-from .simplex import JointState, Simplex, Trajectory, fold_columns, kl_simplex
+from .simplex import (
+    JointState,
+    Simplex,
+    Trajectory,
+    check_log_weights,
+    kl_from_logs,
+    log_normalize,
+    softmax,
+)
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,17 @@ def _kl_step_differences(traj: Trajectory, ref: JointState, stride: int = 1) -> 
     d1 = traj.log_probs1[:-stride] - traj.log_probs1[stride:]
     d2 = traj.log_probs2[:-stride] - traj.log_probs2[stride:]
     return d1 @ r1 + d2 @ r2
+
+
+def _max_deviation(log_probs: np.ndarray, s: Simplex) -> np.ndarray:
+    """Max-norm distance from each row's probabilities to ``s``, folded
+    over the columns from left to right."""
+    e = np.exp(log_probs)
+    acc = None
+    for j, q in enumerate(s.probabilities.tolist()):
+        d = np.abs(e[:, j] - q)
+        acc = d if acc is None else np.maximum(acc, d, out=acc)
+    return acc
 
 
 def check_omwu_ratio_identities(traj: Trajectory, eta: float,
@@ -218,10 +237,8 @@ def check_extra_kl_decrease(traj: Trajectory, eq: JointState,
     if eq.dims != (traj.log_probs1.shape[1], traj.log_probs2.shape[1]):
         raise InputError("equilibrium dimensions do not match the trajectory")
     diffs = _kl_step_differences(traj, eq, stride=1)  # KL(t+1) - KL(t)
-    dist = np.maximum(
-        fold_columns(np.maximum, np.abs(np.exp(traj.log_probs1) - eq.x1.probabilities)),
-        fold_columns(np.maximum, np.abs(np.exp(traj.log_probs2) - eq.x2.probabilities)),
-    )
+    dist = np.maximum(_max_deviation(traj.log_probs1, eq.x1),
+                      _max_deviation(traj.log_probs2, eq.x2))
     report = PropertyReport("extra-kl-decrease", int(diffs.size))
     after = traj.times[1:]
     _flag(report, diffs > tol, after, diffs, tol, diffs - tol)
@@ -244,8 +261,10 @@ def check_bregman_identities(p: Simplex, x: Simplex, x_prime: Simplex, y,
     step identity for x-dagger = exp_weights_step(x, y, 1), both to absolute
     tolerance ``tol``."""
     _require_tol(tol)
+    probs = {}
     for name, s in (("p", p), ("x", x), ("x_prime", x_prime)):
-        if s.probabilities.min() <= 0:
+        probs[name] = s.probabilities.tolist()
+        if min(probs[name]) <= 0:
             raise InputError(f"{name} must be interior")
     if not (len(p) == len(x) == len(x_prime)):
         raise InputError("dimension mismatch among p, x, x_prime")
@@ -253,20 +272,31 @@ def check_bregman_identities(p: Simplex, x: Simplex, x_prime: Simplex, y,
     if y.shape != (len(x),) or not np.isfinite(y).all():
         raise InputError("y must be a finite vector matching x")
 
+    # x-dagger as exp_weights_step builds it: the shifted log-weights,
+    # normalized once into its log-weights and once more into its
+    # log-probabilities; its probabilities come from its log-weights.
+    lw_dag = log_normalize(check_log_weights(x.log_weights + y))
+    pr_dag = softmax(lw_dag)
+    lp = {"p": p.log_probabilities.tolist(), "x": x.log_probabilities.tolist(),
+          "x_prime": x_prime.log_probabilities.tolist(),
+          "x_dag": log_normalize(lw_dag).tolist()}
+    probs["x_dag"] = pr_dag.tolist()
+
+    def kl(a, b):
+        return kl_from_logs(probs[a], lp[a], lp[b])
+
     report = PropertyReport("bregman-identities", 2)
+    kl_px = kl("p", "x")
     log_ratio = x_prime.log_probabilities - x.log_probabilities
-    lhs1 = kl_simplex(p, x_prime)
-    rhs1 = kl_simplex(p, x) + kl_simplex(x, x_prime) + float(
+    lhs1 = kl("p", "x_prime")
+    rhs1 = kl_px + kl("x", "x_prime") + float(
         log_ratio @ (x.probabilities - p.probabilities)
     )
     if abs(lhs1 - rhs1) > tol:
         report.violations.append(Violation(0, lhs1, rhs1, abs(lhs1 - rhs1) - tol))
 
-    x_dag = exp_weights_step(x, y, 1.0)
-    lhs2 = kl_simplex(p, x_dag)
-    rhs2 = kl_simplex(p, x) - kl_simplex(x_dag, x) + float(
-        y @ (x_dag.probabilities - p.probabilities)
-    )
+    lhs2 = kl("p", "x_dag")
+    rhs2 = kl_px - kl("x_dag", "x") + float(y @ (pr_dag - p.probabilities))
     if abs(lhs2 - rhs2) > tol:
         report.violations.append(Violation(1, lhs2, rhs2, abs(lhs2 - rhs2) - tol))
     report.stats["residuals"] = (abs(lhs1 - rhs1), abs(lhs2 - rhs2))

@@ -194,7 +194,7 @@ def run_trajectory(
 def max_step_size(game: PeriodicGame) -> float:
     """Reciprocal of the largest spectral norm in the schedule; step sizes
     must stay strictly below this (inf for an all-zero schedule)."""
-    top = max(float(np.linalg.norm(a.entries, 2)) for a in game.matrices)
+    top = max(a.spectral_norm for a in game.matrices)
     if top == 0.0:
         return math.inf
     return 1.0 / top

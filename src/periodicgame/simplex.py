@@ -52,6 +52,27 @@ def _as_float_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def check_log_weights(lw: np.ndarray) -> np.ndarray:
+    """``lw`` if it is a valid vector of log-weights, else InputError."""
+    if np.isnan(lw).any() or np.isposinf(lw).any():
+        raise InputError("log_weights must not contain NaN or +inf")
+    if not np.isfinite(lw).any():
+        raise InputError("log_weights must contain at least one finite entry")
+    return lw
+
+
+def log_normalize(lw: np.ndarray) -> np.ndarray:
+    """Log-weights shifted so that their logsumexp is zero, in a new array."""
+    m = lw.max()
+    return lw - (m + math.log(np.exp(lw - m).sum()))
+
+
+def softmax(lw: np.ndarray) -> np.ndarray:
+    """Probabilities of log-weights, by max-subtracted softmax."""
+    w = np.exp(lw - lw.max())
+    return w / w.sum()
+
+
 @dataclass(frozen=True)
 class Simplex:
     """A mixed strategy stored as log-weights.
@@ -64,11 +85,7 @@ class Simplex:
     log_weights: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_vector(self.log_weights, "log_weights")
-        if np.isnan(arr).any() or np.isposinf(arr).any():
-            raise InputError("log_weights must not contain NaN or +inf")
-        if not np.isfinite(arr).any():
-            raise InputError("log_weights must contain at least one finite entry")
+        arr = check_log_weights(_as_float_vector(self.log_weights, "log_weights"))
         object.__setattr__(self, "log_weights", _read_only(arr.copy()))
 
     @classmethod
@@ -85,19 +102,20 @@ class Simplex:
     def __len__(self) -> int:
         return self.log_weights.size
 
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__: read-only arrays and
+        # no cached values carried over.
+        return type(self), (self.log_weights,)
+
     # Both derived arrays are computed on first access and kept, read-only.
     @functools.cached_property
     def log_probabilities(self) -> np.ndarray:
         """Normalized log-weights (logsumexp equals zero)."""
-        lw = self.log_weights
-        m = lw.max()
-        return _read_only(lw - (m + math.log(np.exp(lw - m).sum())))
+        return _read_only(log_normalize(self.log_weights))
 
     @functools.cached_property
     def probabilities(self) -> np.ndarray:
-        lw = self.log_weights
-        w = np.exp(lw - lw.max())
-        return _read_only(w / w.sum())
+        return _read_only(softmax(self.log_weights))
 
 
 def normalize_log_weights(logw) -> Simplex:
@@ -124,6 +142,14 @@ class PayoffMatrix:
         if not np.isfinite(arr).all():
             raise InputError("payoff matrix entries must be finite")
         object.__setattr__(self, "entries", _read_only(arr.copy()))
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
+
+    @functools.cached_property
+    def spectral_norm(self) -> float:
+        """The largest singular value of ``entries``, computed once."""
+        return float(np.linalg.norm(self.entries, 2))
 
     @property
     def m(self) -> int:
@@ -154,6 +180,9 @@ class PeriodicGame:
                 )
         object.__setattr__(self, "matrices", mats)
 
+    def __reduce__(self):
+        return type(self), (self.matrices,)
+
     @property
     def period(self) -> int:
         return len(self.matrices)
@@ -171,7 +200,12 @@ class PeriodicGame:
         return self.matrices[t % self.period]
 
     def stacked(self) -> np.ndarray:
-        return np.stack([a.entries for a in self.matrices])
+        """The schedule as one read-only (T, m, n) array."""
+        return self._stacked
+
+    @functools.cached_property
+    def _stacked(self) -> np.ndarray:
+        return _read_only(np.stack([a.entries for a in self.matrices]))
 
 
 @dataclass(frozen=True)
@@ -199,17 +233,40 @@ class JointState:
         return float(max(d1, d2))
 
 
+# Both KL routines below use the reference's normalized log-probabilities
+# (not the log of its probabilities), which makes the identity case cancel
+# exactly, and add up the terms of the coordinates with reference mass from
+# left to right, starting from +0.0 as numpy's sum does.
+
 def _kl_rows(ref: Simplex, log_probs: np.ndarray) -> np.ndarray:
     """KL(ref, row) for each row of normalized log-probabilities, the
-    per-player term of both KL routines below."""
-    rp = ref.probabilities
-    mask = rp > 0.0
-    sub = log_probs[:, mask]
-    # Using ref's normalized log-probabilities (not log(rp)) makes the
-    # identity case cancel exactly.
-    contrib = fold_columns(np.add, rp[mask] * (ref.log_probabilities[mask] - sub))
-    contrib[fold_columns(np.logical_or, sub < LOG_ZERO)] = math.inf
-    return contrib
+    per-player term of kl_to_reference, one column at a time."""
+    acc = np.zeros(log_probs.shape[0])
+    vanished = np.zeros(log_probs.shape[0], dtype=bool)
+    for j, (rp, rlp) in enumerate(zip(ref.probabilities.tolist(),
+                                      ref.log_probabilities.tolist())):
+        if rp > 0.0:
+            col = log_probs[:, j]
+            term = rlp - col
+            term *= rp
+            acc += term
+            vanished |= col < LOG_ZERO
+    acc[vanished] = math.inf
+    return acc
+
+
+def kl_from_logs(rp, rlp, lq) -> float:
+    """KL(r, q) from r's probabilities ``rp`` and normalized
+    log-probabilities ``rlp`` and q's normalized log-probabilities ``lq``,
+    three sequences of floats; +inf when q vanishes (below LOG_ZERO) where
+    r has mass, and never below zero."""
+    acc = 0.0
+    vanished = False
+    for r, a, b in zip(rp, rlp, lq):
+        if r > 0.0:
+            acc += r * (a - b)
+            vanished = vanished or b < LOG_ZERO
+    return max(math.inf if vanished else acc, 0.0)
 
 
 def kl_simplex(p: Simplex, q: Simplex) -> float:
@@ -220,7 +277,8 @@ def kl_simplex(p: Simplex, q: Simplex) -> float:
     """
     if len(p) != len(q):
         raise InputError(f"dimension mismatch: {len(p)} vs {len(q)}")
-    return max(float(_kl_rows(p, q.log_probabilities[None, :])[0]), 0.0)
+    return kl_from_logs(p.probabilities.tolist(), p.log_probabilities.tolist(),
+                        q.log_probabilities.tolist())
 
 
 def kl_divergence(p: JointState, q: JointState) -> float:

@@ -1,3 +1,4 @@
+import math
 import os
 import shutil
 
@@ -6,6 +7,7 @@ import pytest
 
 import periodicgame as pg
 from periodicgame import _kernels
+from periodicgame.simplex import LOG_ZERO, fold_columns
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -66,3 +68,21 @@ def generated_periodic_game(rng, m, n, period, concentration=5.0):
         for _ in range(period)
     )
     return pg.PeriodicGame(mats), pg.JointState(x, y)
+
+
+# Oracles: the KL routines as they were before they went column by column,
+# for the parity tests of the code that replaced them.
+
+def old_kl_rows(ref, log_probs):
+    """KL(ref, row) per row: the masked block against the reference's masked
+    vectors, folded over its columns."""
+    rp = ref.probabilities
+    mask = rp > 0.0
+    sub = log_probs[:, mask]
+    contrib = fold_columns(np.add, rp[mask] * (ref.log_probabilities[mask] - sub))
+    contrib[fold_columns(np.logical_or, sub < LOG_ZERO)] = math.inf
+    return contrib
+
+
+def old_kl_simplex(p, q):
+    return max(float(old_kl_rows(p, q.log_probabilities[None, :])[0]), 0.0)

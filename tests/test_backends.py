@@ -350,6 +350,19 @@ class TestParserMatchesPython:
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+@pytest.mark.parametrize("data", [b"", b"\n", b"a\r\nb\rc\n", b"no line end", b"\r" * 3,
+                                  b"0,0\n" * 1000 + b"1,1"])
+def test_line_end_count(data):
+    # parse_csv_rows's outputs hold one row per counted line end, plus one.
+    lib, reason = _kernels._load(clean_env())
+    assert lib is not None, reason
+    for start in range(len(data) + 1) if len(data) < 20 else (0, 7, len(data)):
+        for byte in b"\n\r":
+            assert (lib.count_byte(data, start, len(data), byte)
+                    == data.count(bytes([byte]), start)), (start, byte)
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
 def test_csv_rows_without_int128(tmp_path):
     # Without unsigned __int128 every cell goes through snprintf.
     lib, reason = _kernels._load(clean_env(CC="cc -U__SIZEOF_INT128__",

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
-from conftest import generated_periodic_game, random_interior_joint
+from conftest import generated_periodic_game, old_kl_simplex, random_interior_joint
+from periodicgame.checks import _max_deviation
+from periodicgame.simplex import LOG_ZERO, fold_columns
 
 EQ22 = pg.JointState.from_probabilities([0.5, 0.5], [0.5, 0.5])
 INIT_4555 = pg.JointState.from_probabilities([0.45, 0.55], [0.45, 0.55])
@@ -336,6 +339,133 @@ class TestBregmanIdentities:
         u = pg.Simplex.from_probabilities([0.5, 0.5])
         with pytest.raises(pg.InputError):
             pg.check_bregman_identities(b, u, u, np.zeros(2))
+
+
+def _old_bregman(p, x, x_prime, y, tol=1e-10):
+    """check_bregman_identities as it was before it worked on plain arrays:
+    Simplex objects for x-dagger and a KL block per pair."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise pg.InputError(f"tol must be a nonnegative finite number, got {tol!r}")
+    for name, s in (("p", p), ("x", x), ("x_prime", x_prime)):
+        if s.probabilities.min() <= 0:
+            raise pg.InputError(f"{name} must be interior")
+    if not (len(p) == len(x) == len(x_prime)):
+        raise pg.InputError("dimension mismatch among p, x, x_prime")
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (len(x),) or not np.isfinite(y).all():
+        raise pg.InputError("y must be a finite vector matching x")
+
+    violations = []
+    log_ratio = x_prime.log_probabilities - x.log_probabilities
+    lhs1 = old_kl_simplex(p, x_prime)
+    rhs1 = old_kl_simplex(p, x) + old_kl_simplex(x, x_prime) + float(
+        log_ratio @ (x.probabilities - p.probabilities)
+    )
+    if abs(lhs1 - rhs1) > tol:
+        violations.append(pg.Violation(0, lhs1, rhs1, abs(lhs1 - rhs1) - tol))
+
+    x_dag = pg.exp_weights_step(x, y, 1.0)
+    lhs2 = old_kl_simplex(p, x_dag)
+    rhs2 = old_kl_simplex(p, x) - old_kl_simplex(x_dag, x) + float(
+        y @ (x_dag.probabilities - p.probabilities)
+    )
+    if abs(lhs2 - rhs2) > tol:
+        violations.append(pg.Violation(1, lhs2, rhs2, abs(lhs2 - rhs2) - tol))
+    return violations, (abs(lhs1 - rhs1), abs(lhs2 - rhs2))
+
+
+def _float_bits(values):
+    """Each float's bit pattern, with every NaN as one pattern."""
+    return [b"nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+def _bregman_outcome(check, *args, **kwargs):
+    """The error a check raises, or its violations and residuals as bits."""
+    try:
+        with np.errstate(all="ignore"):
+            out = check(*args, **kwargs)
+    except pg.InputError as exc:
+        return "InputError", str(exc)
+    if isinstance(out, pg.PropertyReport):
+        out = out.violations, out.stats["residuals"]
+    violations, residuals = out
+    return ([(v.t, _float_bits((v.lhs, v.rhs, v.slack))) for v in violations],
+            _float_bits(residuals))
+
+
+_BELOW = float(np.nextafter(LOG_ZERO, -np.inf))
+# Log-weights: interior ones in the main, and ones that put mass at zero
+# (-inf, a 745 gap) or make x.log_weights + y overflow (1e308).
+_LW = st.one_of(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0),
+                st.sampled_from([0.0, -0.0, -np.inf, -745.0, 1e308, -1e308]))
+# Payoffs y: ordinary ones, ones that leave x-dagger's log-probabilities at,
+# just below or far below LOG_ZERO, ones that overflow, and non-finite ones.
+_Y = st.one_of(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+               st.sampled_from([0.0, -0.0, LOG_ZERO, _BELOW, -LOG_ZERO, 800.0, -800.0,
+                                1e308, -1e308, np.inf, np.nan]))
+
+
+@st.composite
+def _bregman_case(draw):
+    k = draw(st.integers(2, 8))
+    lengths = draw(st.sampled_from([(k, k, k)] * 9 + [(k, k, k + 1), (k + 1, k, k)]))
+    simplices = [pg.Simplex(draw(st.lists(_LW, min_size=n, max_size=n).filter(
+        lambda lw: np.isfinite(lw).any()))) for n in lengths]
+    y = draw(st.lists(_Y, min_size=k, max_size=k))
+    tol = draw(st.sampled_from([1e-10, 1e-10, 0.0, 1e-3]))
+    return (*simplices, y), tol
+
+
+class TestBregmanOracle:
+    """check_bregman_identities on plain arrays gives the old routine's
+    errors, violations and residuals, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_bregman_case())
+    def test_matches_the_simplex_routine(self, case):
+        args, tol = case
+        assert (_bregman_outcome(pg.check_bregman_identities, *args, tol=tol)
+                == _bregman_outcome(_old_bregman, *args, tol=tol))
+
+    def test_seeded_interior_cases(self):
+        rng = np.random.default_rng(33)
+        for k in range(2, 9):
+            for _ in range(60):
+                p, x, xp = (pg.Simplex.from_probabilities(rng.dirichlet(np.ones(k)))
+                            for _ in range(3))
+                y = rng.normal(size=k) * 10.0 ** rng.integers(-1, 3)
+                new = _bregman_outcome(pg.check_bregman_identities, p, x, xp, y)
+                assert new == _bregman_outcome(_old_bregman, p, x, xp, y)
+
+    def test_vanished_x_dagger(self):
+        u = pg.Simplex([0.0, 0.0, 0.0])
+        for y in ([0.0, 0.0, LOG_ZERO], [0.0, 0.0, _BELOW], [0.0, -0.0, -800.0]):
+            new = _bregman_outcome(pg.check_bregman_identities, u, u, u, y)
+            assert new == _bregman_outcome(_old_bregman, u, u, u, y)
+
+    def test_overflowing_shift_still_raises(self):
+        x = pg.Simplex([1e308, 1e308])  # interior: uniform
+        with np.errstate(over="ignore"), pytest.raises(
+                pg.InputError, match="must not contain NaN or \\+inf"):
+            pg.check_bregman_identities(x, x, x, [1e308, 0.0])
+
+
+class TestDistanceOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+        st.lists(st.floats(-20.0, 5.0), min_size=k, max_size=k),
+        st.lists(st.one_of(st.floats(-20.0, 5.0),
+                           st.sampled_from([-np.inf, np.inf, np.nan, 0.0, -0.0, 800.0,
+                                            LOG_ZERO, _BELOW])),
+                 min_size=3 * k, max_size=3 * k))))
+    def test_matches_the_broadcast_block(self, case):
+        lw, rows = case
+        s = pg.Simplex(lw)
+        lp = np.array(rows).reshape(3, len(lw))
+        with np.errstate(all="ignore"):
+            old = fold_columns(np.maximum, np.abs(np.exp(lp) - s.probabilities))
+            new = _max_deviation(lp, s)
+        assert _float_bits(new.tolist()) == _float_bits(old.tolist())
 
 
 class TestComparisonInequality:

@@ -1,11 +1,15 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
-from periodicgame.simplex import LOG_ZERO, fold_columns
+from conftest import old_kl_rows, old_kl_simplex
+from periodicgame.simplex import LOG_ZERO, _kl_rows, fold_columns
 
 # 0.5*ln(4/3) to 50 digits (offline extended-precision evaluation)
 KL_QUARTER_THREEQ = 0.14384103622589046371960950299691371575175485544888
@@ -217,3 +221,126 @@ class TestGameTypes:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(pg.InputError):
             pg.PeriodicGame((np.zeros((2, 2)), np.zeros((3, 3))))
+
+
+# Log-weight and log-probability entries for the oracle tests: zero-mass
+# and vanished coordinates (-inf, at and just below LOG_ZERO, mass that
+# underflows against a 0.0 entry), both zeros, NaN, and ordinary values.
+_BELOW = float(np.nextafter(LOG_ZERO, -np.inf))
+_KL_POOL = [-np.inf, LOG_ZERO, _BELOW, LOG_ZERO + 1e-9, -744.5, -800.0, 0.0, -0.0,
+            np.nan, -1e308, 1e308, -2.5, -1e-300]
+
+
+def _entries(allow_nan):
+    pool = [v for v in _KL_POOL if allow_nan or not math.isnan(v)]
+    return st.one_of(st.sampled_from(pool),
+                     st.floats(-60.0, 5.0, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _reference_and_rows(draw):
+    k = draw(st.integers(2, 8))
+    ref_lw = draw(st.lists(_entries(False), min_size=k, max_size=k).filter(
+        lambda lw: np.isfinite(lw).any()))
+    rows = draw(st.integers(1, 6))
+    lp = draw(st.lists(_entries(True), min_size=k * rows, max_size=k * rows))
+    return pg.Simplex(ref_lw), np.array(lp).reshape(rows, k)
+
+
+class TestKlOracle:
+    """The column-by-column KL rows and the scalar KL give the bits of the
+    broadcast block they replace (NaN compared as one pattern)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_reference_and_rows())
+    def test_kl_rows_match_the_broadcast_block(self, case):
+        ref, lp = case
+        with np.errstate(all="ignore"):
+            old = _bits(old_kl_rows(ref, lp))
+            assert np.array_equal(_bits(_kl_rows(ref, lp)), old)
+            assert np.array_equal(_bits(_kl_rows(ref, np.asfortranarray(lp))), old)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_reference_and_rows())
+    def test_kl_simplex_matches_the_block(self, case):
+        ref, lp = case
+        rows = [r for r in lp if np.isfinite(r).any() and not np.isnan(r).any()
+                and not np.isposinf(r).any()]
+        for r in rows:
+            q = pg.Simplex(r)
+            with np.errstate(all="ignore"):
+                got, want = pg.kl_simplex(ref, q), old_kl_simplex(ref, q)
+            assert _bits([got]).tolist() == _bits([want]).tolist()
+
+    def test_zero_mass_vanished_and_signed_zero_rows(self):
+        ref = pg.Simplex([0.0, -np.inf, 0.0])
+        lp = np.array([[-np.inf, 0.0, -0.0], [0.0, -np.inf, _BELOW], [-0.0, 5.0, LOG_ZERO],
+                       [-0.693, np.nan, -0.693]])
+        got = _kl_rows(ref, lp)
+        assert np.array_equal(_bits(got), _bits(old_kl_rows(ref, lp)))
+        assert got[:2].tolist() == [math.inf, math.inf] and math.isfinite(got[2])
+        # A -0.0 log-weight stays -0.0 once normalized, so a term can be
+        # -0.0; the sum from +0.0 makes it +0.0.
+        ref = pg.Simplex([-0.0, -np.inf])
+        lp = np.array([[0.0, 0.0], [0.0, -np.inf]])
+        got = _kl_rows(ref, lp)
+        assert _bits(got).tolist() == _bits(old_kl_rows(ref, lp)).tolist() == [0, 0]
+        q = pg.Simplex([0.0, -np.inf])
+        got = pg.kl_simplex(ref, q)
+        assert _bits([got]).tolist() == _bits([old_kl_simplex(ref, q)]).tolist() == [0]
+
+
+def _fresh_simplex_values(s):
+    again = pg.Simplex(np.array(s.log_weights))
+    return again.probabilities, again.log_probabilities
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, copy.copy,
+                                   lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["deepcopy", "copy", "pickle"])
+class TestCopiesRebuild:
+    """A copy or unpickled value is rebuilt through __init__: read-only
+    arrays and no cached value carried over from the original."""
+
+    def test_simplex(self, clone):
+        s = pg.Simplex([0.5, -1.0, 2.0])
+        s.probabilities, s.log_probabilities  # fill the cache
+        c = clone(s)
+        assert not vars(c).keys() & {"probabilities", "log_probabilities"}
+        assert not c.log_weights.flags.writeable
+        assert not c.probabilities.flags.writeable
+        for got, want in zip((c.probabilities, c.log_probabilities), _fresh_simplex_values(s)):
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError):
+            c.log_weights[0] = 9.0
+
+    def test_payoff_matrix(self, clone):
+        a = pg.PayoffMatrix([[1.0, -2.0], [0.5, 3.0]])
+        norm = a.spectral_norm
+        c = clone(a)
+        assert "spectral_norm" not in vars(c)
+        assert not c.entries.flags.writeable
+        assert c.spectral_norm == norm == float(np.linalg.norm(np.array(a.entries), 2))
+
+    def test_periodic_game(self, clone, game2x2):
+        game2x2.stacked()
+        c = clone(game2x2)
+        assert "_stacked" not in vars(c)
+        assert not c.stacked().flags.writeable
+        assert np.array_equal(c.stacked(), np.stack([a.entries for a in game2x2.matrices]))
+        assert all(not a.entries.flags.writeable for a in c.matrices)
+
+
+class TestPerGameConstants:
+    def test_stacked_is_one_read_only_array(self, game2x2):
+        game = pg.PeriodicGame(game2x2.matrices)
+        first = game.stacked()
+        assert game.stacked() is first
+        assert not first.flags.writeable
+        assert np.array_equal(first, np.stack([a.entries for a in game.matrices]))
+
+    def test_spectral_norm_is_computed_once(self, rps):
+        a = pg.PayoffMatrix(rps.entries)
+        assert a.spectral_norm == float(np.linalg.norm(rps.entries, 2))
+        assert "spectral_norm" in vars(a)
+        assert pg.max_step_size(pg.PeriodicGame((a,))) == 1.0 / a.spectral_norm

@@ -104,10 +104,12 @@ def _max_deviation(log_probs: np.ndarray, s: Simplex) -> np.ndarray:
     """Max-norm distance from each row's probabilities to ``s``, folded
     over the columns from left to right."""
     e = np.exp(log_probs)
-    acc = None
-    for j, q in enumerate(s.probabilities.tolist()):
-        d = np.abs(e[:, j] - q)
-        acc = d if acc is None else np.maximum(acc, d, out=acc)
+    q = s.probabilities.tolist()
+    acc = np.abs(np.subtract(e[:, 0], q[0]))
+    col = np.empty_like(acc)  # one buffer for every later column
+    for j in range(1, len(q)):
+        np.abs(np.subtract(e[:, j], q[j], out=col), out=col)
+        np.maximum(acc, col, out=acc)
     return acc
 
 

@@ -207,8 +207,10 @@ def _check_reduced_state(z) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (4,):
         raise InputError(f"reduced state must have 4 coordinates, got shape {z.shape}")
-    # A small slack admits finite-difference probes at boundary fixed points.
-    if (z < -_REDUCED_SLACK).any() or (z > 1.0 + _REDUCED_SLACK).any():
+    # A small slack admits finite-difference probes at boundary fixed points;
+    # a NaN coordinate fails both comparisons.
+    if not (np.minimum.reduce(z) >= -_REDUCED_SLACK
+            and np.maximum.reduce(z) <= 1.0 + _REDUCED_SLACK):
         raise InputError("reduced-state coordinates must lie in [0, 1]")
     return z
 

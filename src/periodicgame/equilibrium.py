@@ -235,7 +235,7 @@ def generate_common_equilibrium_game(x_star: Simplex, y_star: Simplex,
     """Project a seed matrix so that (x*, y*) becomes an exact interior
     equilibrium of value 0: A y* = 0 and x*^T A = 0 by construction."""
     px, py = x_star.probabilities, y_star.probabilities
-    if px.min() <= 0 or py.min() <= 0:
+    if np.minimum.reduce(px) <= 0 or np.minimum.reduce(py) <= 0:
         raise InputError("x_star and y_star must be interior")
     b = B.entries
     if b.shape != (px.size, py.size):

@@ -54,9 +54,12 @@ def _as_float_vector(values, name: str) -> np.ndarray:
 
 def check_log_weights(lw: np.ndarray) -> np.ndarray:
     """``lw`` if it is a valid vector of log-weights, else InputError."""
-    if np.isnan(lw).any() or np.isposinf(lw).any():
+    # One reduction: the maximum is NaN if any entry is, +inf if any entry
+    # is and none is NaN, and -inf only when every entry is.
+    top = np.maximum.reduce(lw)
+    if top != top or top == math.inf:
         raise InputError("log_weights must not contain NaN or +inf")
-    if not np.isfinite(lw).any():
+    if top == -math.inf:
         raise InputError("log_weights must contain at least one finite entry")
     return lw
 
@@ -91,11 +94,15 @@ class Simplex:
     @classmethod
     def from_probabilities(cls, probs) -> "Simplex":
         p = _as_float_vector(probs, "probabilities")
-        if (p < 0).any() or not np.isfinite(p).all():
+        # NaN fails ``lo >= 0``; -0.0 passes it.
+        lo, hi = np.minimum.reduce(p), np.maximum.reduce(p)
+        if not (lo >= 0 and hi < math.inf):
             raise InputError("probabilities must be finite and nonnegative")
         total = p.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
             raise InputError(f"probabilities must sum to 1, got {float(total)!r}")
+        if lo > 0:  # only a zero entry makes np.log warn
+            return cls(np.log(p / total))
         with np.errstate(divide="ignore"):
             return cls(np.log(p / total))
 
@@ -228,6 +235,8 @@ class JointState:
         return (len(self.x1), len(self.x2))
 
     def max_norm_distance(self, other: "JointState") -> float:
+        if self.dims != other.dims:
+            raise InputError(f"dimension mismatch: {self.dims} vs {other.dims}")
         d1 = np.abs(self.x1.probabilities - other.x1.probabilities).max()
         d2 = np.abs(self.x2.probabilities - other.x2.probabilities).max()
         return float(max(d1, d2))

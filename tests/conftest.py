@@ -86,3 +86,26 @@ def old_kl_rows(ref, log_probs):
 
 def old_kl_simplex(p, q):
     return max(float(old_kl_rows(p, q.log_probabilities[None, :])[0]), 0.0)
+
+
+# Oracles: the Simplex validators as they were before each became one or two
+# NaN-propagating reductions, for the parity tests of the code that replaced
+# them.  Each takes the float64 vector its constructor validates.
+
+def old_check_log_weights(lw):
+    if np.isnan(lw).any() or np.isposinf(lw).any():
+        raise pg.InputError("log_weights must not contain NaN or +inf")
+    if not np.isfinite(lw).any():
+        raise pg.InputError("log_weights must contain at least one finite entry")
+    return lw
+
+
+def old_log_weights_from_probabilities(p):
+    """The log-weights Simplex.from_probabilities built from ``p``."""
+    if (p < 0).any() or not np.isfinite(p).all():
+        raise pg.InputError("probabilities must be finite and nonnegative")
+    total = p.sum()
+    if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
+        raise pg.InputError(f"probabilities must sum to 1, got {float(total)!r}")
+    with np.errstate(divide="ignore"):
+        return old_check_log_weights(np.log(p / total))

@@ -278,6 +278,17 @@ class TestReducedMap:
         # small excursions outside [0,1] are allowed for derivative probes
         pg.omwu_reduced_map("even", [-1e-6, 0.5, 0.5, 0.5], 0.1)
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_nan_coordinate_rejected(self, i):
+        z = [0.4, 0.45, 0.55, 0.6]
+        z[i] = math.nan
+        for call in (lambda: pg.omwu_reduced_map("even", z, 0.05),
+                     lambda: pg.omwu_reduced_map("odd", z, 0.05),
+                     lambda: pg.omwu_reduced_composite(z, 0.05),
+                     lambda: pg.iterate_reduced(z, 0.05, 3)):
+            with pytest.raises(pg.InputError, match=r"must lie in \[0, 1\]"):
+                call()
+
 
 class TestEtaBound:
     def test_symmetric_offset(self):

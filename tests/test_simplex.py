@@ -2,13 +2,19 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import periodicgame as pg
-from conftest import old_kl_rows, old_kl_simplex
+from conftest import (
+    old_check_log_weights,
+    old_kl_rows,
+    old_kl_simplex,
+    old_log_weights_from_probabilities,
+)
 from periodicgame.simplex import LOG_ZERO, _kl_rows, fold_columns
 
 # 0.5*ln(4/3) to 50 digits (offline extended-precision evaluation)
@@ -138,9 +144,11 @@ class TestKlDivergence:
         assert math.isfinite(pg.kl_divergence(p, shallow))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(pg.InputError):
-            pg.kl_divergence(joint([0.5, 0.5], [0.5, 0.5]),
-                             joint([0.5, 0.5], [1 / 3] * 3))
+        p, q = joint([0.5, 0.5], [0.5, 0.5]), joint([0.5, 0.5], [1 / 3] * 3)
+        for call in (lambda: pg.kl_divergence(p, q), lambda: p.max_norm_distance(q),
+                     lambda: q.max_norm_distance(p)):
+            with pytest.raises(pg.InputError, match=r"dimension mismatch: \(2, [23]\) vs"):
+                call()
 
 
 # Row values for the fold parity tests: infinities, both zeros, NaN, values
@@ -344,3 +352,91 @@ class TestPerGameConstants:
         assert a.spectral_norm == float(np.linalg.norm(rps.entries, 2))
         assert "spectral_norm" in vars(a)
         assert pg.max_step_size(pg.PeriodicGame((a,))) == 1.0 / a.spectral_norm
+
+
+# Entries for the validator parity tests: NaN, both infinities, both zeros,
+# subnormals of either sign, the smallest normal, the extremes and ordinary
+# values.
+_SUB = 5e-324
+_TINY = 2.2250738585072014e-308
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+_VALIDATOR_POOL = _NON_FINITE + [0.0, -0.0, _SUB, -_SUB, 1e-310, _TINY, 1e308, -1e308,
+                                 LOG_ZERO, 1.0, -1.0]
+
+
+def _log_weight_lists(k):
+    """k entries from the pool, or from NaN and the infinities alone with
+    -inf weighted up: NaN among infinities, and all -inf."""
+    entry = st.one_of(st.sampled_from(_VALIDATOR_POOL), st.floats(-50.0, 50.0))
+    return st.one_of(st.lists(entry, min_size=k, max_size=k),
+                     st.lists(st.sampled_from(_NON_FINITE + [-np.inf] * 2),
+                              min_size=k, max_size=k))
+
+
+_log_weight_vectors = st.integers(2, 8).flatmap(_log_weight_lists).map(np.array)
+
+
+@st.composite
+def _probability_vectors(draw):
+    """Normalized weights with zeros and subnormals among them, sometimes
+    scaled off the unit sum, with up to three entries then overwritten
+    from the pool."""
+    k = draw(st.integers(2, 8))
+    w = np.array(draw(st.lists(st.one_of(st.floats(0.01, 1.0),
+                                         st.sampled_from([0.0, -0.0, _SUB, 1e-310, _TINY])),
+                               min_size=k, max_size=k)))
+    if not w.sum() > 0.0:
+        w[0] = 1.0
+    p = w / w.sum() * draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 1.0 + 5e-10, 1.0 + 2e-9]))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        p[i] = draw(st.sampled_from(_VALIDATOR_POOL))
+    return p
+
+
+def _outcome(build, arr):
+    """What a validator did with ``arr``: the type and message of the error it
+    raised (a RuntimeWarning included), or the bits of the array it kept."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            kept = build(arr)
+    except Exception as e:
+        return type(e), str(e)
+    return _bits(kept).tolist()
+
+
+class TestValidatorOracle:
+    """The one- and two-reduction validators raise what the multi-pass
+    checks they replaced raised, with the same type, message and precedence,
+    RuntimeWarnings included, and keep the same bits when they accept."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_log_weight_vectors)
+    @example(np.array([np.nan, np.inf]))
+    @example(np.array([-np.inf, np.nan, -np.inf]))
+    @example(np.array([-np.inf, -np.inf]))
+    @example(np.array([-np.inf, np.inf]))
+    def test_log_weights(self, lw):
+        assert (_outcome(lambda a: pg.Simplex(a).log_weights, lw)
+                == _outcome(old_check_log_weights, lw))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_probability_vectors())
+    @example(np.array([np.nan, 2.0]))
+    @example(np.array([-0.0, -1.0, np.inf]))
+    @example(np.array([0.0, -0.0, 1.0]))
+    @example(np.array([_SUB, 1.0]))
+    def test_from_probabilities(self, p):
+        assert (_outcome(lambda a: pg.Simplex.from_probabilities(a).log_weights, p)
+                == _outcome(old_log_weights_from_probabilities, p))
+
+    @pytest.mark.parametrize("p", [[0.0, 1.0], [-0.0, 1.0], [_SUB, 1.0], [1e-310, 0.5, 0.5],
+                                   [0.0, -0.0, _SUB, 1.0]])
+    def test_no_runtime_warning_at_the_boundary(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = pg.Simplex.from_probabilities(p)
+            joint_state = pg.JointState.from_probabilities(p, p[::-1])
+        want = _bits(old_log_weights_from_probabilities(np.array(p))).tolist()
+        assert _bits(s.log_weights).tolist() == want
+        assert _bits(joint_state.x1.log_weights).tolist() == want

@@ -13,16 +13,19 @@
  *
  * format_csv_rows and format_points write the bytes that Python's
  * "%d,%d,%.17g,..." and "%.3f,%.3f" templates write, for the emitters in
- * output.py.  Both round exactly without printf (put_g17, put_fixed3);
- * snprintf writes only the cells outside 1e-16 < |v| < 1e16 (zeros, NaN
- * and inf among them), every cell where the compiler has no unsigned
- * __int128, and the points of |v| >= 2^53 / 1000.
+ * output.py.  Both round exactly without printf (put_g17, put_fixed3) and
+ * write eight digits at a time (eight_digits); snprintf writes only the
+ * cells outside 1e-16 < |v| < 1e16 (zeros, NaN and inf among them), every
+ * cell where the compiler has no unsigned __int128, and the points of
+ * |v| >= 2^53 / 1000.
  *
  * parse_csv_rows reads such a file back for read_csv: the columns t and
  * phase as exact int64, every other cell as the nearest double, which is
- * the written one.  Cells of up to 19 significant digits with a decimal
- * exponent in [-31, 19] are rounded exactly without strtod
- * (exact_decimal); strtod reads the rest in place.
+ * the written one.  Each cell is read in one pass, eight digits at a time
+ * where eight bytes are left.  Cells of up to 19 significant digits with a
+ * decimal exponent in [-31, 19] are rounded without strtod: by Eisel-Lemire
+ * (eisel_lemire), or where it cannot decide, a tie or a near one, by exact
+ * 128-bit division (exact_decimal); strtod reads the rest in place.
  *
  * The three text functions switch the calling thread to the "C" LC_NUMERIC
  * locale with uselocale and restore the caller's before they return, so
@@ -108,8 +111,10 @@ long run_schedule(int algo, const double *mats, long periods, long m, long n,
         r = 1;
     }
 
-    for (long t = 0; t < steps; t++) {
-        const double *a = mats + (t % periods) * m * n;
+    /* ph is t % periods and prev is (t - 1) % periods, which Python wraps to
+     * periods - 1 at t = 0. */
+    for (long t = 0, ph = 0, prev = periods - 1; t < steps; t++) {
+        const double *a = mats + ph * m * n;
         if (algo == ALGO_MWU) {
             matvec(a, m, n, p2, v1);
             mat_t_vec(a, m, n, p1, v2);
@@ -118,8 +123,7 @@ long run_schedule(int algo, const double *mats, long periods, long m, long n,
             for (long j = 0; j < n; j++)
                 lw2[j] -= eta * v2[j];
         } else if (algo == ALGO_OMWU) {
-            /* Python's (t - 1) % periods wraps to periods - 1 at t = 0. */
-            const double *ap = mats + (((t - 1) % periods + periods) % periods) * m * n;
+            const double *ap = mats + prev * m * n;
             matvec(a, m, n, p2, v1);
             mat_t_vec(a, m, n, p1, v2);
             matvec(ap, m, n, q2, w1);
@@ -162,6 +166,9 @@ long run_schedule(int algo, const double *mats, long periods, long m, long n,
                 out2[r * n + j] = lw2[j];
             r += 1;
         }
+        prev = ph;
+        if (++ph == periods)
+            ph = 0;
     }
     return r;
 }
@@ -214,31 +221,76 @@ int init_locale(void)
 
 /* Room for one formatted value and snprintf's terminating NUL: "%.17g" takes
  * at most 24 bytes ("-1.2345678901234567e-308"), "%.3f" of a finite double
- * at most 314 (309 integer digits), an int64 20. */
+ * at most 314 (309 integer digits), an int64 20.  The writers below store
+ * whole words of eight digits, which may run past a value's end but stay
+ * within its room. */
 #define G17_ROOM 32
 #define F3_ROOM 320
 #define INT_ROOM 24
 
-static char *put_uint(char *p, uint64_t u)
+#define TEN8 100000000uLL
+#define TEN16 10000000000000000uLL
+
+/* Eight ASCII '0's: a word of digits less this holds their values. */
+#define ASCII_ZEROS 0x3030303030303030uLL
+
+/* Eight bytes as a number whose low byte is the first, on any byte order. */
+static uint64_t load8(const char *p)
 {
-    char digits[20];
-    int k = 0;
-    do {
-        digits[k++] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    while (k)
-        *p++ = digits[--k];
-    return p;
+    uint64_t v;
+    memcpy(&v, p, sizeof v);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    return v;
 }
 
-static char *put_int(char *p, int64_t v)
+static void store8(char *p, uint64_t v)
 {
-    if (v < 0) {
-        *p++ = '-';
-        return put_uint(p, 0 - (uint64_t)v);
-    }
-    return put_uint(p, (uint64_t)v);
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    memcpy(p, &v, sizeof v);
+}
+
+/* The eight digits of v < 10^8 in ASCII, the first in the low byte: each
+ * step splits every lane of the word in two with a multiply and a shift
+ * (10486 / 2^20 and 103 / 2^10 divide numbers below 10^4 and 10^2 by 100
+ * and 10 exactly). */
+static inline uint64_t eight_digits(uint32_t v)
+{
+    uint64_t x = v / 10000 | (uint64_t)(v % 10000) << 32;
+    uint64_t hi = (x * 10486 >> 20) & 0x0000007F0000007FuLL;
+    x = (x - 100 * hi) << 16 | hi;
+    hi = (x * 103 >> 10) & 0x000F000F000F000FuLL;
+    return (hi | (x - 10 * hi) << 8) + ASCII_ZEROS;
+}
+
+/* u < 10^8 in decimal: its eight digits less their leading zeros, though
+ * never the last digit. */
+static inline char *put_short_uint(char *p, uint32_t u)
+{
+    uint64_t w = eight_digits(u);
+    int lead = __builtin_ctzll((w - ASCII_ZEROS) | 1uLL << 56) / 8;
+    store8(p, w >> 8 * lead);
+    return p + 8 - lead;
+}
+
+static char *put_uint(char *p, uint64_t u)
+{
+    if (u < TEN8)
+        return put_short_uint(p, (uint32_t)u);
+    p = put_uint(p, u / TEN8);
+    store8(p, eight_digits((uint32_t)(u % TEN8)));
+    return p + 8;
+}
+
+static inline char *put_int(char *p, int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    *p = '-';
+    p += v < 0;
+    return u < TEN8 ? put_short_uint(p, (uint32_t)u) : put_uint(p, u);
 }
 
 /* snprintf of one double, spelled as Python's % operator spells it: NaN is
@@ -256,7 +308,6 @@ static char *put_printf(char *p, char *end, const char *fmt, double v)
 typedef unsigned __int128 u128;
 
 #define P5_27 7450580596923828125uLL
-#define TEN16 10000000000000000uLL
 
 /* 5^k for k = 0..32; 5^32 * 2^53 < 2^128. */
 static const u128 POW5[33] = {
@@ -267,6 +318,14 @@ static const u128 POW5[33] = {
     11920928955078125uLL, 59604644775390625uLL, 298023223876953125uLL,
     1490116119384765625uLL, P5_27, (u128)P5_27 * 5, (u128)P5_27 * 25,
     (u128)P5_27 * 125, (u128)P5_27 * 625, (u128)P5_27 * 3125,
+};
+
+/* The smallest double >= 10^x for x = -16..16. */
+static const double TEN_UP[33] = {
+    1.0000000000000001e-16, 1e-15, 1.0000000000000002e-14, 1e-13, 1.0000000000000002e-12,
+    1.0000000000000001e-11, 1e-10, 1e-09, 1e-08, 1.0000000000000001e-07,
+    1.0000000000000002e-06, 1e-05, 1e-4, 1e-3, 1e-2, 1e-1, 1e0, 1e1, 1e2, 1e3, 1e4, 1e5,
+    1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
 };
 
 /* "%.17g" of v for 10^-16 < |v| < 10^16, from exact integer arithmetic.
@@ -281,74 +340,64 @@ static char *put_g17(char *p, double v)
     int e = (int)(bits >> 52 & 0x7ff) - 1022;   /* v is normal here */
     uint64_t m = (bits & 0xfffffffffffffuLL) | 1uLL << 52;
     /* floor(e * log10(2)), exact for |e| < 1650: |v| < 2^e, so this is the
-     * decimal exponent or one above it, and one above leaves q < 10^16. */
+     * decimal exponent or one above it; |v| > 10^-16 keeps x >= -16. */
     int x = e * 78913 >> 18;
-    u128 q, rem, half;
-    for (;; x--) {
-        u128 n = m * POW5[16 - x];
-        int s = e - 37 - x;
-        if (s >= 0) {     /* exact: nothing to round */
-            q = n << s;
-            rem = 0;
-            half = 1;
-        } else {
-            q = n >> -s;
-            rem = n - (q << -s);
-            half = (u128)1 << (-s - 1);
-        }
-        if (q >= TEN16)
-            break;
+    x -= fabs(v) < TEN_UP[x + 16];
+    u128 n = m * POW5[16 - x];
+    int sh = x + 37 - e;    /* the exact value is n / 2^sh */
+    uint64_t d;
+    if (sh <= 0) {
+        d = (uint64_t)(n << -sh);
+    } else if (sh < 64) {
+        uint64_t lo = (uint64_t)n, rem = lo & ((1uLL << sh) - 1), half = 1uLL << (sh - 1);
+        d = (uint64_t)(n >> 64) << (64 - sh) | lo >> sh;
+        d += (rem > half) | ((rem == half) & d);
+    } else {
+        u128 rem = n & (((u128)1 << sh) - 1), half = (u128)1 << (sh - 1);
+        d = (uint64_t)(n >> sh);
+        d += (rem > half) | ((rem == half) & d);
     }
-    uint64_t d = (uint64_t)q;
-    if (rem > half || (rem == half && d % 2))
-        d += 1;
     if (d == 10 * TEN16) {
         d = TEN16;
         x += 1;
     }
-    char dig[17];
-    uint32_t hi = (uint32_t)(d / 100000000u), lo = (uint32_t)(d % 100000000u);
-    for (int i = 16; i >= 9; i--) {   /* two independent chains of 8 */
-        dig[i] = (char)('0' + lo % 10);
-        lo /= 10;
-        dig[i - 8] = (char)('0' + hi % 10);
-        hi /= 10;
-    }
-    dig[0] = (char)('0' + hi);
-    int nd = 17;    /* digits left once %g drops the trailing zeros */
-    while (dig[nd - 1] == '0')
-        nd--;
+    /* The first digit, then two words of eight; nd counts the digits left
+     * once %g drops the trailing zeros, the last ones in the words' high
+     * bytes. */
+    uint32_t top = (uint32_t)(d / TEN8);
+    char first = (char)('0' + top / 100000000u);
+    uint64_t hi8 = eight_digits(top % 100000000u);
+    uint64_t lo8 = eight_digits((uint32_t)(d % TEN8));
+    int nd = lo8 != ASCII_ZEROS ? 17 - __builtin_clzll(lo8 - ASCII_ZEROS) / 8
+             : hi8 != ASCII_ZEROS ? 9 - __builtin_clzll(hi8 - ASCII_ZEROS) / 8 : 1;
     if (signbit(v))
         *p++ = '-';
     if (x < -4) {   /* exponent style; x < 17 always holds here */
-        *p++ = dig[0];
-        if (nd > 1) {
-            *p++ = '.';
-            memcpy(p, dig + 1, (size_t)(nd - 1));
-            p += nd - 1;
-        }
+        p[0] = first;
+        p[1] = '.';
+        store8(p + 2, hi8);
+        store8(p + 10, lo8);
+        p += nd > 1 ? nd + 1 : 1;
         p[0] = 'e';
         p[1] = '-';
         p[2] = (char)('0' - x / 10);
         p[3] = (char)('0' - x % 10);
         return p + 4;
     }
-    if (x < 0) {
-        *p++ = '0';
-        *p++ = '.';
-        memset(p, '0', (size_t)(-x - 1));
-        p += -x - 1;
-        memcpy(p, dig, (size_t)nd);
+    if (x < 0) {    /* "0." and -x - 1 <= 3 zeros before the digits */
+        memcpy(p, "0.000", 5);
+        p += 1 - x;
+    }
+    p[0] = first;
+    store8(p + 1, hi8);
+    store8(p + 9, lo8);
+    if (x < 0)
         return p + nd;
-    }
-    memcpy(p, dig, (size_t)(x + 1));
-    p += x + 1;
-    if (nd > x + 1) {
-        *p++ = '.';
-        memcpy(p, dig + x + 1, (size_t)(nd - x - 1));
-        p += nd - x - 1;
-    }
-    return p;
+    if (nd <= x + 1)    /* an integer: its x + 1 digits */
+        return p + x + 1;
+    memmove(p + x + 2, p + x + 1, (size_t)(nd - x - 1));
+    p[x + 1] = '.';
+    return p + nd + 1;
 }
 #endif
 
@@ -365,29 +414,41 @@ static char *put_cell(char *p, char *end, double v)
 }
 
 /* "%.3f" of v, rounded as Python rounds it: to the nearest thousandth of
- * the exact binary value, ties to even.  x + e == |v| * 1000 exactly, and
- * x is the double nearest that product, so x and the product round to the
- * same integer unless x is a half-integer; then the sign of e decides. */
-static char *put_fixed3(char *p, char *end, double v)
+ * the exact binary value, ties to even.  |v| = f * 2^-s exactly, so
+ * |v| * 1000 = f * 1000 * 2^-s with f * 1000 < 2^63, and s > 9 as
+ * |v| < 2^43; for s >= 64 the product is below one half. */
+static inline char *put_fixed3(char *p, char *end, double v)
 {
     double a = fabs(v);
     if (!(a < 0x1p53 / 1000))   /* NaN, inf, or too large to scale exactly */
         return put_printf(p, end, "%.3f", v);
-    double x = a * 1000.0;
-    double e = fma(a, 1000.0, -x);
-    double f = floor(x);
-    double frac = x - f;
-    uint64_t r = (uint64_t)f;
-    if (frac > 0.5 || (frac == 0.5 && (e > 0 || (e == 0 && r % 2))))
-        r += 1;
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    int biased = (int)(bits >> 52);
+    uint64_t f = bits & 0xfffffffffffffuLL;
+    int s = biased ? 1075 - biased : 1074;
+    if (biased)
+        f |= 1uLL << 52;
+    uint64_t r = 0;
+    if (s < 64) {
+        uint64_t n = f * 1000, rem = n & ((1uLL << s) - 1), half = 1uLL << (s - 1);
+        r = n >> s;
+        r += (rem > half) | ((rem == half) & r);
+    }
     if (signbit(v))
         *p++ = '-';
-    p = put_uint(p, r / 1000);
-    unsigned milli = (unsigned)(r % 1000);
+    uint64_t w;
+    if (r >= TEN8) {
+        p = put_uint(p, r / 1000);
+        w = eight_digits((uint32_t)(r % 1000));
+    } else {    /* r in eight digits: the integer part is all but the last three */
+        w = eight_digits((uint32_t)r);
+        int lead = __builtin_ctzll((w - ASCII_ZEROS) | 1uLL << 32) / 8;
+        store8(p, w >> 8 * lead);
+        p += 5 - lead;
+    }
     p[0] = '.';
-    p[1] = (char)('0' + milli / 100);
-    p[2] = (char)('0' + milli / 10 % 10);
-    p[3] = (char)('0' + milli % 10);
+    store8(p + 1, w >> 40);     /* the last three digits */
     return p + 4;
 }
 
@@ -449,38 +510,142 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* The int64 "[+-]digits" spelled by [s, e); 0 when the cell is not one or
- * is out of range. */
-static int read_int(const char *s, const char *e, int64_t *out)
+/* Whether the cell ends at p: at a ',', '#', line end or the end. */
+static int at_cell_end(const char *p, const char *end)
 {
-    int neg = s < e && *s == '-';
-    if (s < e && (*s == '+' || *s == '-'))
-        s++;
-    if (s == e)
-        return 0;
-    uint64_t u = 0, limit = neg ? (uint64_t)INT64_MAX + 1 : (uint64_t)INT64_MAX;
-    for (; s < e; s++) {
-        if (!is_digit(*s) || u > (limit - (uint64_t)(*s - '0')) / 10)
-            return 0;
-        u = u * 10 + (uint64_t)(*s - '0');
-    }
-    *out = neg ? -(int64_t)(u - 1) - 1 : (int64_t)u;
-    return 1;
+    return p == end || *p == ',' || *p == '#' || *p == '\n' || *p == '\r';
 }
 
-/* Whether [s, e) is w in any case. */
-static int is_word(const char *s, const char *e, const char *w)
+/* The end of the cell that starts at p. */
+static const char *cell_end(const char *p, const char *end)
 {
-    size_t n = strlen(w);
-    if ((size_t)(e - s) != n)
-        return 0;
-    for (size_t i = 0; i < n; i++)
-        if ((s[i] | 0x20) != w[i])
-            return 0;
-    return 1;
+    while (!at_cell_end(p, end))
+        p++;
+    return p;
+}
+
+/* The end of w (lower case) spelled in any case at p, or NULL. */
+static const char *read_word(const char *p, const char *end, const char *w)
+{
+    for (; *w; p++, w++)
+        if (p == end || (*p | 0x20) != *w)
+            return NULL;
+    return p;
+}
+
+/* Whether the eight bytes of v are all ASCII digits: a byte above '9'
+ * sets its high bit in the sum, one below '0' in the difference. */
+static int all_digits8(uint64_t v)
+{
+    return !(((v + 0x4646464646464646uLL) | (v - ASCII_ZEROS)) & 0x8080808080808080uLL);
+}
+
+/* The number eight ASCII digits spell, the first in the low byte. */
+static uint64_t value8(uint64_t v)
+{
+    v -= ASCII_ZEROS;
+    v = v * 10 + (v >> 8);
+    return ((v & 0x000000FF000000FFuLL) * 0x000F424000000064uLL
+            + (v >> 16 & 0x000000FF000000FFuLL) * 0x0000271000000001uLL) >> 32;
+}
+
+/* Appends the digits at p to *d (modulo 2^64), eight at a time while eight
+ * bytes are left before end; returns the first byte that is not a digit. */
+static inline const char *read_digits(const char *p, const char *end, uint64_t *d)
+{
+    uint64_t v = *d;
+    for (; end - p >= 8 && all_digits8(load8(p)); p += 8)
+        v = v * 100000000 + value8(load8(p));
+    for (; p < end && is_digit(*p); p++)
+        v = v * 10 + (uint64_t)(*p - '0');
+    *d = v;
+    return p;
+}
+
+/* The int64 "[+-]digits" at s: returns its end, or NULL when none starts
+ * there or it is out of range. */
+static const char *read_int(const char *s, const char *end, int64_t *out)
+{
+    int neg = s < end && *s == '-';
+    if (s < end && (*s == '+' || *s == '-'))
+        s++;
+    uint64_t u = 0, limit = neg ? (uint64_t)INT64_MAX + 1 : (uint64_t)INT64_MAX;
+    const char *p = s;
+    for (; p < end && is_digit(*p); p++) {
+        if (u > (limit - (uint64_t)(*p - '0')) / 10)
+            return NULL;
+        u = u * 10 + (uint64_t)(*p - '0');
+    }
+    if (p == s)
+        return NULL;
+    *out = neg ? -(int64_t)(u - 1) - 1 : (int64_t)u;
+    return p;
 }
 
 #ifdef __SIZEOF_INT128__
+/* 5^q * 2^(127 - floor(q * log2(5))) for q = -31..19, in [2^127, 2^128):
+ * {high, low} 64-bit halves, exact for q >= 0 and rounded up for q < 0. */
+static const uint64_t POW5_128[51][2] = {
+    {0x81ceb32c4b43fcf4, 0x80eacf948770ced8}, {0xa2425ff75e14fc31, 0xa1258379a94d028e},
+    {0xcad2f7f5359a3b3e, 0x096ee45813a04331}, {0xfd87b5f28300ca0d, 0x8bca9d6e188853fd},
+    {0x9e74d1b791e07e48, 0x775ea264cf55347e}, {0xc612062576589dda, 0x95364afe032a819e},
+    {0xf79687aed3eec551, 0x3a83ddbd83f52205}, {0x9abe14cd44753b52, 0xc4926a9672793543},
+    {0xc16d9a0095928a27, 0x75b7053c0f178294}, {0xf1c90080baf72cb1, 0x5324c68b12dd6339},
+    {0x971da05074da7bee, 0xd3f6fc16ebca5e04}, {0xbce5086492111aea, 0x88f4bb1ca6bcf585},
+    {0xec1e4a7db69561a5, 0x2b31e9e3d06c32e6}, {0x9392ee8e921d5d07, 0x3aff322e62439fd0},
+    {0xb877aa3236a4b449, 0x09befeb9fad487c3}, {0xe69594bec44de15b, 0x4c2ebe687989a9b4},
+    {0x901d7cf73ab0acd9, 0x0f9d37014bf60a11}, {0xb424dc35095cd80f, 0x538484c19ef38c95},
+    {0xe12e13424bb40e13, 0x2865a5f206b06fba}, {0x8cbccc096f5088cb, 0xf93f87b7442e45d4},
+    {0xafebff0bcb24aafe, 0xf78f69a51539d749}, {0xdbe6fecebdedd5be, 0xb573440e5a884d1c},
+    {0x89705f4136b4a597, 0x31680a88f8953031}, {0xabcc77118461cefc, 0xfdc20d2b36ba7c3e},
+    {0xd6bf94d5e57a42bc, 0x3d32907604691b4d}, {0x8637bd05af6c69b5, 0xa63f9a49c2c1b110},
+    {0xa7c5ac471b478423, 0x0fcf80dc33721d54}, {0xd1b71758e219652b, 0xd3c36113404ea4a9},
+    {0x83126e978d4fdf3b, 0x645a1cac083126ea}, {0xa3d70a3d70a3d70a, 0x3d70a3d70a3d70a4},
+    {0xcccccccccccccccc, 0xcccccccccccccccd}, {0x8000000000000000, 0x0000000000000000},
+    {0xa000000000000000, 0x0000000000000000}, {0xc800000000000000, 0x0000000000000000},
+    {0xfa00000000000000, 0x0000000000000000}, {0x9c40000000000000, 0x0000000000000000},
+    {0xc350000000000000, 0x0000000000000000}, {0xf424000000000000, 0x0000000000000000},
+    {0x9896800000000000, 0x0000000000000000}, {0xbebc200000000000, 0x0000000000000000},
+    {0xee6b280000000000, 0x0000000000000000}, {0x9502f90000000000, 0x0000000000000000},
+    {0xba43b74000000000, 0x0000000000000000}, {0xe8d4a51000000000, 0x0000000000000000},
+    {0x9184e72a00000000, 0x0000000000000000}, {0xb5e620f480000000, 0x0000000000000000},
+    {0xe35fa931a0000000, 0x0000000000000000}, {0x8e1bc9bf04000000, 0x0000000000000000},
+    {0xb1a2bc2ec5000000, 0x0000000000000000}, {0xde0b6b3a76400000, 0x0000000000000000},
+    {0x8ac7230489e80000, 0x0000000000000000},
+};
+
+/* Eisel-Lemire (Lemire, "Number Parsing at a Gigabyte per Second", Softw.
+ * Pract. Exp. 2021): the double nearest to d * 10^q, 0 < d < 2^64 and
+ * -31 <= q <= 19, from the 192-bit P = w * T, with w = d * 2^l shifted to
+ * 64 bits and T the table entry.  T is exact for q >= 0, so P is the exact
+ * product X; for q < 0, X lies in (P - w, P).  P's top 53 bits are the
+ * mantissa and the 138 or 139 below them, f, decide its rounding.  f below
+ * half rounds down: so does X, also when X falls just under P's power of
+ * two and rounds up to it.  f above half by more than the error rounds up.
+ * Returns 0 where f is within the error of half, on a tie or a near one,
+ * which exact_decimal rounds instead.  The double is then m * 2^k, as
+ * d * 10^q = X * 2^(q - l - 127 + floor(q * log2(5))), and 152170 * q >> 16
+ * is that floor over the table's range. */
+static int eisel_lemire(uint64_t d, int q, double *out)
+{
+    const uint64_t *t = POW5_128[q + 31];
+    int l = __builtin_clzll(d);
+    uint64_t w = d << l;
+    u128 low = (u128)w * t[1];
+    u128 top = (u128)w * t[0] + (uint64_t)(low >> 64);
+    uint64_t hi = (uint64_t)(top >> 64), mid = (uint64_t)top;
+    int s = 10 + (int)(hi >> 63);     /* P >= 2^190: hi's top bit is 62 or 63 */
+    uint64_t m = hi >> s, f = hi & ((1uLL << s) - 1), half = 1uLL << (s - 1);
+    if (f == half && mid == 0 && (uint64_t)low <= (q < 0 ? w : 0))
+        return 0;
+    m += f >= half;     /* without a branch to mispredict */
+    /* A carry to m = 2^53 carries into the exponent field. */
+    int k = 1 + s + q - l + (152170 * q >> 16);
+    uint64_t bits = ((uint64_t)(k + 1074) << 52) + m;
+    memcpy(out, &bits, sizeof bits);
+    return 1;
+}
+
 /* The double nearest to d * 10^q, ties to even, for d < 10^19 and
  * -31 <= q <= 19, from exact integer arithmetic: the inverse of put_g17.
  * For q >= 0, d * 10^q < 2^128 and the integer-to-double conversion rounds
@@ -499,80 +664,69 @@ static double exact_decimal(uint64_t d, int q)
 }
 #endif
 
-/* The double spelled by [s, e): an optional sign, then inf, infinity or
- * nan in any case, or digits with at most one '.' and at least one digit,
- * then an optional exponent "[eE][+-]digits".  This is the grammar of
- * Python's float() less underscores; strtod alone would also take hex
- * floats and "nan(...)".  Up to 19 significant digits with a decimal
- * exponent in [-31, 19] go through exact_decimal; the rest through strtod,
- * which rounds correctly too (glibc; Clinger, PLDI 1990).  strtod reads the
- * cell in place: it is in the grammar, and *e (a blank, ',', '#', a line
- * end or the NUL after the buffer) cannot extend a number.  Returns 1, or
- * 0 for a cell outside the grammar. */
-static int read_double(const char *s, const char *e, double *out)
+/* Reads the number at s: an optional sign, then inf, infinity or nan in any
+ * case, or digits with at most one '.' and at least one digit, then an
+ * optional exponent "[eE][+-]digits".  This is the grammar of Python's
+ * float() less underscores; strtod alone would also take hex floats and
+ * "nan(...)".  One pass reads the number as d * 10^q, the digits d exact
+ * when at most 19 of them are significant.  Those with q in [-31, 19] go
+ * through eisel_lemire, or exact_decimal where it cannot decide; the rest
+ * through strtod, which rounds correctly too (glibc; Clinger, PLDI
+ * 1990) and reads the number in place: a byte after it (a blank, ',', '#',
+ * a line end or the NUL after the buffer) cannot extend it.  Returns the
+ * number's end, or NULL when none starts at s. */
+static const char *read_double(const char *s, const char *end, double *out)
 {
-    int neg = s < e && *s == '-';
-    const char *q = s + (s < e && (*s == '+' || *s == '-'));
-    if (is_word(q, e, "inf") || is_word(q, e, "infinity")) {
-        *out = neg ? -INFINITY : INFINITY;
-        return 1;
-    }
-    if (is_word(q, e, "nan")) {
-        *out = neg ? -NAN : NAN;
-        return 1;
-    }
-    /* sig counts the digits from the first nonzero one; d holds the first
-     * 19 of them, and scale counts the fraction digits in d and the zeros
-     * before it. */
+    int neg = s < end && *s == '-';
+    const char *digits = s + (s < end && (*s == '+' || *s == '-'));
+    const char *dot = NULL, *p;
     uint64_t d = 0;
-    int digits = 0, sig = 0, scale = 0;
-    const char *dot = NULL;
-    for (; q < e && (is_digit(*q) || (*q == '.' && !dot)); q++) {
-        if (*q == '.') {
-            dot = q;
-            continue;
-        }
-        digits++;
-        if (sig < 19) {
-            d = d * 10 + (uint64_t)(*q - '0');
-            sig += d != 0;
-            scale -= dot != NULL;
-        } else {
-            sig++;
-        }
+    p = read_digits(digits, end, &d);
+    if (p < end && *p == '.') {
+        dot = p;
+        p = read_digits(p + 1, end, &d);
     }
-    if (!digits)
-        return 0;
-    int x = 0;
-    if (q < e && (*q == 'e' || *q == 'E')) {
-        int xneg = q + 1 < e && q[1] == '-';
-        q += 1 + (q + 1 < e && (q[1] == '+' || q[1] == '-'));
-        if (q == e)
-            return 0;
-        for (; q < e && is_digit(*q); q++)
+    long nd = p - digits - (dot != NULL);
+    if (!nd) {
+        const char *w;
+        if ((w = read_word(digits, end, "infinity")) || (w = read_word(digits, end, "inf")))
+            *out = neg ? -INFINITY : INFINITY;
+        else if ((w = read_word(digits, end, "nan")))
+            *out = neg ? -NAN : NAN;
+        return w;
+    }
+    long q = dot ? -(p - dot - 1) : 0, sig = nd;
+    if (sig > 19) {     /* leading zeros are not significant */
+        const char *z = digits;
+        while (z < p && (*z == '0' || *z == '.'))
+            z++;
+        sig = (p - z) - (dot != NULL && dot > z);
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int xneg = p + 1 < end && p[1] == '-';
+        p += 1 + (p + 1 < end && (p[1] == '+' || p[1] == '-'));
+        if (!(p < end && is_digit(*p)))
+            return NULL;
+        long x = 0;
+        for (; p < end && is_digit(*p); p++)
             if (x < 100000)
-                x = x * 10 + (*q - '0');
-        x = xneg ? -x : x;
+                x = x * 10 + (*p - '0');
+        q += xneg ? -x : x;
     }
-    if (q != e)
-        return 0;
+    double v;
+    if (sig <= 19 && d == 0) {
+        v = 0.0;
 #ifdef __SIZEOF_INT128__
-    if (sig <= 19 && (d == 0 || (x + scale >= -31 && x + scale <= 19))) {
-        double v = d == 0 ? 0.0 : exact_decimal(d, x + scale);
-        *out = neg ? -v : v;
-        return 1;
-    }
+    } else if (sig <= 19 && q >= -31 && q <= 19) {
+        if (!eisel_lemire(d, (int)q, &v))
+            v = exact_decimal(d, (int)q);
 #endif
-    char *stop;
-    *out = strtod(s, &stop);
-    return stop == e;
-}
-
-/* The end of the cell that starts at p: its ',', '#', line end or end. */
-static const char *cell_end(const char *p, const char *end)
-{
-    while (p < end && *p != ',' && *p != '#' && *p != '\n' && *p != '\r')
-        p++;
+    } else {
+        char *stop;
+        *out = strtod(s, &stop);
+        return stop == p ? p : NULL;
+    }
+    *out = neg ? -v : v;
     return p;
 }
 
@@ -613,28 +767,29 @@ long parse_csv_rows(const char *buf, long pos, long size, long line, long ncols,
         while (s < end && is_blank(*s))
             s++;
         if (s < end && *s != '#' && *s != '\n' && *s != '\r') {
-            /* Count every cell of the line; read the first ncols. */
+            /* Count every cell of the line; read the first ncols, each in
+             * one pass from its first byte that is not a blank. */
             long j = 0;
             for (;; j++) {
                 const char *c = p;
-                p = cell_end(p, end);
                 if (j < ncols) {
-                    const char *a = c, *b = p;
-                    while (a < b && is_blank(*a))
-                        a++;
-                    while (b > a && is_blank(b[-1]))
-                        b--;
-                    int ok = j == t_col ? read_int(a, b, &t[rows])
-                             : j == phase_col ? read_int(a, b, &phase[rows])
-                             : read_double(a, b, row++);
-                    if (!ok) {
+                    while (p < end && is_blank(*p))
+                        p++;
+                    p = j == t_col ? read_int(p, end, &t[rows])
+                        : j == phase_col ? read_int(p, end, &phase[rows])
+                        : read_double(p, end, row++);
+                    while (p && p < end && is_blank(*p))
+                        p++;
+                    if (!p || !at_cell_end(p, end)) {
                         err[0] = line;
                         err[1] = j;
                         err[2] = c - buf;
-                        err[3] = p - buf;
+                        err[3] = cell_end(c, end) - buf;
                         rows = -1;
                         goto done;
                     }
+                } else {
+                    p = cell_end(p, end);
                 }
                 if (p == end || *p != ',')
                     break;

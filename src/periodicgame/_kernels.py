@@ -117,8 +117,10 @@ def run_schedule_py(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out
             out2[0, j] = lw2[j]
         r = 1
 
+    # ph is t % periods, prev is (t - 1) % periods (periods - 1 at t = 0).
+    ph, prev = 0, periods - 1
     for t in range(steps):
-        a = mats[t % periods]
+        a = mats[ph]
         if algo == ALGO_MWU:
             _matvec(a, p2, v1)
             _mat_t_vec(a, p1, v2)
@@ -127,7 +129,7 @@ def run_schedule_py(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out
             for j in range(n):
                 lw2[j] -= eta * v2[j]
         elif algo == ALGO_OMWU:
-            ap = mats[(t - 1) % periods]
+            ap = mats[prev]
             _matvec(a, p2, v1)
             _mat_t_vec(a, p1, v2)
             _matvec(ap, q2, w1)
@@ -168,6 +170,10 @@ def run_schedule_py(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out
             for j in range(n):
                 out2[r, j] = lw2[j]
             r += 1
+        prev = ph
+        ph += 1
+        if ph == periods:
+            ph = 0
     return r
 
 

@@ -92,12 +92,22 @@ def _flag(report: PropertyReport, mask, times, lhs, rhs, slack):
 
 def _kl_step_differences(traj: Trajectory, ref: JointState, stride: int = 1) -> np.ndarray:
     """KL(ref, x^{t+stride}) - KL(ref, x^t) per recorded step, via exact-ish
-    log-probability differences."""
-    r1 = ref.x1.probabilities
-    r2 = ref.x2.probabilities
-    d1 = traj.log_probs1[:-stride] - traj.log_probs1[stride:]
-    d2 = traj.log_probs2[:-stride] - traj.log_probs2[stride:]
-    return d1 @ r1 + d2 @ r2
+    log-probability differences: d1 @ r1 + d2 @ r2 with d = lp[:-stride] -
+    lp[stride:]."""
+    a1, a2 = traj.log_probs1, traj.log_probs2
+    rows, m, n = max(len(a1) - stride, 0), a1.shape[1], a2.shape[1]
+    k = max(m, n)
+    # One scratch buffer: each block of differences in turn as a contiguous
+    # (rows, m or n) view at its front, then the two products.  The sum is a
+    # fresh array, so the buffer goes back to the allocator on return and
+    # the next call reuses it instead of faulting in new pages.
+    buf = np.empty(rows * (k + 2))
+    p1, p2 = buf[rows * k:rows * (k + 1)], buf[rows * (k + 1):]
+    d = np.subtract(a1[:-stride], a1[stride:], out=buf[:rows * m].reshape(rows, m))
+    np.matmul(d, ref.x1.probabilities, out=p1)
+    d = np.subtract(a2[:-stride], a2[stride:], out=buf[:rows * n].reshape(rows, n))
+    np.matmul(d, ref.x2.probabilities, out=p2)
+    return p1 + p2
 
 
 def _max_deviation(log_probs: np.ndarray, s: Simplex) -> np.ndarray:

@@ -98,7 +98,11 @@ class Simplex:
         lo, hi = np.minimum.reduce(p), np.maximum.reduce(p)
         if not (lo >= 0 and hi < math.inf):
             raise InputError("probabilities must be finite and nonnegative")
-        total = p.sum()
+        if hi <= 1.0:
+            total = p.sum()
+        else:   # the sum may overflow to inf, which fails the check below
+            with np.errstate(over="ignore"):
+                total = p.sum()
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
             raise InputError(f"probabilities must sum to 1, got {float(total)!r}")
         if lo > 0:  # only a zero entry makes np.log warn

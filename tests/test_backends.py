@@ -4,9 +4,12 @@ report the kernel it says."""
 
 import io
 import itertools
+import math
+import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -347,6 +350,141 @@ class TestParserMatchesPython:
                                 t_col=3, phase_col=1)
         assert t.tolist() == [-7] and phase.tolist() == [3]
         assert cells.tolist() == [[0.25, 0.5, 1.5, 2.5]]
+
+
+def _read_back(native_kernels, cells):
+    """Both parsers read one cell a row with the bits Python's float() gives
+    (no NaN is drawn here)."""
+    body = "".join(f"{i},0,{cell}\n" for i, cell in enumerate(cells)).encode()
+    got = _both(native_kernels, body, names=["t", "phase", "c"])[2][:, 0]
+    want = np.array([float(cell) for cell in cells])
+    assert got.tobytes() == want.tobytes(), [
+        (cell, g, w) for cell, g, w in zip(cells, got.tolist(), want.tolist())
+        if np.float64(g).tobytes() != np.float64(w).tobytes()]
+
+
+def _spelling(draw, d, q):
+    """A cell for d * 10^q: the point anywhere in the digits or before them
+    (with zeros after it), an optional sign and exponent."""
+    text = str(d)
+    k = draw(st.integers(-3, len(text)))   # digits before the point
+    if k == len(text) and draw(st.booleans()):
+        mantissa = text
+    else:
+        mantissa = text[:k] + "." + text[k:] if k >= 0 else "0." + "0" * -k + text
+    x = q + len(text) - k
+    exp = draw(st.sampled_from("eE")) + str(x) if x or draw(st.booleans()) else ""
+    return draw(st.sampled_from(["", "-", "+"])) + mantissa + exp
+
+
+@st.composite
+def _decimal_cells(draw, digits):
+    n = draw(digits)
+    # Decimal exponents at, just inside and just outside the exact
+    # integer range [-31, 19] of the reader, and far from it.
+    q = draw(st.one_of(st.sampled_from([-33, -32, -31, -30, 18, 19, 20, 21]),
+                       st.integers(-45, 30)))
+    return _spelling(draw, draw(st.integers(10 ** (n - 1), 10 ** n - 1)), q)
+
+
+def _exact_decimal(value):
+    """(D, q) with D * 10^q the exact value of a dyadic Fraction."""
+    k = max(value.denominator.bit_length() - 1, 0)
+    return value.numerator * 5 ** k, -k
+
+
+@st.composite
+def _halfway_cells(draw):
+    """The midpoint of a double and the next one up, exactly and nudged by
+    one unit in its last digit or in its 19th: a tie and near ties."""
+    x = draw(st.one_of(st.floats(1e-13, 1e38), st.floats(2.0**50, 2.0**64),
+                       st.floats(2.0**-1074, 1e-300), st.floats(1e300, 1.79e308)))
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    d, q = _exact_decimal(mid)
+    text = str(d)
+    cut = max(len(text) - 19, 0)
+    d19 = int(text[:19])
+    d, q = draw(st.sampled_from([(d, q), (d - 1, q), (d + 1, q),
+                                 (d19, q + cut), (d19 + 1, q + cut)]))
+    return _spelling(draw, d, q)
+
+
+def _power_of_five_128(q):
+    """5^q * 2^(127 - floor(q log2 5)), in [2^127, 2^128), rounded up."""
+    fl = (5**q).bit_length() - 1 if q >= 0 else -(5**-q).bit_length()
+    return 5**q << (127 - fl) if q >= 0 else -(-(1 << (127 - fl)) // 5**-q)
+
+
+def _eisel_lemire_gives_up(d, q):
+    """Whether _kernels.c's eisel_lemire leaves d * 10^q to exact_decimal:
+    P = w * T, with w the digits shifted to 64 bits and T the table's 5^q,
+    has the bits below its top 53 within the product's error (w for q < 0,
+    else 0) above one half."""
+    w = d << (64 - d.bit_length())
+    p = w * _power_of_five_128(q)
+    cut = 138 + (p >> 191)
+    below, half = p % (1 << cut), 1 << (cut - 1)
+    return half <= below <= half + (w if q < 0 else 0)
+
+
+def test_power_of_five_table():
+    # eisel_lemire's error bound holds for these exact entries; one a unit
+    # off in its last place would misread only rare near ties, which random
+    # cells do not find.
+    source = open(_kernels._SOURCE).read()
+    table = source[source.index("POW5_128[51][2] = {"):]
+    rows = re.findall(r"\{0x([0-9a-f]{16}), 0x([0-9a-f]{16})\}", table[:table.index("};")])
+    assert [int(hi + lo, 16) for hi, lo in rows] == [_power_of_five_128(q) for q in range(-31, 20)]
+
+
+class TestReaderOracle:
+    """parse_csv_rows reads decimal cells with the bits of Python's float()
+    and of parse_csv_rows_py, whichever of Eisel-Lemire, exact_decimal and
+    strtod rounds them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_decimal_cells(st.integers(1, 19)), min_size=1, max_size=25))
+    def test_up_to_19_digits(self, native_kernels, cells):
+        _read_back(native_kernels, cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_decimal_cells(st.integers(20, 40)), min_size=1, max_size=25))
+    def test_20_digits_and_more(self, native_kernels, cells):
+        _read_back(native_kernels, cells)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_halfway_cells(), min_size=1, max_size=10))
+    def test_halfway_and_near_halfway(self, native_kernels, cells):
+        _read_back(native_kernels, cells)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.one_of(
+        st.integers(1, 2**52 - 1).map(lambda b: repr(float(np.uint64(b).view(np.float64)))),
+        st.integers(-8, 8).map(lambda k: str(2**53 + k)),
+        st.integers(-8, 8).map(lambda k: f"{2**53 + k}.5"),
+        st.sampled_from(["1.7976931348623157e308", "1.7976931348623158e308",
+                         "1.7976931348623159e308", "179769313486231580793728971405301e276",
+                         "2.2250738585072011e-308", "2.2250738585072014e-308",
+                         "4.9406564584124654e-324", "2.4703282292062328e-324",
+                         "2.4703282292062327e-324"])), min_size=1, max_size=20))
+    def test_subnormals_2_to_the_53_and_dbl_max(self, native_kernels, cells):
+        _read_back(native_kernels, cells)
+
+    def test_every_exponent_of_the_table(self, native_kernels):
+        rng = np.random.default_rng(17)
+        cells = [f"{rng.integers(1, 10 ** int(rng.integers(1, 20)), dtype=np.uint64)}e{q}"
+                 for q in range(-33, 22) for _ in range(40)]
+        _read_back(native_kernels, cells)
+
+    # Exact ties between two doubles (the first two are EDGE_CELLS), where
+    # Eisel-Lemire gives up and exact_decimal rounds to even.
+    @pytest.mark.parametrize("cell, d, q", [
+        ("9007199254740993", 9007199254740993, 0), ("9007199254740995", 9007199254740995, 0),
+        ("4503599627370496.5", 45035996273704965, -1)])
+    def test_ties_left_to_exact_decimal(self, native_kernels, cell, d, q):
+        assert _eisel_lemire_gives_up(d, q)
+        assert not _eisel_lemire_gives_up(d - 1, q) and not _eisel_lemire_gives_up(d + 1, q)
+        _read_back(native_kernels, [cell])
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")

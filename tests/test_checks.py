@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
 from conftest import generated_periodic_game, old_kl_simplex, random_interior_joint
-from periodicgame.checks import _max_deviation
+from periodicgame.checks import _kl_step_differences, _max_deviation
 from periodicgame.simplex import LOG_ZERO, fold_columns
 
 EQ22 = pg.JointState.from_probabilities([0.5, 0.5], [0.5, 0.5])
@@ -466,6 +466,41 @@ class TestDistanceOracle:
             old = fold_columns(np.maximum, np.abs(np.exp(lp) - s.probabilities))
             new = _max_deviation(lp, s)
         assert _float_bits(new.tolist()) == _float_bits(old.tolist())
+
+
+def _kl_steps_formula(traj, ref, stride):
+    """d1 @ r1 + d2 @ r2 in fresh arrays: what _kl_step_differences computed
+    before it shared one buffer."""
+    d1 = traj.log_probs1[:-stride] - traj.log_probs1[stride:]
+    d2 = traj.log_probs2[:-stride] - traj.log_probs2[stride:]
+    return d1 @ ref.x1.probabilities + d2 @ ref.x2.probabilities
+
+
+class TestKlStepOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 700), st.integers(2, 6), st.integers(2, 6),
+           st.integers(1, 3), st.lists(st.sampled_from([-np.inf, LOG_ZERO, _BELOW, -0.0, -800.0]),
+                                       max_size=12))
+    def test_matches_the_formula(self, seed, rows, m, n, stride, specials):
+        rng = np.random.default_rng(seed)
+        lp1, lp2 = rng.uniform(-30.0, 0.0, (rows, m)), rng.uniform(-30.0, 0.0, (rows, n))
+        for v in specials:   # boundary values at random cells of either block
+            lp = (lp1, lp2)[int(rng.integers(2))]
+            lp[rng.integers(rows), rng.integers(lp.shape[1])] = v
+        ref = pg.JointState(pg.Simplex(rng.normal(size=m)), pg.Simplex(rng.normal(size=n)))
+        traj = pg.Trajectory(times=np.arange(rows), log_probs1=lp1, log_probs2=lp2,
+                             kl_to_ref=np.full(rows, np.nan), min_component=np.zeros(rows),
+                             period=1, eta=0.1, algo="extra")
+        with np.errstate(invalid="ignore"):
+            want = _kl_steps_formula(traj, ref, stride)
+            got = _kl_step_differences(traj, ref, stride)
+        assert _float_bits(got.tolist()) == _float_bits(want.tolist())
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_long_run_matches_the_formula(self, game2x2, stride):
+        traj = pg.run_trajectory(game2x2, "extra", INIT_4555, 0.1, 9_999, record_every=1)
+        got = _kl_step_differences(traj, EQ22, stride)
+        assert got.tobytes() == _kl_steps_formula(traj, EQ22, stride).tobytes()
 
 
 class TestComparisonInequality:

@@ -105,6 +105,12 @@ class TestSimplex:
         with pytest.raises(pg.InputError, match=r"must sum to 1, got 0\.4$"):
             pg.Simplex.from_probabilities(np.array([0.2, 0.2]))
 
+    def test_overflowing_sum_raises_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pg.InputError, match=r"must sum to 1, got inf$"):
+                pg.Simplex.from_probabilities([1e308, 1e308])
+
 
 class TestKlDivergence:
     def test_identity_is_zero(self):
@@ -426,6 +432,7 @@ class TestValidatorOracle:
     @example(np.array([-0.0, -1.0, np.inf]))
     @example(np.array([0.0, -0.0, 1.0]))
     @example(np.array([_SUB, 1.0]))
+    @example(np.array([1e308, 1e308]))
     def test_from_probabilities(self, p):
         assert (_outcome(lambda a: pg.Simplex.from_probabilities(a).log_weights, p)
                 == _outcome(old_log_weights_from_probabilities, p))

@@ -11,13 +11,17 @@
  * A return value of -1 means exp() overflowed on a finite argument, where
  * Python's math.exp raises OverflowError.
  *
- * format_csv_rows and format_points write the bytes that Python's
+ * format_csv_rows and format_plot_points write the bytes that Python's
  * "%d,%d,%.17g,..." and "%.3f,%.3f" templates write, for the emitters in
  * output.py.  Both round exactly without printf (put_g17, put_fixed3) and
  * write eight digits at a time (eight_digits); snprintf writes only the
  * cells outside 1e-16 < |v| < 1e16 (zeros, NaN and inf among them), every
  * cell where the compiler has no unsigned __int128, and the points of
- * |v| >= 2^53 / 1000.
+ * |v| >= 2^53 / 1000.  An SVG series takes two passes: plot_extent counts
+ * the points that emit_svg_plot keeps and finds their extremes, and
+ * format_plot_points drops the others, takes log10 (the libm function
+ * that Python's math.log10 calls), scales and writes the rest, with the
+ * bits of the numpy expressions of its Python fallback.
  *
  * parse_csv_rows reads such a file back for read_csv: the columns t and
  * phase as exact int64, every other cell as the nearest double, which is
@@ -477,21 +481,74 @@ long format_csv_rows(const int64_t *t, const int64_t *phase, const double *cells
     return r;
 }
 
-/* Points start.. of xy: (n, 2) as "x,y" pairs at %.3f, each pair after the
- * first (index 0) preceded by a space.  Stops before a pair that might not
- * fit in cap bytes; stores the bytes written in *len and returns the next
- * index. */
-long format_points(const double *xy, long start, long n, char *buf, long cap, long *len)
+/* The points of a plot series that emit_svg_plot keeps: t and v finite,
+ * and v > 0 under log_y. */
+static inline int plot_keeps(double t, double v, int log_y)
+{
+    return isfinite(t) && isfinite(v) && (!log_y || v > 0);
+}
+
+/* Pass one over a plot series xy: (n, 2) of (t, v) points.  Returns the
+ * number of kept points and stores in out the first minimum and the first
+ * maximum of their t, then of their v (log10 v under log_y), as argmin and
+ * argmax find them: the strict comparisons keep the earlier of a +0/-0
+ * tie.  With no point kept, out holds inf, -inf, inf, -inf. */
+long plot_extent(const double *xy, long n, int log_y, double *out)
+{
+    double t_lo = INFINITY, t_hi = -INFINITY, v_lo = INFINITY, v_hi = -INFINITY;
+    long kept = 0;
+    for (long i = 0; i < n; i++) {
+        double t = xy[2 * i], v = xy[2 * i + 1];
+        if (!plot_keeps(t, v, log_y))
+            continue;
+        if (log_y)
+            v = log10(v);   /* the function math.log10 calls */
+        kept++;
+        if (t < t_lo)
+            t_lo = t;
+        if (t > t_hi)
+            t_hi = t;
+        if (v < v_lo)
+            v_lo = v;
+        if (v > v_hi)
+            v_hi = v;
+    }
+    out[0] = t_lo;
+    out[1] = t_hi;
+    out[2] = v_lo;
+    out[3] = v_hi;
+    return kept;
+}
+
+/* Pass two: the kept points start.. of xy as "x,y" pairs at %.3f, each
+ * pair after the series' first preceded by a space.  axes holds
+ * (k, start, span, size, margin) for x, then for y; a coordinate is
+ * margin + (v * k - start) / span * size, evaluated in that order, where
+ * k = 0.5 halves v as emit_svg_plot halves the other operands when a span
+ * overflows.  Stops before a point whose pair might not fit in cap bytes;
+ * stores the bytes written in *len and returns the next index.  A call
+ * with start > 0 follows one that stopped on a full buffer, so a pair has
+ * been written before it. */
+long format_plot_points(const double *xy, int log_y, const double *axes, long start, long n,
+                        char *buf, long cap, long *len)
 {
     locale_t caller = uselocale(c_numeric);
+    const double *ax = axes, *ay = axes + 5;
     char *p = buf, *end = buf + cap;
+    int sep = start > 0;
     long i = start;
     for (; i < n && end - p >= 2 * F3_ROOM + 2; i++) {
-        if (i > 0)
+        double t = xy[2 * i], v = xy[2 * i + 1];
+        if (!plot_keeps(t, v, log_y))
+            continue;
+        if (log_y)
+            v = log10(v);
+        if (sep)
             *p++ = ' ';
-        p = put_fixed3(p, end, xy[2 * i]);
+        sep = 1;
+        p = put_fixed3(p, end, ax[4] + (t * ax[0] - ax[1]) / ax[2] * ax[3]);
         *p++ = ',';
-        p = put_fixed3(p, end, xy[2 * i + 1]);
+        p = put_fixed3(p, end, ay[4] + (v * ay[0] - ay[1]) / ay[2] * ay[3]);
     }
     *len = (long)(p - buf);
     uselocale(caller);

@@ -3,8 +3,11 @@
 ``_kernels.c`` holds the trajectory kernels ``run_schedule`` (all three
 rules) and ``run_reduced_composite``, written operation for operation like
 the pure-Python kernels in this module, so both backends give the same bits,
-the text formatters ``format_csv_rows`` and ``format_points``, which
-write the same bytes as the Python templates they replace, and the CSV
+the CSV writer ``format_csv_rows``, which writes the same bytes as the
+Python template it replaces, the two passes of an SVG series,
+``plot_extent`` (the kept points' count and extremes) and
+``format_plot_points`` (drop, log10, scale and "%.3f,%.3f" in one loop),
+which give the counts, extremes and bytes of their numpy fallbacks, and the CSV
 reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
 same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
 written as integers.
@@ -224,9 +227,43 @@ def format_csv_rows_py(times, phases, cells, fh):
         fh.write("".join([row_fmt % (t, ph, *row) for t, ph, row in rows]).encode())
 
 
-def format_points_py(xy, fh):
-    """Write the rows of ``xy`` (N, 2) to the binary handle ``fh`` as
-    "x,y" pairs at %.3f, joined by spaces."""
+def _kept_points(xy, log_y):
+    """The t and v columns of the plot points of ``xy`` (N, 2) that
+    emit_svg_plot keeps: t and v finite, and v > 0 under ``log_y``, where v
+    becomes log10 v."""
+    keep = np.isfinite(xy[:, 0]) & np.isfinite(xy[:, 1])
+    if log_y:
+        keep &= xy[:, 1] > 0
+    ts, vs = xy[keep, 0], xy[keep, 1]
+    if log_y:
+        # math.log10, not np.log10, which may differ in the last ulp.
+        vs = np.array(list(map(math.log10, vs.tolist())), dtype=np.float64)
+    return ts, vs
+
+
+def plot_extent_py(xy, log_y):
+    """(kept, t_lo, t_hi, v_lo, v_hi) of a plot series ``xy`` (N, 2): the
+    number of points kept, and the first minimum and first maximum of their
+    t and v (log10 v under ``log_y``).  argmin/argmax take the first
+    extreme in point order; np.min/np.max may return either zero of a +0/-0
+    tie, which shows in a zero tick label.  With no point kept the extremes
+    are inf, -inf, inf, -inf."""
+    ts, vs = _kept_points(xy, log_y)
+    if not ts.size:
+        return 0, math.inf, -math.inf, math.inf, -math.inf
+    return (ts.size, float(ts[ts.argmin()]), float(ts[ts.argmax()]),
+            float(vs[vs.argmin()]), float(vs[vs.argmax()]))
+
+
+def format_plot_points_py(xy, log_y, axes, fh):
+    """Write the kept points of the plot series ``xy`` (N, 2) to the binary
+    handle ``fh`` as "x,y" pairs at %.3f, joined by spaces.  ``axes`` holds
+    (k, start, span, size, margin) for x, then for y; a coordinate is
+    margin + (v * k - start) / span * size."""
+    ts, vs = _kept_points(xy, log_y)
+    kx, x0, xspan, xsize, xmargin, ky, y0, yspan, ysize, ymargin = axes
+    xy = np.column_stack([xmargin + (ts * kx - x0) / xspan * xsize,
+                          ymargin + (vs * ky - y0) / yspan * ysize])
     for lo in range(0, len(xy), _PY_BLOCK):
         block = xy[lo:lo + _PY_BLOCK]
         pairs = " ".join(["%.3f,%.3f"] * len(block)) % tuple(block.ravel().tolist())
@@ -377,8 +414,10 @@ def _load(environ):
     lib.run_reduced_composite.restype = long_
     lib.format_csv_rows.argtypes = [ptr, ptr, ptr] + [long_] * 3 + [ptr, long_, ptr]
     lib.format_csv_rows.restype = long_
-    lib.format_points.argtypes = [ptr, long_, long_, ptr, long_, ptr]
-    lib.format_points.restype = long_
+    lib.plot_extent.argtypes = [ptr, long_, ctypes.c_int, ptr]
+    lib.plot_extent.restype = long_
+    lib.format_plot_points.argtypes = [ptr, ctypes.c_int, ptr] + [long_] * 2 + [ptr, long_, ptr]
+    lib.format_plot_points.restype = long_
     lib.parse_csv_rows.argtypes = [ctypes.c_char_p] + [long_] * 6 + [ptr] * 4
     lib.parse_csv_rows.restype = long_
     lib.count_byte.argtypes = [ctypes.c_char_p, long_, long_, ctypes.c_int]
@@ -460,11 +499,25 @@ def _bind(lib):
         write_blocks(lib.format_csv_rows, (t.ctypes.data, ph.ctypes.data, c.ctypes.data, k),
                      len(c), fh, _BLOCK_BYTES + 64 * k)
 
-    def format_points(xy, fh):
+    def plot_series(xy):
         pts = np.ascontiguousarray(xy, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InputError(f"xy must have shape (N, 2), got {pts.shape}")
-        write_blocks(lib.format_points, (pts.ctypes.data,), len(pts), fh, _BLOCK_BYTES)
+        return pts
+
+    def plot_extent(xy, log_y):
+        pts = plot_series(xy)
+        out = np.empty(4)
+        kept = lib.plot_extent(pts.ctypes.data, len(pts), bool(log_y), out.ctypes.data)
+        return (kept, *out.tolist())
+
+    def format_plot_points(xy, log_y, axes, fh):
+        pts = plot_series(xy)
+        ax = np.ascontiguousarray(axes, dtype=np.float64)
+        if ax.shape != (10,):
+            raise InputError(f"axes must hold 10 numbers, got shape {ax.shape}")
+        write_blocks(lib.format_plot_points, (pts.ctypes.data, bool(log_y), ax.ctypes.data),
+                     len(pts), fh, _BLOCK_BYTES)
 
     def parse_csv_rows(data, start, line, names, t_col, phase_col):
         ncols = len(names)
@@ -494,21 +547,22 @@ def _bind(lib):
 
     return types.SimpleNamespace(
         run_schedule=run_schedule, run_reduced_composite=run_reduced_composite,
-        format_csv_rows=format_csv_rows, format_points=format_points,
-        parse_csv_rows=parse_csv_rows)
+        format_csv_rows=format_csv_rows, plot_extent=plot_extent,
+        format_plot_points=format_plot_points, parse_csv_rows=parse_csv_rows)
 
 
 _PYTHON = types.SimpleNamespace(
     run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
-    format_csv_rows=format_csv_rows_py, format_points=format_points_py,
-    parse_csv_rows=parse_csv_rows_py)
+    format_csv_rows=format_csv_rows_py, plot_extent=plot_extent_py,
+    format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py)
 
 _lib, _reason = _load(os.environ)
 _active = _PYTHON if _lib is None else _bind(_lib)
 run_schedule = _active.run_schedule
 run_reduced_composite = _active.run_reduced_composite
 format_csv_rows = _active.format_csv_rows
-format_points = _active.format_points
+plot_extent = _active.plot_extent
+format_plot_points = _active.format_plot_points
 parse_csv_rows = _active.parse_csv_rows
 
 

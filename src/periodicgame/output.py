@@ -2,9 +2,10 @@
 
 Both formats are bit-deterministic for identical input: floats are written
 with 17 significant digits (lossless for binary64), lines end with LF, and
-the SVG contains no timestamps or random ids.  The per-value formatting, and
-the parsing of a CSV read back, run in ``_kernels`` (native or Python, the
-same bytes and bits either way).
+the SVG contains no timestamps or random ids.  The per-value work, the CSV
+cells, an SVG series' drop, log10, scaling and formatting, and the parsing
+of a CSV read back, runs in ``_kernels`` (native or Python, the same bytes
+and bits either way).
 """
 
 from __future__ import annotations
@@ -104,31 +105,29 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     log10 y-axis, min/max tick labels, and a legend.  The points of a series
     are (t, v) pairs or an (N, 2) array; any other point raises InputError
     naming the series.  Non-finite values (and nonpositive ones under log_y)
-    are dropped; the dropped count is noted in an SVG comment."""
+    are dropped; the SVG comment "dropped N non-finite points" counts both.
+
+    Each series takes two passes of ``_kernels``: ``plot_extent`` counts its
+    kept points and finds their extremes, and once the axes are known
+    ``format_plot_points`` skips the dropped points and takes log10 of,
+    scales and writes the rest."""
     if not series:
         raise InputError("no series to plot")
     cleaned = []
     dropped = 0
     for label, points in series:
         pts = _points(label, points)
-        keep = np.isfinite(pts[:, 0]) & np.isfinite(pts[:, 1])
-        if log_y:
-            keep &= pts[:, 1] > 0
-        dropped += pts.shape[0] - int(keep.sum())
-        ts, vs = pts[keep, 0], pts[keep, 1]
-        if log_y:
-            # math.log10, not np.log10, which may differ in the last ulp.
-            vs = np.array(list(map(math.log10, vs.tolist())), dtype=np.float64)
-        cleaned.append((str(label), ts, vs))
-    if all(ts.size == 0 for _, ts, _ in cleaned):
+        kept, *extent = _kernels.plot_extent(pts, log_y)
+        dropped += len(pts) - kept
+        cleaned.append((str(label), pts, kept, extent))
+    extents = [extent for _, _, kept, extent in cleaned if kept]
+    if not extents:
         raise InputError("every data point was dropped; nothing to plot")
 
-    # argmin/argmax take the first extreme in point order; np.min/np.max may
-    # return either zero of a +0/-0 tie, which shows in a zero tick label.
-    xs = np.concatenate([ts for _, ts, _ in cleaned])
-    ys = np.concatenate([vs for _, _, vs in cleaned])
-    x_lo, x_hi = float(xs[xs.argmin()]), float(xs[xs.argmax()])
-    y_lo, y_hi = float(ys[ys.argmin()]), float(ys[ys.argmax()])
+    # min and max keep the first of equal extremes, in series order as
+    # plot_extent does in point order: a +0/-0 tie shows in a zero tick label.
+    t_los, t_his, v_los, v_his = zip(*extents)
+    x_lo, x_hi, y_lo, y_hi = min(t_los), max(t_his), min(v_los), max(v_his)
     if x_hi == x_lo:
         x_lo, x_hi = _widen(x_lo)
     if y_hi == y_lo:
@@ -160,41 +159,42 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     ]
     legend = []
     legend_y = _MARGIN_T + 18
-    for idx, (label, _, _) in enumerate(cleaned):
+    for idx, (label, _, _, _) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         y = legend_y + idx * 18
         legend.append(f'<line x1="{_WIDTH - 170}" y1="{y - 4}" x2="{_WIDTH - 140}" '
                       f'y2="{y - 4}" stroke="{color}" stroke-width="2"/>')
         legend.append(f'<text x="{_WIDTH - 132}" y="{y}" {axis_font}>{_escape(label)}</text>')
     legend.append("</svg>")
+    axes = _scale(x_lo, x_hi, plot_w, _MARGIN_L) + _scale(y_hi, y_lo, plot_h, _MARGIN_T)
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in out).encode())
-        for idx, (label, ts, vs) in enumerate(cleaned):
-            if ts.size == 0:
+        for idx, (label, pts, kept, _) in enumerate(cleaned):
+            if not kept:
                 continue
             color = _PALETTE[idx % len(_PALETTE)]
-            sx = _MARGIN_L + _scale(ts, x_lo, x_hi, plot_w)
-            sy = _MARGIN_T + _scale(vs, y_hi, y_lo, plot_h)
             fh.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="'.encode())
-            _kernels.format_points(np.column_stack([sx, sy]), fh)
+            _kernels.format_plot_points(pts, log_y, axes, fh)
             fh.write(b'"/>\n')
         fh.write("".join(line + "\n" for line in legend).encode())
 
 
 def _points(label, points):
-    """The (N, 2) float64 array of one series: an array is reshaped, and a
-    sequence must hold (t, v) pairs only."""
-    if isinstance(points, np.ndarray):
-        return np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    """The C-contiguous (N, 2) float64 array of one series: an array must
+    have that shape, a sequence must hold (t, v) pairs only, and every value
+    must convert to a float."""
     try:
-        pairs = set(map(len, points)) <= {2}
-    except TypeError:
-        pairs = False
-    if not pairs:
-        raise InputError(f"series {label!r}: every point must be a (t, v) pair")
-    return np.fromiter(itertools.chain.from_iterable(points), np.float64,
-                       count=2 * len(points)).reshape(-1, 2)
+        if isinstance(points, np.ndarray):
+            if points.ndim == 2 and points.shape[1] == 2:
+                return np.ascontiguousarray(points, dtype=np.float64)
+        elif set(map(len, points)) <= {2}:
+            return np.fromiter(itertools.chain.from_iterable(points), np.float64,
+                               count=2 * len(points)).reshape(-1, 2)
+    except (TypeError, ValueError):
+        pass
+    raise InputError(f"series {label!r}: points must be (t, v) pairs of numbers "
+                     "or an (N, 2) array")
 
 
 def _widen(v):
@@ -206,12 +206,14 @@ def _widen(v):
     return max(v - pad, -sys.float_info.max), min(v + pad, sys.float_info.max)
 
 
-def _scale(v, start, stop, size):
-    """(v - start) / (stop - start) * size.  When stop - start overflows,
-    every operand is halved first, which is exact and keeps the ratio."""
+def _scale(start, stop, size, margin):
+    """The map v -> margin + (v - start) / (stop - start) * size, as the
+    (k, start, span, size, margin) of format_plot_points, which computes
+    margin + (v * k - start) / span * size.  When stop - start overflows,
+    every operand is halved first (k = 0.5), which keeps the ratio."""
     if not math.isfinite(stop - start):
-        v, start, stop = v / 2, start / 2, stop / 2
-    return (v - start) / (stop - start) * size
+        return 0.5, start / 2, stop / 2 - start / 2, size, margin
+    return 1.0, start, stop - start, size, margin
 
 
 def _escape(text: str) -> str:

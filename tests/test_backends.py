@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
-from periodicgame import _kernels
+from periodicgame import _kernels, output
 
 from conftest import clean_env
 
@@ -95,10 +95,27 @@ def _csv_bytes(fn, times, phases, cells):
     return fh.getvalue()
 
 
-def _point_bytes(fn, xy):
+# Axes under which a plot coordinate is the value itself, -0 and all:
+# -0.0 + ((v * 1 - 0) / 1 * 1) == v.
+IDENTITY_AXES = (1.0, 0.0, 1.0, 1.0, -0.0) * 2
+
+
+def _plot(kernels, xy, log_y=False, axes=IDENTITY_AXES):
+    """plot_extent's result, with each extreme as its bits, and the bytes
+    format_plot_points writes for the series ``xy``."""
+    kept, *extent = kernels.plot_extent(xy, log_y)
     fh = io.BytesIO()
-    fn(xy, fh)
-    return fh.getvalue()
+    kernels.format_plot_points(xy, log_y, axes, fh)
+    return kept, np.array(extent).tobytes(), fh.getvalue()
+
+
+def _assert_plot_parity(native, xy, log_y=False, axes=IDENTITY_AXES):
+    """native's plot passes give what the Python fallbacks give; returns
+    the written bytes."""
+    got = _plot(native, xy, log_y, axes)
+    with np.errstate(all="ignore"):
+        assert got == _plot(_kernels._PYTHON, xy, log_y, axes)
+    return got[2]
 
 
 def _from_bits(*bits):
@@ -144,10 +161,11 @@ class TestFormattersMatchPython:
 
     @settings(max_examples=300, deadline=None)
     @given(xy=st.one_of(_bit_patterns(_POINTS), hnp.arrays(np.float64, _POINTS,
-                                                         elements=st.floats(-1e13, 1e13))))
-    def test_points_bytes(self, native_kernels, xy):
-        assert (_point_bytes(native_kernels.format_points, xy)
-                == _point_bytes(_kernels.format_points_py, xy))
+                                                         elements=st.floats(-1e13, 1e13))),
+           log_y=st.booleans(),
+           axes=st.one_of(st.just(IDENTITY_AXES), hnp.arrays(np.float64, 10)))
+    def test_points_bytes(self, native_kernels, xy, log_y, axes):
+        _assert_plot_parity(native_kernels, xy, log_y, axes)
 
     def test_points_special_values(self, native_kernels):
         thousandth_ties = (np.arange(800_000) + 0.5) / 1000
@@ -157,11 +175,68 @@ class TestFormattersMatchPython:
             SPECIAL, thousandth_ties, exact_ties, past_limit,
             [np.nextafter(_SCALE_LIMIT, 0), -0.0004, 0.0004999999999999999]])
         xy = np.column_stack([values, -values])
-        native = _point_bytes(native_kernels.format_points, xy)
-        assert native == _point_bytes(_kernels.format_points_py, xy)
-        assert native.startswith(b"nan,nan nan,nan ")
-        assert b" -0.000,0.000 " in native
+        native = _assert_plot_parity(native_kernels, xy)
+        # The NaN and inf points are dropped, and no space leads.
+        assert native.startswith(b"0.000,-0.000 -0.000,0.000 0.000,-0.000 -0.000,0.000 ")
         assert b" 0.062,-0.062 " in native                 # 0.0625: the tie goes to even
+        assert b" 9007199254740.992,-9007199254740.992 " in native    # snprintf
+        # Under log_y every point with v <= 0 goes too.
+        _assert_plot_parity(native_kernels, xy[:, ::-1], log_y=True)
+        _assert_plot_parity(native_kernels, xy, log_y=True)
+
+    @pytest.mark.parametrize("log_y", [False, True])
+    def test_plot_series_adversarial(self, native_kernels, log_y):
+        tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310])
+        rng = np.random.default_rng(13)
+        cases = {
+            "nonfinite": np.array([[np.nan, 1.0], [0.0, np.nan], [np.inf, 2.0], [1.0, -np.inf],
+                                   [2.0, 3.0], [-np.inf, np.inf], [3.0, 0.5]]),
+            "zero_ties": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+            "subnormals": np.column_stack([tiny, tiny[::-1]]),
+            "past_limit": np.column_stack([_SCALE_LIMIT * np.array([1.0, 3.0, -2.0, 1e290]),
+                                           -_SCALE_LIMIT * np.array([1.0, 5.0, 2.0, 1e-3])]),
+            "nonpositive": np.array([[0.0, 0.0], [1.0, -1.0], [2.0, -0.0], [3.0, 1e-300],
+                                     [4.0, 5e-324], [5.0, 1e300], [6.0, -np.inf]]),
+            "all_dropped": np.array([[np.nan, 1.0], [1.0, np.nan], [np.inf, -1.0]]),
+            "empty": np.empty((0, 2)),
+            "wide": rng.uniform(-1, 1, size=(2000, 2)) * 1e308,
+            "random_bits": rng.integers(0, 2**64, size=(4000, 2),
+                                        dtype=np.uint64).view(np.float64),
+        }
+        for name, xy in cases.items():
+            kept, *extent = native_kernels.plot_extent(xy, log_y)
+            # The axes emit_svg_plot would build for this series alone, so
+            # spans past the float range take the halving path, and those
+            # of the identity axes.
+            axes = (output._scale(extent[0], extent[1], 712, 72)
+                    + output._scale(extent[3], extent[2], 536, 16))
+            for ax in (IDENTITY_AXES, axes):
+                written = _assert_plot_parity(native_kernels, xy, log_y, ax)
+                assert (written == b"") == (kept == 0), name
+        assert _plot(native_kernels, cases["all_dropped"], log_y)[:2] == (
+            0, np.array([np.inf, -np.inf, np.inf, -np.inf]).tobytes())
+        # The first of a +0/-0 tie is the extreme, as argmin/argmax take it.
+        _, t_lo, t_hi, v_lo, v_hi = native_kernels.plot_extent(cases["zero_ties"], False)
+        assert [math.copysign(1, e) for e in (t_lo, t_hi, v_lo, v_hi)] == [1, 1, -1, -1]
+        # The wide series' x span overflows: k = 0.5.
+        wide = native_kernels.plot_extent(cases["wide"], False)
+        assert output._scale(wide[1], wide[2], 712, 72)[0] == 0.5
+
+    def test_log10_matches_math(self, native_kernels):
+        # The C pass calls the C library's log10, which math.log10 calls for
+        # a finite positive argument: the same bits everywhere.
+        rng = np.random.default_rng(14)
+        tens = 10.0 ** np.arange(-323, 309)
+        values = np.concatenate([
+            tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+            _from_bits(*range(1, 40)), 2.0 ** -np.arange(1022, 1075),
+            1 + np.arange(-40, 41) * 2.0**-52, rng.uniform(0.5, 2, 500),
+            rng.integers(1, 0x7FF0000000000000, 3000, dtype=np.int64).view(np.float64),
+            [1.7976931348623157e308]])
+        got = [native_kernels.plot_extent(np.array([[0.0, v]]), True) for v in values]
+        assert all(kept == 1 and lo == hi for kept, _, _, lo, hi in got)
+        assert (np.array([lo for *_, lo, _ in got]).tobytes()
+                == np.array([math.log10(v) for v in values]).tobytes())
 
     def test_csv_rows_exact_digits_boundaries(self, native_kernels):
         # The integer path serves 1e-16 < |v| < 1e16: exact 18-digit ties
@@ -193,11 +268,15 @@ class TestFormattersMatchPython:
 
     def test_blocks_join_seamlessly(self, native_kernels):
         # More bytes than one native block, so the output spans several.
+        # Dropped points, the first point among them, fall on either side
+        # of the block ends; the pair after one still takes its space.
         xy = np.random.default_rng(0).uniform(-1e6, 1e6, size=(60_000, 2))
+        xy[:5_000:3, 0] = np.nan
+        xy[::7, 1] = -xy[::7, 1]
+        for log_y in (False, True):
+            _assert_plot_parity(native_kernels, xy, log_y)
         cells = np.random.default_rng(1).normal(size=(30_000, 5))
         times = np.arange(len(cells))
-        assert (_point_bytes(native_kernels.format_points, xy)
-                == _point_bytes(_kernels.format_points_py, xy))
         assert (_csv_bytes(native_kernels.format_csv_rows, times, times % 3, cells)
                 == _csv_bytes(_kernels.format_csv_rows_py, times, times % 3, cells))
 
@@ -528,8 +607,10 @@ LOCALE_SCRIPT = (
     "native = _kernels._bind(_kernels._load(os.environ)[0])\n"
     "xy = np.array([[0.5, -1e300], [1 / 3, 2.0**53], [float('nan'), 1e-9]])\n"
     "t = np.arange(3)\n"
+    "axes = (1.0, 0.0, 1.0, 1.0, 0.0) * 2\n"
     "for fn, ref, args in ((native.format_csv_rows, _kernels.format_csv_rows_py, (t, t, xy)),\n"
-    "                      (native.format_points, _kernels.format_points_py, (xy,))):\n"
+    "                      (native.format_plot_points, _kernels.format_plot_points_py,\n"
+    "                       (xy, False, axes))):\n"
     "    out = [io.BytesIO(), io.BytesIO()]\n"
     "    fn(*args, out[0])\n"
     "    ref(*args, out[1])\n"
@@ -638,7 +719,11 @@ class TestNativeWrapper:
                 native_kernels.format_csv_rows(times, t, cells, fh)
         for xy in (np.ones(4), np.ones((2, 3))):
             with pytest.raises(pg.InputError):
-                native_kernels.format_points(xy, fh)
+                native_kernels.plot_extent(xy, False)
+            with pytest.raises(pg.InputError):
+                native_kernels.format_plot_points(xy, False, IDENTITY_AXES, fh)
+        with pytest.raises(pg.InputError):
+            native_kernels.format_plot_points(np.ones((2, 2)), False, IDENTITY_AXES[:5], fh)
         assert fh.getvalue() == b""
 
     def test_parser_arguments_rejected(self, native_kernels):

@@ -202,6 +202,13 @@ class TestSvg:
         pg.emit_svg_plot([("a", [(0, first), (1, -first), (2, 1.0)])], str(path))
         assert f'text-anchor="end">{label}</text>' in path.read_text()
 
+    @pytest.mark.parametrize("first, label", [(0.0, "0"), (-0.0, "-0")])
+    def test_zero_tick_label_is_first_minimum_across_series(self, first, label, tmp_path):
+        path = tmp_path / "zero.svg"
+        pg.emit_svg_plot([("a", [(0, 1.0), (1, first)]), ("b", [(0, -first), (1, 2.0)])],
+                         str(path))
+        assert f'text-anchor="end">{label}</text>' in path.read_text()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("points", [
         [(-1e308, 1.0), (0.0, 2.0), (1e308, 3.0)],
@@ -231,8 +238,12 @@ class TestSvg:
             assert {x if axis == "x" else y for x, y in coords} == {
                 428.0 if axis == "x" else 284.0}
 
-    @pytest.mark.parametrize("points", [[(1, 2, 3), (4, 5)], [(1,), (2, 3)], [1.0, 2.0]],
-                             ids=["long", "short", "scalars"])
+    @pytest.mark.parametrize("points", [
+        [(1, 2, 3), (4, 5)], [(1,), (2, 3)], [1.0, 2.0],
+        np.ones((4, 3)), np.ones(6), np.ones((2, 2, 2)), np.ones((3, 3)),
+        [("a", "b")], np.array([["a", "b"]]),
+    ], ids=["long", "short", "scalars", "array4x3", "array6", "array2x2x2", "array3x3",
+            "text", "text_array"])
     def test_malformed_points_rejected(self, points, tmp_path):
         with pytest.raises(pg.InputError, match="series 'bad'"):
             pg.emit_svg_plot([("ok", [(0, 1.0)]), ("bad", points)], str(tmp_path / "x.svg"))

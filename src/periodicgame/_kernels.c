@@ -34,9 +34,31 @@
  * The three text functions switch the calling thread to the "C" LC_NUMERIC
  * locale with uselocale and restore the caller's before they return, so
  * snprintf writes '.' and strtod reads it whatever the process locale is.
+ *
+ * pairs_into is the one function that reads Python objects: it copies a
+ * list of (t, v) pairs of floats and ints into a float64 array for
+ * emit_svg_plot.  It is called with the GIL held (ctypes.PyDLL), calls no
+ * Python code, takes no reference and allocates nothing; anything but
+ * exact floats and ints in exact pairs is handed back to the caller.  It
+ * is built only where Python.h is found (the build passes the running
+ * interpreter's include directory) and the interpreter has a GIL.
  */
 
+/* Python.h comes first, as the C API asks: it sets feature macros that the
+ * system headers read. */
+#if defined(__has_include)
+#if __has_include(<Python.h>)
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#ifndef Py_GIL_DISABLED
+#define HAVE_PAIRS_INTO
+#endif
+#endif
+#endif
+
+#ifndef _POSIX_C_SOURCE
 #define _POSIX_C_SOURCE 200809L   /* newlocale, uselocale under -std=c99 */
+#endif
 
 #include <locale.h>
 #include <math.h>
@@ -56,8 +78,11 @@ static void lse_normalize(double *lw, long k)
         if (lw[i] > m)
             m = lw[i];
     double s = 0.0;
-    for (long i = 0; i < k; i++)
-        s += exp(lw[i] - m);
+    for (long i = 0; i < k; i++) {
+        /* exp(+-0) is exactly 1, and at least one term is the maximum. */
+        double d = lw[i] - m;
+        s += d == 0.0 ? 1.0 : exp(d);
+    }
     double c = m + log(s);
     for (long i = 0; i < k; i++)
         lw[i] = lw[i] - c;
@@ -871,3 +896,47 @@ done:
     uselocale(caller);
     return rows;
 }
+
+#ifdef HAVE_PAIRS_INTO
+/* One value of a pair: an exact float as it is, an exact int as float()
+ * converts it (PyLong_AsDouble, correctly rounded).  -1 for any other
+ * object and for an int beyond the double range, with no error left set. */
+static int pair_value(PyObject *v, double *out)
+{
+    if (PyFloat_CheckExact(v)) {
+        *out = PyFloat_AS_DOUBLE(v);
+        return 0;
+    }
+    if (!PyLong_CheckExact(v))
+        return -1;
+    *out = PyLong_AsDouble(v);
+    if (*out == -1.0 && PyErr_Occurred()) {
+        PyErr_Clear();
+        return -1;
+    }
+    return 0;
+}
+
+/* Copies the n (t, v) pairs of seq, an exact list or tuple of exact
+ * 2-tuples or 2-lists of exact floats or ints, into out (n, 2) and returns
+ * n.  Returns -1 for anything else (a subclass, a bool, a numpy scalar, a
+ * wrong length, an int beyond the double range), which the caller then
+ * converts itself. */
+long pairs_into(PyObject *seq, double *out, long n)
+{
+    if (!(PyList_CheckExact(seq) || PyTuple_CheckExact(seq))
+        || PySequence_Fast_GET_SIZE(seq) != n)
+        return -1;
+    PyObject **pairs = PySequence_Fast_ITEMS(seq);
+    for (long i = 0; i < n; i++) {
+        PyObject *pair = pairs[i];
+        if (!(PyTuple_CheckExact(pair) || PyList_CheckExact(pair))
+            || PySequence_Fast_GET_SIZE(pair) != 2)
+            return -1;
+        PyObject **tv = PySequence_Fast_ITEMS(pair);
+        if (pair_value(tv[0], out + 2 * i) || pair_value(tv[1], out + 2 * i + 1))
+            return -1;
+    }
+    return n;
+}
+#endif

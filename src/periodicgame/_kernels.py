@@ -10,14 +10,23 @@ Python template it replaces, the two passes of an SVG series,
 which give the counts, extremes and bytes of their numpy fallbacks, and the CSV
 reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
 same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
-written as integers.
-On first import the C source is compiled with ``$CC`` (default ``cc``) into
+written as integers, and ``pairs_into``, behind ``read_pairs``, which copies
+a list of (t, v) pairs of floats and ints into an array with the bits of
+``np.fromiter`` and hands any other sequence to ``read_pairs_py``.
+On first import the C source is compiled with ``$CC`` (default ``cc``) and
+the running interpreter's include directory into
 ``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
 variable is unset), under a name keyed by a sha256 of the source, the
-compiler flags, the ``$CC`` words and the resolved compiler's size and
-mtime; later imports load the cached library with ctypes and start no
-process.  The library's text functions run in the "C" numeric locale,
-which it makes once on load.  When anything fails (no compiler, a compile
+compiler flags, the ``$CC`` words, the resolved compiler's size and mtime,
+and the interpreter (``sys.implementation.cache_tag`` and ``sys.version``),
+so a library is never loaded into another Python; later imports load the
+cached library with ctypes and start no process.  ``pairs_into`` reads
+Python objects, so it is bound through ``ctypes.PyDLL``, which keeps the GIL
+during the call; where the library has no such function (no Python.h at
+build time, or a build without a GIL) or the interpreter is not CPython,
+``read_pairs`` is ``read_pairs_py`` and every other kernel stays native.
+The library's text functions run in the "C" numeric locale, which it makes
+once on load.  When anything fails (no compiler, a compile
 error, an unwritable cache, a library that does not load or cannot make that
 locale) the Python functions run instead and ``backend_reason()`` says why;
 a ``$CC`` that names no compiler forces them.  The ``*_py`` functions stay
@@ -29,12 +38,15 @@ kernels keep them normalized after every step.
 
 import ctypes
 import hashlib
+import itertools
 import math
+import numbers
 import os
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 import tempfile
 import types
 
@@ -58,7 +70,9 @@ def _lse_normalize(lw):
             m = lw[i]
     s = 0.0
     for i in range(lw.size):
-        s += math.exp(lw[i] - m)
+        # exp(+-0) is exactly 1, and at least one term is the maximum.
+        d = lw[i] - m
+        s += 1.0 if d == 0.0 else math.exp(d)
     c = m + math.log(s)
     for i in range(lw.size):
         lw[i] = lw[i] - c
@@ -270,6 +284,22 @@ def format_plot_points_py(xy, log_y, axes, fh):
         fh.write(((" " if lo else "") + pairs).encode())
 
 
+def read_pairs_py(points):
+    """The (N, 2) float64 array of ``points``, a sequence of (t, v) pairs
+    of real numbers (``numbers.Real``: int, float, bool and numpy's integer
+    and floating scalars), each converted as ``float()`` converts it.  Raises
+    ValueError for a point that is not a pair, TypeError for a value that
+    is not a real number, and OverflowError for an int beyond the float
+    range."""
+    if not set(map(len, points)) <= {2}:
+        raise ValueError("points must be (t, v) pairs")
+    kinds = set(map(type, itertools.chain.from_iterable(points)))
+    if not all(issubclass(kind, numbers.Real) for kind in kinds):
+        raise TypeError("point values must be real numbers")
+    return np.fromiter(itertools.chain.from_iterable(points), np.float64,
+                       count=2 * len(points)).reshape(-1, 2)
+
+
 # A cell's blanks as parse_csv_rows in _kernels.c reads them.
 _BLANKS = " \t\v\f"
 # The cells it accepts, spelled as regular expressions; they only name the
@@ -363,8 +393,11 @@ def _build_library(environ):
         stat = os.stat(compiler)
     except OSError as exc:
         raise _BuildError(f"cannot key the build: {exc}") from None
+    # pairs_into is built against the running interpreter's headers, so the
+    # interpreter is part of the key too.
     key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(), *map(str.encode, cc),
-                                     f"{stat.st_size} {stat.st_mtime_ns}".encode()]))
+                                     f"{stat.st_size} {stat.st_mtime_ns}".encode(),
+                                     f"{sys.implementation.cache_tag} {sys.version}".encode()]))
     cache = os.path.join(environ.get("XDG_CACHE_HOME")
                          or os.path.join(os.path.expanduser("~"), ".cache"), "periodicgame")
     path = os.path.join(cache, f"_kernels-{key.hexdigest()[:16]}.so")
@@ -377,8 +410,10 @@ def _build_library(environ):
         os.close(fd)
     except OSError as exc:
         raise _BuildError(f"cache {cache} not writable: {exc}") from None
+    import sysconfig   # only a build reads the interpreter's include directory
+    include = sysconfig.get_paths()["include"]
     try:
-        proc = subprocess.run(cc + [*_CFLAGS, "-o", tmp, _SOURCE, "-lm"],
+        proc = subprocess.run(cc + [*_CFLAGS, f"-I{include}", "-o", tmp, _SOURCE, "-lm"],
                               capture_output=True, text=True, timeout=300)
         if proc.returncode != 0:
             detail = (proc.stderr.strip().splitlines() or ["no output"])[0]
@@ -423,6 +458,21 @@ def _load(environ):
     lib.count_byte.argtypes = [ctypes.c_char_p, long_, long_, ctypes.c_int]
     lib.count_byte.restype = long_
     return lib, f"native: {how} {path}"
+
+
+def _pairs_into(lib):
+    """The C function pairs_into of ``lib``, called with the GIL held, or
+    None where the library was built without Python.h or without a GIL, or
+    the interpreter is not CPython, whose objects it reads."""
+    if sys.implementation.name != "cpython":
+        return None
+    try:
+        fn = ctypes.PyDLL(lib._name, handle=lib._handle).pairs_into
+    except AttributeError:
+        return None
+    fn.argtypes = [ctypes.py_object, ctypes.c_void_p, ctypes.c_long]
+    fn.restype = ctypes.c_long
+    return fn
 
 
 def _out_buffer(name, a, shape, min_rows=None):
@@ -545,16 +595,29 @@ def _bind(lib):
                                        j in (t_col, phase_col)))
         return t[:rows], phase[:rows], cells[:rows]
 
+    pairs_into = _pairs_into(lib)
+
+    def read_pairs(points):
+        # C copies exact lists and tuples of float and int pairs; it hands
+        # every other sequence back (-1) to the Python converter.
+        if type(points) in (list, tuple):
+            xy = np.empty((len(points), 2))
+            if pairs_into(points, xy.ctypes.data, len(xy)) == len(xy):
+                return xy
+        return read_pairs_py(points)
+
     return types.SimpleNamespace(
         run_schedule=run_schedule, run_reduced_composite=run_reduced_composite,
         format_csv_rows=format_csv_rows, plot_extent=plot_extent,
-        format_plot_points=format_plot_points, parse_csv_rows=parse_csv_rows)
+        format_plot_points=format_plot_points, parse_csv_rows=parse_csv_rows,
+        read_pairs=read_pairs_py if pairs_into is None else read_pairs)
 
 
 _PYTHON = types.SimpleNamespace(
     run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
     format_csv_rows=format_csv_rows_py, plot_extent=plot_extent_py,
-    format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py)
+    format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py,
+    read_pairs=read_pairs_py)
 
 _lib, _reason = _load(os.environ)
 _active = _PYTHON if _lib is None else _bind(_lib)
@@ -564,6 +627,7 @@ format_csv_rows = _active.format_csv_rows
 plot_extent = _active.plot_extent
 format_plot_points = _active.format_plot_points
 parse_csv_rows = _active.parse_csv_rows
+read_pairs = _active.read_pairs
 
 
 def backend_name() -> str:

@@ -10,7 +10,6 @@ and bits either way).
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 import sys
@@ -92,8 +91,8 @@ def read_csv(path: str) -> dict:
     }
 
 
-# Each entry pairs a label with its points: any sequence of (t, v) pairs,
-# or an (N, 2) array.
+# Each entry pairs a label with its points: any sequence of (t, v) pairs of
+# real numbers, or an (N, 2) array of integer or floating dtype.
 Series = Sequence[Tuple[str, Union[Sequence[Tuple[float, float]], np.ndarray]]]
 
 _WIDTH, _HEIGHT = 800, 600
@@ -103,14 +102,19 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 16, 16, 48
 def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     """Standalone SVG 1.1 line chart: one polyline per series, linear or
     log10 y-axis, min/max tick labels, and a legend.  The points of a series
-    are (t, v) pairs or an (N, 2) array; any other point raises InputError
-    naming the series.  Non-finite values (and nonpositive ones under log_y)
-    are dropped; the SVG comment "dropped N non-finite points" counts both.
+    are (t, v) pairs of real numbers (int, float, bool, numpy's integer and
+    floating scalars: ``numbers.Real``) or an (N, 2) array of integer or
+    floating dtype; anything else (a point that is not a pair, a string,
+    bytes, None, an int past the float range, an array of text or objects)
+    raises InputError naming the series.  Non-finite values (and
+    nonpositive ones under log_y) are dropped; the SVG comment "dropped N
+    non-finite points" counts both.
 
-    Each series takes two passes of ``_kernels``: ``plot_extent`` counts its
-    kept points and finds their extremes, and once the axes are known
-    ``format_plot_points`` skips the dropped points and takes log10 of,
-    scales and writes the rest."""
+    A list of (t, v) pairs of floats and ints is copied into an array in one
+    C pass (``_kernels.read_pairs``).  Each series then takes two passes of
+    ``_kernels``: ``plot_extent`` counts its kept points and finds their
+    extremes, and once the axes are known ``format_plot_points`` skips the
+    dropped points and takes log10 of, scales and writes the rest."""
     if not series:
         raise InputError("no series to plot")
     cleaned = []
@@ -182,17 +186,16 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
 
 def _points(label, points):
     """The C-contiguous (N, 2) float64 array of one series: an array must
-    have that shape, a sequence must hold (t, v) pairs only, and every value
-    must convert to a float."""
-    try:
-        if isinstance(points, np.ndarray):
-            if points.ndim == 2 and points.shape[1] == 2:
-                return np.ascontiguousarray(points, dtype=np.float64)
-        elif set(map(len, points)) <= {2}:
-            return np.fromiter(itertools.chain.from_iterable(points), np.float64,
-                               count=2 * len(points)).reshape(-1, 2)
-    except (TypeError, ValueError):
-        pass
+    have that shape and an integer or floating dtype, a sequence must hold
+    (t, v) pairs of real numbers only (``_kernels.read_pairs``)."""
+    if isinstance(points, np.ndarray):
+        if points.ndim == 2 and points.shape[1] == 2 and points.dtype.kind in "iuf":
+            return np.ascontiguousarray(points, dtype=np.float64)
+    else:
+        try:
+            return _kernels.read_pairs(points)
+        except (TypeError, ValueError, OverflowError):
+            pass
     raise InputError(f"series {label!r}: points must be (t, v) pairs of numbers "
                      "or an (N, 2) array")
 

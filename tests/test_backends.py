@@ -2,6 +2,7 @@
 C formatters byte for byte, and the backend switch must build, load and
 report the kernel it says."""
 
+import collections
 import io
 import itertools
 import math
@@ -10,6 +11,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -742,6 +744,125 @@ class TestNativeWrapper:
             native_kernels.run_reduced_composite(z0, 0.1, 5, np.empty((5, 4)))
         with pytest.raises(pg.InputError):
             native_kernels.run_reduced_composite(np.full(3, 0.5), 0.1, 5, np.empty((6, 4)))
+
+
+def _old_points(label, points):
+    """output._points' sequence branch before the native converter: one
+    np.fromiter over the values, once every point is a pair, with the
+    OverflowError of an int past the float range now caught too.  The
+    values drawn below are all real numbers, which pass the type check that
+    the Python converter adds before np.fromiter."""
+    try:
+        if set(map(len, points)) <= {2}:
+            return np.fromiter(itertools.chain.from_iterable(points), np.float64,
+                               count=2 * len(points)).reshape(-1, 2)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise pg.InputError(f"series {label!r}: points must be (t, v) pairs of numbers "
+                        "or an (N, 2) array")
+
+
+def _outcome(convert, points):
+    """The dtype, shape and bits of what convert("s", points) returns, or
+    the type and message of what it raises."""
+    try:
+        xy = convert("s", points)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return xy.dtype, xy.shape, xy.flags.c_contiguous, xy.tobytes()
+
+
+def _points_with(read_pairs, points):
+    with mock.patch.object(_kernels, "read_pairs", read_pairs):
+        return _outcome(output._points, points)
+
+
+Pair = collections.namedtuple("Pair", "t v")
+_FLOATS = st.one_of(
+    st.floats(),      # NaN, +-inf, +-0 and subnormals among them
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     *_from_bits(0x7FF8000000000000, 0xFFF8000000000001).tolist()]))
+_TWO_53 = st.builds(lambda sign, k: sign * (2**53 + k), st.sampled_from([1, -1]),
+                    st.integers(-4, 4))
+# Around 2^1023 and 2^1024; 2^1024 - 2^970 is the halfway point past DBL_MAX,
+# which rounds to 2^1024 and so overflows.
+_HUGE = st.builds(lambda sign, base, k: sign * (base + k), st.sampled_from([1, -1]),
+                  st.sampled_from([2**1023, 2**1024 - 2**970, 2**1024]),
+                  st.sampled_from([-2**971, -1, 0, 1, 2**969, 2**1100]))
+_INTS = st.one_of(st.integers(-2**64, 2**64), _TWO_53, _HUGE)
+_OTHER = st.one_of(st.booleans(), st.floats().map(np.float64),
+                   st.floats(width=32).map(np.float32),
+                   st.integers(-2**63, 2**63 - 1).map(np.int64))
+_VALUES = st.one_of(_FLOATS, _INTS, _OTHER)
+_NATIVE_VALUES = st.one_of(_FLOATS, st.integers(-2**1023, 2**1023), _TWO_53)
+
+
+def _pairs(values):
+    return st.one_of(st.tuples(values, values), st.lists(values, min_size=2, max_size=2),
+                     st.builds(Pair, values, values))
+
+
+def _series(pairs):
+    return st.one_of(st.lists(pairs, max_size=12), st.lists(pairs, max_size=12).map(tuple))
+
+
+class TestPairReader:
+    """The native converter of (t, v) pairs gives the bits, or the error, of
+    np.fromiter, and so does the Python converter it falls back to."""
+
+    @pytest.fixture(scope="class")
+    def read_pairs(self, native_kernels):
+        if native_kernels.read_pairs is _kernels.read_pairs_py:
+            pytest.skip("the library was built without Python.h")
+        return native_kernels.read_pairs
+
+    def _assert_parity(self, read_pairs, points):
+        want = _outcome(_old_points, points)
+        assert _points_with(read_pairs, points) == want
+        assert _points_with(_kernels.read_pairs_py, points) == want
+
+    @settings(max_examples=400, deadline=None)
+    @given(points=_series(_pairs(_VALUES)))
+    def test_pairs_match_fromiter(self, read_pairs, points):
+        self._assert_parity(read_pairs, points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=_series(st.one_of(_pairs(_VALUES), st.lists(_VALUES, max_size=3),
+                                    st.lists(_VALUES, max_size=3).map(tuple))))
+    def test_any_lengths_match_fromiter(self, read_pairs, points):
+        self._assert_parity(read_pairs, points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=_series(st.one_of(st.tuples(_NATIVE_VALUES, _NATIVE_VALUES),
+                                    st.lists(_NATIVE_VALUES, min_size=2, max_size=2))))
+    def test_floats_and_ints_stay_native(self, read_pairs, points):
+        # Exact pairs of floats and ints within the float range never reach
+        # the Python converter.
+        with mock.patch.object(_kernels, "read_pairs_py", side_effect=AssertionError):
+            got = _points_with(read_pairs, points)
+        assert got == _outcome(_old_points, points)
+
+    def test_large_series(self, read_pairs):
+        rng = np.random.default_rng(19)
+        values = rng.integers(0, 2**64, size=(50_000, 2), dtype=np.uint64).view(np.float64)
+        points = list(zip(range(50_000), values[:, 1].tolist()))
+        self._assert_parity(read_pairs, points)
+        self._assert_parity(read_pairs, [list(p) for p in values.tolist()])
+
+    def test_references_unchanged(self, read_pairs):
+        # No small int or bool, which the interpreter shares: their counts
+        # move with any other code.  The last pair goes to the Python
+        # converter, and 10**400 overflows.
+        pairs = [(1.5, 2001), [3001, 4.5], (2**70, -0.0), (7001, np.float32(1))]
+        for points in (pairs[:3], pairs, tuple(pairs[:3]), [(1001, 10**400)]):
+            items = [*points, *itertools.chain.from_iterable(points)]
+            before = sys.getrefcount(points), [sys.getrefcount(x) for x in items]
+            for _ in range(1000):
+                try:
+                    read_pairs(points)
+                except OverflowError:
+                    pass
+            assert (sys.getrefcount(points), [sys.getrefcount(x) for x in items]) == before
 
 
 SCRIPT = (

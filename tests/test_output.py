@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 
@@ -242,11 +243,30 @@ class TestSvg:
         [(1, 2, 3), (4, 5)], [(1,), (2, 3)], [1.0, 2.0],
         np.ones((4, 3)), np.ones(6), np.ones((2, 2, 2)), np.ones((3, 3)),
         [("a", "b")], np.array([["a", "b"]]),
+        [(0, 1.0), ("1.5", 2)], [(1, b"2")], [(None, 1.0)], ["12", "34"],
+        np.array([["1.5", "2"]]), np.array([[b"1", b"2"]]),
+        np.array([[1.0, 2.0]], dtype=object), [(1, 10**400)], [(-(10**400), 1.0)],
     ], ids=["long", "short", "scalars", "array4x3", "array6", "array2x2x2", "array3x3",
-            "text", "text_array"])
+            "text", "text_array", "numeric_text", "bytes", "none", "text_pairs",
+            "numeric_text_array", "bytes_array", "object_array", "huge_int",
+            "huge_negative_int"])
     def test_malformed_points_rejected(self, points, tmp_path):
         with pytest.raises(pg.InputError, match="series 'bad'"):
             pg.emit_svg_plot([("ok", [(0, 1.0)]), ("bad", points)], str(tmp_path / "x.svg"))
+
+    def test_real_numbers_of_any_kind_accepted(self, tmp_path):
+        """bools, numpy scalars, ints past 2^64, namedtuple pairs and integer
+        arrays plot as the floats they convert to."""
+        Pair = collections.namedtuple("Pair", "t v")
+        as_floats = [(0.0, 1.0), (1.0, 0.5), (2.0, 2.0**70), (3.0, 0.25)]
+        mixed = [(False, True), [np.int64(1), np.float32(0.5)], Pair(2, 2**70),
+                 (np.uint8(3), np.float64(0.25))]
+        path, ref = tmp_path / "mixed.svg", tmp_path / "floats.svg"
+        pg.emit_svg_plot([("a", as_floats), ("b", np.array([[0, 3], [4, 5]]))], str(ref))
+        for points in (mixed, tuple(mixed)):
+            pg.emit_svg_plot([("a", points), ("b", np.array([[0, 3], [4, 5]], np.uint16))],
+                             str(path))
+            assert path.read_bytes() == ref.read_bytes()
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(pg.InputError):

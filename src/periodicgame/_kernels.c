@@ -11,6 +11,10 @@
  * A return value of -1 means exp() overflowed on a finite argument, where
  * Python's math.exp raises OverflowError.
  *
+ * kl_rows computes simplex.kl_to_reference, the joint KL from the
+ * reference to each recorded state, in one pass over both players' blocks
+ * with the additions of the numpy columns it replaces, in their order.
+ *
  * format_csv_rows and format_plot_points write the bytes that Python's
  * "%d,%d,%.17g,..." and "%.3f,%.3f" templates write, for the emitters in
  * output.py.  Both round exactly without printf (put_g17, put_fixed3) and
@@ -234,6 +238,39 @@ long run_reduced_composite(const double *z0, double eta, long n_steps, double *o
             out[(step + 1) * 4 + k] = z[k];
     }
     return 0;
+}
+
+/* KL(reference, x) for one player's row x of k normalized log-probabilities:
+ * the terms (rlp_j - x_j) * rp_j of the coordinates where the reference has
+ * mass, added from left to right from +0.0, or +inf when x vanishes (falls
+ * below log_zero) on one of them. */
+static double player_kl(const double *rp, const double *rlp, const double *x, long k,
+                        double log_zero)
+{
+    double acc = 0.0;
+    int vanished = 0;
+    for (long j = 0; j < k; j++)
+        if (rp[j] > 0.0) {
+            acc += (rlp[j] - x[j]) * rp[j];
+            vanished |= x[j] < log_zero;
+        }
+    return vanished ? INFINITY : acc;
+}
+
+/* Joint KL(reference, state) per row of lp1 (rows, m) and lp2 (rows, n) into
+ * out (rows,): 0.0 + kl1 + kl2, then clamped at 0.0 with NaN kept, as
+ * kl_to_reference adds its two player columns into zeros and clamps them
+ * with np.maximum.  ref holds the reference's probabilities and normalized
+ * log-probabilities, m of each for player 1, then n of each for player 2. */
+void kl_rows(const double *ref, const double *lp1, long m, const double *lp2, long n,
+             long rows, double log_zero, double *out)
+{
+    const double *rp2 = ref + 2 * m;
+    for (long r = 0; r < rows; r++) {
+        double kl = 0.0 + player_kl(ref, ref + m, lp1 + r * m, m, log_zero);
+        kl += player_kl(rp2, rp2 + n, lp2 + r * n, n, log_zero);
+        out[r] = kl < 0.0 ? 0.0 : kl;
+    }
 }
 
 /* The "C" LC_NUMERIC locale the text functions run in; a second load of

@@ -3,6 +3,10 @@
 ``_kernels.c`` holds the trajectory kernels ``run_schedule`` (all three
 rules) and ``run_reduced_composite``, written operation for operation like
 the pure-Python kernels in this module, so both backends give the same bits,
+``kl_rows``, the joint KL to a reference per recorded state behind
+``simplex.kl_to_reference``, which adds the terms that its numpy fallback
+adds in the same order (``kl_rows`` is None on the Python backend, where
+that fallback runs),
 the CSV writer ``format_csv_rows``, which writes the same bytes as the
 Python template it replaces, the two passes of an SVG series,
 ``plot_extent`` (the kept points' count and extremes) and
@@ -457,6 +461,8 @@ def _load(environ):
     lib.parse_csv_rows.restype = long_
     lib.count_byte.argtypes = [ctypes.c_char_p, long_, long_, ctypes.c_int]
     lib.count_byte.restype = long_
+    lib.kl_rows.argtypes = [ptr, ptr, long_, ptr, long_, long_, double, ptr]
+    lib.kl_rows.restype = None
     return lib, f"native: {how} {path}"
 
 
@@ -526,6 +532,21 @@ def _bind(lib):
         _out_buffer("out", out, (4,), max(n_steps, 0) + 1)
         if lib.run_reduced_composite(z.ctypes.data, float(eta), n_steps, out.ctypes.data) < 0:
             raise OverflowError("math range error")
+
+    def kl_rows(rp1, rlp1, lp1, rp2, rlp2, lp2, log_zero):
+        a1 = np.ascontiguousarray(lp1, dtype=np.float64)
+        a2 = np.ascontiguousarray(lp2, dtype=np.float64)
+        m, n = np.shape(rp1), np.shape(rp2)
+        if not (len(m) == len(n) == 1 and np.shape(rlp1) == m and np.shape(rlp2) == n
+                and a1.ndim == 2 and a1.shape[1:] == m and a2.shape == (len(a1), *n)):
+            raise InputError("lp1/lp2 must be (rows, m)/(rows, n) blocks under (m,)/(n,) "
+                             "reference vectors")
+        # One buffer for the four reference vectors: one pointer, not four.
+        ref = np.concatenate((rp1, rlp1, rp2, rlp2), dtype=np.float64)
+        out = np.empty(len(a1))
+        lib.kl_rows(ref.ctypes.data, a1.ctypes.data, m[0], a2.ctypes.data, n[0],
+                    len(out), float(log_zero), out.ctypes.data)
+        return out
 
     def write_blocks(fill, args, total, fh, cap):
         # fill(*args, start, total, buf, cap, &length) formats items from
@@ -608,14 +629,14 @@ def _bind(lib):
 
     return types.SimpleNamespace(
         run_schedule=run_schedule, run_reduced_composite=run_reduced_composite,
-        format_csv_rows=format_csv_rows, plot_extent=plot_extent,
+        kl_rows=kl_rows, format_csv_rows=format_csv_rows, plot_extent=plot_extent,
         format_plot_points=format_plot_points, parse_csv_rows=parse_csv_rows,
         read_pairs=read_pairs_py if pairs_into is None else read_pairs)
 
 
 _PYTHON = types.SimpleNamespace(
     run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
-    format_csv_rows=format_csv_rows_py, plot_extent=plot_extent_py,
+    kl_rows=None, format_csv_rows=format_csv_rows_py, plot_extent=plot_extent_py,
     format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py,
     read_pairs=read_pairs_py)
 
@@ -623,6 +644,7 @@ _lib, _reason = _load(os.environ)
 _active = _PYTHON if _lib is None else _bind(_lib)
 run_schedule = _active.run_schedule
 run_reduced_composite = _active.run_reduced_composite
+kl_rows = _active.kl_rows
 format_csv_rows = _active.format_csv_rows
 plot_extent = _active.plot_extent
 format_plot_points = _active.format_plot_points

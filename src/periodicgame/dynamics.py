@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -21,9 +22,9 @@ from .simplex import (
     PeriodicGame,
     Simplex,
     Trajectory,
-    fold_columns,
     kl_to_reference,
     normalize_log_weights,
+    smallest_component,
 )
 
 
@@ -126,6 +127,15 @@ def _resolve_init(init) -> OmwuState:
     raise InputError(f"init must be a JointState or OmwuState, got {type(init).__name__}")
 
 
+def _require_count(value, name: str) -> None:
+    """Reject a step count that is not an integer >= 1; Python and numpy
+    integers pass, floats do not, even whole ones."""
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise InputError(f"{name} must be >= 1")
+
+
 def default_record_every(steps: int) -> int:
     return 1 if steps <= 100_000 else 10
 
@@ -146,13 +156,11 @@ def run_trajectory(
     step.  Deterministic: identical inputs give bit-identical output.
     """
     algo = Algorithm(algo)
-    if steps < 1:
-        raise InputError("steps must be >= 1")
+    _require_count(steps, "steps")
     require_step_size(eta)
     if record_every is None:
         record_every = default_record_every(steps)
-    if record_every < 1:
-        raise InputError("record_every must be >= 1")
+    _require_count(record_every, "record_every")
 
     state = _resolve_init(init)
     if state.current.dims != (game.m, game.n):
@@ -178,8 +186,7 @@ def run_trajectory(
     if written != rec.size:  # pragma: no cover - internal consistency
         raise NumericalError(f"recorded {written} states, expected {rec.size}")
 
-    minc = np.minimum(fold_columns(np.minimum, np.exp(out1)),
-                      fold_columns(np.minimum, np.exp(out2)))
+    minc = smallest_component(out1, out2)
     if reference is not None:
         kl = kl_to_reference(reference, out1, out2)
     else:

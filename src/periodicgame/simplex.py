@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import _kernels
 from .errors import InputError
 
 # Double precision underflows near exp(-745.13); below this a coordinate
@@ -321,8 +322,13 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=np.int64)
-        if t.size == 0 or (np.diff(t) <= 0).any():
+        # Compared, not differenced: np.diff of far-apart int64 times wraps.
+        if t.ndim != 1 or t.size == 0 or (t[1:] <= t[:-1]).any():
             raise InputError("trajectory times must be nonempty and strictly increasing")
+        if any(np.shape(a)[:1] != t.shape for a in (self.log_probs1, self.log_probs2,
+                                                     self.kl_to_ref, self.min_component)):
+            raise InputError(f"log_probs1, log_probs2, kl_to_ref and min_component must "
+                             f"each have one row per recorded time ({t.size})")
         object.__setattr__(self, "times", t)
 
     @property
@@ -343,8 +349,10 @@ class Trajectory:
 
     @property
     def is_contiguous(self) -> bool:
-        """True when every step was recorded (record_every == 1)."""
-        return bool((np.diff(self.times) == 1).all())
+        """True when every step was recorded (record_every == 1): strictly
+        increasing integers are consecutive exactly when the last is the
+        first plus their count less one."""
+        return int(self.times[-1]) - int(self.times[0]) == self.times.size - 1
 
     def state_at(self, r: int) -> JointState:
         return JointState(Simplex(self.log_probs1[r]), Simplex(self.log_probs2[r]))
@@ -356,8 +364,26 @@ class Trajectory:
 
 def kl_to_reference(reference: JointState, log_probs1: np.ndarray,
                     log_probs2: np.ndarray) -> np.ndarray:
-    """Vectorized KL(reference, state_r) over recorded log-probabilities."""
-    out = np.zeros(log_probs1.shape[0])
-    out += _kl_rows(reference.x1, log_probs1)
-    out += _kl_rows(reference.x2, log_probs2)
+    """KL(reference, state_r) for each row r of the (R, m) and (R, n) blocks
+    of normalized log-probabilities, never below zero."""
+    s1, s2 = np.shape(log_probs1), np.shape(log_probs2)
+    if len(s1) != 2 or s1[:1] != s2[:1] or s1[1:] + s2[1:] != reference.dims:
+        raise InputError(f"log-probability blocks of shapes {s1} and {s2} do not match "
+                         f"the reference's dimensions {reference.dims} row for row")
+    r1, r2 = reference.x1, reference.x2
+    if _kernels.kl_rows is not None:
+        return _kernels.kl_rows(r1.probabilities, r1.log_probabilities, log_probs1,
+                                r2.probabilities, r2.log_probabilities, log_probs2, LOG_ZERO)
+    out = np.zeros(s1[0])
+    out += _kl_rows(r1, log_probs1)
+    out += _kl_rows(r2, log_probs2)
     return np.maximum(out, 0.0)
+
+
+def smallest_component(log_probs1: np.ndarray, log_probs2: np.ndarray) -> np.ndarray:
+    """The smallest probability of each recorded joint state, from its rows
+    of normalized log-probabilities: exp of their minimum, which is the
+    minimum of their exps bit for bit, since exp never decreases."""
+    low = fold_columns(np.minimum, log_probs1)
+    np.minimum(low, fold_columns(np.minimum, log_probs2), out=low)
+    return np.exp(low, out=low)

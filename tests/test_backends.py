@@ -20,8 +20,10 @@ from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
 from periodicgame import _kernels, output
+from periodicgame.simplex import LOG_ZERO, _kl_rows, fold_columns, kl_to_reference, \
+    smallest_component
 
-from conftest import clean_env
+from conftest import clean_env, old_kl_rows
 
 ALGOS = (_kernels.ALGO_MWU, _kernels.ALGO_OMWU, _kernels.ALGO_EXTRA)
 HAVE_CC = shutil.which("cc") is not None
@@ -738,12 +740,163 @@ class TestNativeWrapper:
             with pytest.raises(pg.InputError):
                 native_kernels.parse_csv_rows(*args)
 
+    def test_kl_shapes_rejected(self, native_kernels):
+        rp, rlp = np.full(2, 0.5), np.log(np.full(2, 0.5))
+        good = np.zeros((3, 2))
+        for lp1, lp2, ref2 in ((good, np.zeros((2, 2)), rp), (np.zeros((3, 3)), good, rp),
+                               (good, good, np.full(3, 1 / 3)), (np.zeros(2), good, rp),
+                               (good, np.zeros((3, 2, 1)), rp)):
+            with pytest.raises(pg.InputError):
+                native_kernels.kl_rows(rp, rlp, lp1, ref2, rlp, lp2, LOG_ZERO)
+
     def test_reduced_buffers_rejected(self, native_kernels):
         z0 = np.full(4, 0.5)
         with pytest.raises(pg.InputError):
             native_kernels.run_reduced_composite(z0, 0.1, 5, np.empty((5, 4)))
         with pytest.raises(pg.InputError):
             native_kernels.run_reduced_composite(np.full(3, 0.5), 0.1, 5, np.empty((6, 4)))
+
+
+# The per-record observables against the expressions they replaced: the KL
+# as kl_to_reference added it up in numpy columns, the smallest component as
+# the minimum of the exponentiated blocks, and contiguity as a scan of the
+# time steps.
+
+def _old_kl_to_reference(reference, lp1, lp2, rows_fn=_kl_rows):
+    out = np.zeros(lp1.shape[0])
+    out += rows_fn(reference.x1, lp1)
+    out += rows_fn(reference.x2, lp2)
+    return np.maximum(out, 0.0)
+
+
+def _old_smallest_component(lp1, lp2):
+    return np.minimum(fold_columns(np.minimum, np.exp(lp1)),
+                      fold_columns(np.minimum, np.exp(lp2)))
+
+
+def _nan_bits(a):
+    """The bit patterns of a float array, with every NaN as one pattern."""
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+# Log-weights of a reference: zero mass (-inf), mass that is subnormal once
+# normalized (-710) or that underflows to zero (-745.5), both zeros.
+_REF_ENTRIES = st.one_of(st.sampled_from([-np.inf, -0.0, 0.0, -710.0, -745.5, -30.0]),
+                         st.floats(-40.0, 5.0))
+# Block entries that are not ordinary: -inf, LOG_ZERO and its neighbours,
+# both zeros, NaN, and values far out on either side.
+_SPECIALS = [-np.inf, LOG_ZERO, float(np.nextafter(LOG_ZERO, -np.inf)),
+             float(np.nextafter(LOG_ZERO, np.inf)), -0.0, 0.0, np.nan, -800.0, -1e-300, 1e308]
+
+
+@st.composite
+def _reference_block(draw, rows):
+    """A reference Simplex of 2 to 9 coordinates and a (rows, k) block whose
+    entries are specials, ordinary values, or the reference's own
+    log-probabilities moved by at most one ulp.  Some rows hold only the
+    last kind, so that KL lands on zero, just around it, and (under
+    subnormal reference mass) below the smallest normal double."""
+    k = draw(st.integers(2, 9))
+    ref = pg.Simplex(draw(st.lists(_REF_ENTRIES, min_size=k, max_size=k).filter(
+        lambda lw: np.isfinite(lw).any())))
+    lp = np.broadcast_to(ref.log_probabilities, (rows, k))
+    near = len(_SPECIALS)
+    choices = [np.full((rows, k), v) for v in _SPECIALS] + [
+        lp, np.nextafter(lp, np.inf), np.nextafter(lp, -np.inf),
+        draw(hnp.arrays(np.float64, (rows, k), elements=st.floats(-60.0, 5.0)))]
+    kinds = draw(hnp.arrays(np.int8, (rows, k),
+                            elements=st.integers(0, len(choices) - 1)))
+    near_kinds = draw(hnp.arrays(np.int8, (rows, k), elements=st.integers(near, near + 2)))
+    near_rows = draw(hnp.arrays(np.bool_, (rows, 1)))
+    return ref, np.choose(np.where(near_rows, near_kinds, kinds), choices)
+
+
+@st.composite
+def _kl_case(draw):
+    rows = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    (r1, lp1), (r2, lp2) = draw(_reference_block(rows)), draw(_reference_block(rows))
+    return pg.JointState(r1, r2), lp1, lp2
+
+
+class TestObservablesMatchOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_kl_case())
+    def test_native_kl_matches_the_numpy_columns(self, native_kernels, case):
+        ref, lp1, lp2 = case
+        with np.errstate(all="ignore"):
+            old = _old_kl_to_reference(ref, lp1, lp2)
+            broadcast = _old_kl_to_reference(ref, lp1, lp2, old_kl_rows)
+        native = native_kernels.kl_rows(ref.x1.probabilities, ref.x1.log_probabilities, lp1,
+                                        ref.x2.probabilities, ref.x2.log_probabilities, lp2,
+                                        LOG_ZERO)
+        assert np.array_equal(native.view(np.uint64), old.view(np.uint64))
+        assert np.array_equal(_nan_bits(native), _nan_bits(broadcast))
+        with np.errstate(all="ignore"):   # the fallback runs under CC=none
+            active = kl_to_reference(ref, lp1, lp2)
+        assert np.array_equal(active.view(np.uint64), old.view(np.uint64))
+
+    def test_near_zero_and_subnormal_kl(self, native_kernels):
+        # exp(-710) is subnormal: one ulp off on that coordinate alone
+        # leaves a subnormal KL; off elsewhere it goes just below zero,
+        # where the clamp returns +0.0.
+        ref = pg.JointState(pg.Simplex([0.0, -710.0]), pg.Simplex([0.0, 0.0, -np.inf]))
+        lp1 = np.tile(ref.x1.log_probabilities, (3, 1))
+        lp2 = np.tile(ref.x2.log_probabilities, (3, 1))
+        lp1[1, 1] = np.nextafter(lp1[1, 1], -np.inf)
+        lp1[2, 0] = np.nextafter(lp1[2, 0], np.inf)
+        with np.errstate(all="ignore"):
+            old = _old_kl_to_reference(ref, lp1, lp2)
+        native = native_kernels.kl_rows(ref.x1.probabilities, ref.x1.log_probabilities, lp1,
+                                        ref.x2.probabilities, ref.x2.log_probabilities, lp2,
+                                        LOG_ZERO)
+        assert 0.0 < old[1] < np.finfo(float).tiny
+        assert old[2] == 0.0 and not np.signbit(old[2])
+        assert np.array_equal(native.view(np.uint64), old.view(np.uint64))
+
+    def test_many_rows_on_a_trajectory(self, native_kernels, game2x2):
+        ref = pg.JointState.from_probabilities([0.5, 0.5], [0.5, 0.5])
+        init = pg.JointState.from_probabilities([0.45, 0.55], [0.45, 0.55])
+        # OMWU reaches the boundary: finite KL, then +inf.
+        traj = pg.run_trajectory(game2x2, "omwu", init, 0.5, 40_000, reference=ref)
+        old = _old_kl_to_reference(ref, traj.log_probs1, traj.log_probs2)
+        assert np.isfinite(old).any() and np.isinf(old).any()
+        assert np.array_equal(traj.kl_to_ref.view(np.uint64), old.view(np.uint64))
+        native = native_kernels.kl_rows(ref.x1.probabilities, ref.x1.log_probabilities,
+                                        traj.log_probs1, ref.x2.probabilities,
+                                        ref.x2.log_probabilities, traj.log_probs2, LOG_ZERO)
+        assert np.array_equal(native.view(np.uint64), old.view(np.uint64))
+        with mock.patch.object(_kernels, "kl_rows", None):
+            fallback = kl_to_reference(ref, traj.log_probs1, traj.log_probs2)
+        assert np.array_equal(fallback.view(np.uint64), old.view(np.uint64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_kl_case())
+    def test_smallest_component_is_the_minimum_of_exps(self, case):
+        _, lp1, lp2 = case
+        with np.errstate(all="ignore"):
+            old = _old_smallest_component(lp1, lp2)
+            got = smallest_component(lp1, lp2)
+        assert np.array_equal(_nan_bits(got), _nan_bits(old))
+        assert np.array_equal(np.isnan(got), np.isnan(old))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 3), max_size=30), st.integers(-2**62, 2**62))
+    def test_is_contiguous_matches_the_step_scan(self, gaps, start):
+        times = start + np.cumsum([0] + gaps)
+        traj = pg.Trajectory(times=times, log_probs1=np.zeros((times.size, 2)),
+                             log_probs2=np.zeros((times.size, 2)),
+                             kl_to_ref=np.zeros(times.size), min_component=np.zeros(times.size),
+                             period=1, eta=0.1, algo="mwu")
+        assert traj.is_contiguous is bool((np.diff(traj.times) == 1).all())
+
+    def test_is_contiguous_across_the_int64_range(self):
+        for times in ([-2**63, 2**63 - 1], [-2**63, -2**63 + 1], [2**63 - 2, 2**63 - 1],
+                      [-2**63, 0, 2**63 - 1]):
+            rows = len(times)
+            traj = pg.Trajectory(times=times, log_probs1=np.zeros((rows, 2)),
+                                 log_probs2=np.zeros((rows, 2)), kl_to_ref=np.zeros(rows),
+                                 min_component=np.zeros(rows), period=1, eta=0.1, algo="mwu")
+            assert traj.is_contiguous is (times[-1] - times[0] == rows - 1)
 
 
 def _old_points(label, points):

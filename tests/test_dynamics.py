@@ -210,6 +210,19 @@ class TestRunTrajectory:
         with pytest.raises(pg.InputError):
             pg.run_trajectory(game2x2, "extra", pg.JointState.uniform(3, 3), 0.1, 10)
 
+    @pytest.mark.parametrize("counts", [dict(steps=2.5), dict(steps=4.0),
+                                        dict(steps=5, record_every=1.5),
+                                        dict(steps=5, record_every=np.float64(2.0)),
+                                        dict(steps="5")])
+    def test_counts_must_be_integers(self, game2x2, counts):
+        with pytest.raises(pg.InputError, match="must be an integer"):
+            pg.run_trajectory(game2x2, "mwu", pg.JointState.uniform(2, 2), 0.1, **counts)
+
+    def test_numpy_integer_counts(self, game2x2):
+        traj = pg.run_trajectory(game2x2, "mwu", pg.JointState.uniform(2, 2), 0.1,
+                                 np.int64(5), record_every=np.int32(2))
+        assert traj.times.tolist() == [0, 2, 4, 5]
+
 
 class TestMaxStepSize:
     def test_alternating_game_is_one(self, game2x2):

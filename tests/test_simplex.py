@@ -156,6 +156,43 @@ class TestKlDivergence:
             with pytest.raises(pg.InputError, match=r"dimension mismatch: \(2, [23]\) vs"):
                 call()
 
+    def test_kl_to_reference_needs_matching_blocks(self):
+        ref = joint([0.5, 0.5], [0.5, 0.5])
+        good = np.log(np.full((3, 2), 0.5))
+        assert pg.simplex.kl_to_reference(ref, good, good).tolist() == [0.0] * 3
+        for lp1, lp2 in ((good, good[:2]), (np.log(np.full((3, 3), 1 / 3)), good),
+                         (good, good[:, :1]), (good[0], good[0]), (good, good[:, :, None])):
+            with pytest.raises(pg.InputError, match=r"do not match the reference's dimensions"):
+                pg.simplex.kl_to_reference(ref, lp1, lp2)
+
+
+def _trajectory(times, rows=None, **over):
+    rows = len(times) if rows is None else rows
+    fields = dict(times=times, log_probs1=np.zeros((rows, 2)), log_probs2=np.zeros((rows, 2)),
+                  kl_to_ref=np.zeros(rows), min_component=np.zeros(rows), period=1,
+                  eta=0.1, algo="mwu")
+    fields.update(over)
+    return pg.Trajectory(**fields)
+
+
+class TestTrajectoryValidation:
+    def test_times_far_apart_are_increasing(self):
+        traj = _trajectory([-2**63, 2**63 - 1])
+        assert traj.times.tolist() == [-2**63, 2**63 - 1] and not traj.is_contiguous
+
+    @pytest.mark.parametrize("times", [[], [0, 0], [3, 2], [2**63 - 1, -2**63], [[0, 1]]])
+    def test_times_must_increase(self, times):
+        with pytest.raises(pg.InputError, match="strictly increasing"):
+            _trajectory(times, rows=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("log_probs1", np.zeros((3, 2))), ("log_probs2", np.zeros((6, 2))),
+        ("kl_to_ref", np.zeros(4)), ("min_component", np.zeros(0)),
+        ("min_component", np.float64(0.5))])
+    def test_one_row_per_time(self, field, value):
+        with pytest.raises(pg.InputError, match=r"one row per recorded time \(5\)"):
+            _trajectory(list(range(5)), **{field: value})
+
 
 # Row values for the fold parity tests: infinities, both zeros, NaN, values
 # below LOG_ZERO and ordinary numbers.

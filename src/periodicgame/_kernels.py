@@ -24,7 +24,8 @@ variable is unset), under a name keyed by a sha256 of the source, the
 compiler flags, the ``$CC`` words, the resolved compiler's size and mtime,
 and the interpreter (``sys.implementation.cache_tag`` and ``sys.version``),
 so a library is never loaded into another Python; later imports load the
-cached library with ctypes and start no process.  ``pairs_into`` reads
+cached library with ctypes, start no process and import neither
+``subprocess`` nor ``tempfile``, which only a build needs.  ``pairs_into`` reads
 Python objects, so it is bound through ``ctypes.PyDLL``, which keeps the GIL
 during the call; where the library has no such function (no Python.h at
 build time, or a build without a GIL) or the interpreter is not CPython,
@@ -49,9 +50,7 @@ import os
 import re
 import shlex
 import shutil
-import subprocess
 import sys
-import tempfile
 import types
 
 import numpy as np
@@ -407,6 +406,11 @@ def _build_library(environ):
     path = os.path.join(cache, f"_kernels-{key.hexdigest()[:16]}.so")
     if os.path.exists(path):
         return path, "cached"
+    # Only a build starts a process, makes a temporary file and reads the
+    # interpreter's include directory, so a cached import loads none of these.
+    import subprocess
+    import sysconfig
+    import tempfile
     try:
         os.makedirs(cache, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
@@ -414,7 +418,6 @@ def _build_library(environ):
         os.close(fd)
     except OSError as exc:
         raise _BuildError(f"cache {cache} not writable: {exc}") from None
-    import sysconfig   # only a build reads the interpreter's include directory
     include = sysconfig.get_paths()["include"]
     try:
         proc = subprocess.run(cc + [*_CFLAGS, f"-I{include}", "-o", tmp, _SOURCE, "-lm"],

@@ -2,11 +2,19 @@
 
 Exit codes: 0 success / property passed, 1 usage or config error,
 2 numerical failure, 3 property-check failure.
+
+``main(argv)`` runs one command and returns its exit code.  ``run()`` is
+the process entry (``python -m periodicgame.cli`` and the ``periodicgame``
+script): it flushes stdout and stderr after ``main()`` and ends the process
+with ``os._exit``, skipping the interpreter's teardown of numpy and every
+module; after a failed flush or under a tracer or profiler it exits
+through ``sys.exit`` as any script does.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -355,5 +363,23 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Exit the process with ``main()``'s code, without interpreter teardown
+    when nothing is left to do at exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:   # a closed pipe, a full disk, no stream: the normal exit handles it
+        sys.exit(code)
+    # A tracer or profiler (coverage, cProfile, a debugger) may still have
+    # work to do at exit; coverage may watch through sys.monitoring (3.12+).
+    monitoring = getattr(sys, "monitoring", None)
+    if (sys.gettrace() is not None or sys.getprofile() is not None
+            or (monitoring is not None and any(map(monitoring.get_tool, range(6))))):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

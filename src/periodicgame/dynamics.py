@@ -127,13 +127,13 @@ def _resolve_init(init) -> OmwuState:
     raise InputError(f"init must be a JointState or OmwuState, got {type(init).__name__}")
 
 
-def _require_count(value, name: str) -> None:
-    """Reject a step count that is not an integer >= 1; Python and numpy
-    integers pass, floats do not, even whole ones."""
+def _require_count(value, name: str, least: int = 1) -> None:
+    """Reject a step count that is not an integer >= ``least``; Python and
+    numpy integers pass, floats do not, even whole ones."""
     if not isinstance(value, numbers.Integral):
         raise InputError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise InputError(f"{name} must be >= 1")
+    if value < least:
+        raise InputError(f"{name} must be >= {least}")
 
 
 def default_record_every(steps: int) -> int:
@@ -244,8 +244,7 @@ def iterate_reduced(z0, eta: float, n_steps: int) -> np.ndarray:
     """Iterate the composite map n_steps times; returns (n_steps+1, 4)."""
     z0 = _check_reduced_state(z0)
     require_step_size(eta)
-    if n_steps < 0:
-        raise InputError("n_steps must be >= 0")
+    _require_count(n_steps, "n_steps", least=0)
     out = np.empty((n_steps + 1, 4))
     _kernels.run_reduced_composite(z0, float(eta), int(n_steps), out)
     return out

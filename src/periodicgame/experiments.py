@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -112,6 +111,7 @@ def parse_config(path: str) -> RunConfig:
     """Parse and validate a JSON run configuration; unknown fields and
     schema violations (JSON true/false count as no number) are rejected
     with the offending field named."""
+    import json   # here, not at the top: only simulate reads a JSON file
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)

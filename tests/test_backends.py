@@ -1082,6 +1082,17 @@ def test_cached_import_starts_no_process(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == f"native: cached {path}"
+    # Nor does it import the modules that only a build or a config file
+    # needs, beyond what numpy itself imports.
+    script = ("import sys\n"
+              "import numpy\n"
+              "before = set(sys.modules)\n"
+              "import periodicgame.cli\n"
+              "print(periodicgame.backend_reason())\n"
+              "print(sorted({'json', 'subprocess', 'tempfile'} & (set(sys.modules) - before)))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines() == [f"native: cached {path}", "[]"]
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")

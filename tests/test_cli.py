@@ -1,11 +1,17 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 
 import periodicgame as pg
-from periodicgame.cli import main
+from periodicgame.cli import main, run
+
+from conftest import clean_env
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOOD_CSV = ("t,phase,x1_1,x1_2,x2_1,x2_2,kl_to_ref,min_component\n"
@@ -275,3 +281,94 @@ class TestCliCommands:
         assert code == 0
         for name in ("game2x2", "exp1", "exp2", "nocommon3"):
             assert (tmp_path / f"{name}.csv").exists()
+
+
+PROPERTY_ARGV = ["verify", "orbit", "--steps", "1000", "--expect", "converged_point"]
+# One command per exit code, as the process entry runs them.
+PROCESS_CASES = [
+    pytest.param(["experiment", "--all"], 0, id="ok"),
+    pytest.param(["experiment", "game2x2", "--algo", "bogus"], 1, id="usage"),
+    pytest.param(["verify", "kl-monotone", "--experiment", "nocommon3", "--steps", "100"], 2,
+                 id="numerical"),
+    pytest.param(PROPERTY_ARGV, 3, id="property"),
+]
+ATEXIT = "atexit handler ran"
+
+
+def _process_env():
+    """The children's environment: stdout block-buffered, so an output that
+    was never flushed goes missing, and the backend of this session."""
+    env = clean_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if "CC" in os.environ:
+        env["CC"] = os.environ["CC"]
+    return env
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def _child(tmp_path, args, stdout=None):
+    """(exit code, stdout, stderr) of a Python child with stdout in a file."""
+    out_path = tmp_path / "stdout.txt"
+    with open(out_path, "w") as out:
+        proc = subprocess.run([sys.executable, *args], stdout=stdout or out,
+                              stderr=subprocess.PIPE, text=True, env=_process_env(),
+                              cwd=tmp_path, timeout=300)
+    return proc.returncode, out_path.read_text(), proc.stderr
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("argv, code", PROCESS_CASES)
+    def test_process_matches_main(self, tmp_path, capsys, argv, code):
+        expected = _in_process(argv, capsys)
+        assert expected[0] == code
+        assert _child(tmp_path, ["-m", "periodicgame.cli", *argv]) == expected
+
+    @pytest.mark.parametrize("hook", ["", "sys.settrace(lambda *args: None)\n",
+                                      "sys.setprofile(lambda *args: None)\n"],
+                             ids=["plain", "settrace", "setprofile"])
+    def test_process_exit_under_tracer_or_profiler(self, tmp_path, capsys, hook):
+        """Under a tracer or profiler run() exits through sys.exit, so the
+        atexit handlers that coverage and cProfile rely on run; otherwise
+        it skips them along with the rest of the teardown."""
+        script = ("import atexit, sys\n"
+                  "from periodicgame.cli import run\n"
+                  f"atexit.register(print, {ATEXIT!r}, file=sys.stderr)\n"
+                  f"sys.argv[1:] = {PROPERTY_ARGV!r}\n"
+                  f"{hook}run()\n")
+        code, out, err = _child(tmp_path, ["-c", script])
+        expected = _in_process(PROPERTY_ARGV, capsys)
+        assert (code, out) == expected[:2]
+        assert err == expected[2] + (f"{ATEXIT}\n" if hook else "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_process_failed_flush_exits_normally(self, tmp_path):
+        """A flush that fails is reported and fails the process as it does
+        after sys.exit, not dropped by os._exit."""
+        with open("/dev/full", "w") as full:
+            code, _, err = _child(tmp_path, ["-m", "periodicgame.cli", "experiment", "--list"],
+                                  stdout=full)
+        assert code == 120
+        assert "No space left on device" in err
+
+    def test_process_exit_under_monitoring_tool(self, monkeypatch, capsys):
+        """A sys.monitoring tool (Python 3.12+; coverage's sysmon core) also
+        keeps the normal exit."""
+        def refuse(code):
+            raise AssertionError("os._exit under a monitoring tool")
+
+        tools = types.SimpleNamespace(get_tool=lambda i: "coverage.py" if i == 1 else None)
+        monkeypatch.setattr(sys, "monitoring", tools, raising=False)
+        monkeypatch.setattr(sys, "argv", ["periodicgame", "experiment", "--list"])
+        monkeypatch.setattr(os, "_exit", refuse)
+        with pytest.raises(SystemExit) as info:
+            run()
+        assert info.value.code == 0
+        assert "game2x2" in capsys.readouterr().out

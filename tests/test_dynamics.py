@@ -302,6 +302,19 @@ class TestReducedMap:
             with pytest.raises(pg.InputError, match=r"must lie in \[0, 1\]"):
                 call()
 
+    @pytest.mark.parametrize("n_steps", [2.5, 3.0, np.float64(2.0), "3"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(pg.InputError, match="n_steps must be an integer"):
+            pg.iterate_reduced([0.4, 0.45, 0.55, 0.6], 0.05, n_steps)
+
+    def test_step_count_range(self):
+        z = [0.4, 0.45, 0.55, 0.6]
+        with pytest.raises(pg.InputError, match="n_steps must be >= 0"):
+            pg.iterate_reduced(z, 0.05, -1)
+        assert pg.iterate_reduced(z, 0.05, 0).tolist() == [z]
+        path = pg.iterate_reduced(z, 0.05, np.int64(2))
+        assert path.shape == (3, 4) and path[0].tolist() == z
+
 
 class TestEtaBound:
     def test_symmetric_offset(self):

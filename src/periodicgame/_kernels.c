@@ -19,21 +19,22 @@
  * "%d,%d,%.17g,..." and "%.3f,%.3f" templates write, for the emitters in
  * output.py.  Both round exactly without printf (put_g17, put_fixed3) and
  * write eight digits at a time (eight_digits); snprintf writes only the
- * cells outside 1e-16 < |v| < 1e16 (zeros, NaN and inf among them), every
- * cell where the compiler has no unsigned __int128, and the points of
- * |v| >= 2^53 / 1000.  An SVG series takes two passes: plot_extent counts
- * the points that emit_svg_plot keeps and finds their extremes, and
- * format_plot_points drops the others, takes log10 (the libm function
- * that Python's math.log10 calls), scales and writes the rest, with the
- * bits of the numpy expressions of its Python fallback.
+ * cells outside 1e-16 < |v| < 1e16 (zeros, NaN and inf among them) and the
+ * points of |v| >= 2^53 / 1000.  An SVG series takes two passes:
+ * plot_extent counts the points that emit_svg_plot keeps and finds their
+ * extremes, and format_plot_points drops the others, takes log10 (the libm
+ * function that Python's math.log10 calls), scales and writes the rest,
+ * with the bits of the numpy expressions of its Python fallback.
  *
  * parse_csv_rows reads such a file back for read_csv: the columns t and
  * phase as exact int64, every other cell as the nearest double, which is
  * the written one.  Each cell is read in one pass, eight digits at a time
  * where eight bytes are left.  Cells of up to 19 significant digits with a
- * decimal exponent in [-31, 19] are rounded without strtod: by Eisel-Lemire
- * (eisel_lemire), or where it cannot decide, a tie or a near one, by exact
- * 128-bit division (exact_decimal); strtod reads the rest in place.
+ * decimal exponent in [-31, 19] are rounded by Eisel-Lemire (eisel_lemire);
+ * strtod reads the rest in place, and the ties and near ties that
+ * Eisel-Lemire cannot decide, which no "%.17g" cell is.  Both exact paths
+ * need unsigned __int128: a compiler without it stops at the #error below,
+ * and _kernels.py runs its Python functions instead.
  *
  * The three text functions switch the calling thread to the "C" LC_NUMERIC
  * locale with uselocale and restore the caller's before they return, so
@@ -70,6 +71,10 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+
+#ifndef __SIZEOF_INT128__
+#error "_kernels.c needs unsigned __int128 (64-bit gcc or clang)"
+#endif
 
 #define ALGO_MWU 0
 #define ALGO_OMWU 1
@@ -370,7 +375,6 @@ static char *put_printf(char *p, char *end, const char *fmt, double v)
     return p + snprintf(p, (size_t)(end - p), fmt, v);
 }
 
-#ifdef __SIZEOF_INT128__
 typedef unsigned __int128 u128;
 
 #define P5_27 7450580596923828125uLL
@@ -465,17 +469,14 @@ static char *put_g17(char *p, double v)
     p[x + 1] = '.';
     return p + nd + 1;
 }
-#endif
 
 /* One CSV cell at "%.17g".  POW5 covers decimal exponents from -16 up,
  * and the double nearest 1e-16 lies below 10^-16: the bound is exclusive. */
 static char *put_cell(char *p, char *end, double v)
 {
-#ifdef __SIZEOF_INT128__
     double a = fabs(v);
     if (a > 1e-16 && a < 1e16)
         return put_g17(p, v);
-#endif
     return put_printf(p, end, "%.17g", v);
 }
 
@@ -701,7 +702,6 @@ static const char *read_int(const char *s, const char *end, int64_t *out)
     return p;
 }
 
-#ifdef __SIZEOF_INT128__
 /* 5^q * 2^(127 - floor(q * log2(5))) for q = -31..19, in [2^127, 2^128):
  * {high, low} 64-bit halves, exact for q >= 0 and rounded up for q < 0. */
 static const uint64_t POW5_128[51][2] = {
@@ -742,7 +742,7 @@ static const uint64_t POW5_128[51][2] = {
  * half rounds down: so does X, also when X falls just under P's power of
  * two and rounds up to it.  f above half by more than the error rounds up.
  * Returns 0 where f is within the error of half, on a tie or a near one,
- * which exact_decimal rounds instead.  The double is then m * 2^k, as
+ * which strtod rounds instead.  Otherwise the double is m * 2^k, as
  * d * 10^q = X * 2^(q - l - 127 + floor(q * log2(5))), and 152170 * q >> 16
  * is that floor over the table's range. */
 static int eisel_lemire(uint64_t d, int q, double *out)
@@ -765,35 +765,17 @@ static int eisel_lemire(uint64_t d, int q, double *out)
     return 1;
 }
 
-/* The double nearest to d * 10^q, ties to even, for d < 10^19 and
- * -31 <= q <= 19, from exact integer arithmetic: the inverse of put_g17.
- * For q >= 0, d * 10^q < 2^128 and the integer-to-double conversion rounds
- * correctly.  For q < 0, d * 10^q = (N / 5^-q) * 2^(q - s) with
- * N = d * 2^s in [2^127, 2^128); the quotient keeps at least 56 bits as
- * 5^31 < 2^72, so a sticky bit for a nonzero remainder below them rounds
- * as the exact value does, and the power-of-two scaling stays normal. */
-static double exact_decimal(uint64_t d, int q)
-{
-    if (q >= 0)
-        return (double)((u128)d * (POW5[q] << q));
-    int s = 64 + __builtin_clzll(d);
-    u128 n = (u128)d << s, quo = n / POW5[-q];
-    quo |= n - quo * POW5[-q] != 0;
-    return ldexp((double)quo, q - s);
-}
-#endif
-
 /* Reads the number at s: an optional sign, then inf, infinity or nan in any
  * case, or digits with at most one '.' and at least one digit, then an
  * optional exponent "[eE][+-]digits".  This is the grammar of Python's
  * float() less underscores; strtod alone would also take hex floats and
  * "nan(...)".  One pass reads the number as d * 10^q, the digits d exact
  * when at most 19 of them are significant.  Those with q in [-31, 19] go
- * through eisel_lemire, or exact_decimal where it cannot decide; the rest
- * through strtod, which rounds correctly too (glibc; Clinger, PLDI
- * 1990) and reads the number in place: a byte after it (a blank, ',', '#',
- * a line end or the NUL after the buffer) cannot extend it.  Returns the
- * number's end, or NULL when none starts at s. */
+ * through eisel_lemire; the rest, and the ties it cannot decide, through
+ * strtod, which rounds correctly too (glibc; Clinger, PLDI 1990) and reads
+ * the number in place: a byte after it (a blank, ',', '#', a line end or
+ * the NUL after the buffer) cannot extend it.  Returns the number's end,
+ * or NULL when none starts at s. */
 static const char *read_double(const char *s, const char *end, double *out)
 {
     int neg = s < end && *s == '-';
@@ -835,12 +817,7 @@ static const char *read_double(const char *s, const char *end, double *out)
     double v;
     if (sig <= 19 && d == 0) {
         v = 0.0;
-#ifdef __SIZEOF_INT128__
-    } else if (sig <= 19 && q >= -31 && q <= 19) {
-        if (!eisel_lemire(d, (int)q, &v))
-            v = exact_decimal(d, (int)q);
-#endif
-    } else {
+    } else if (!(sig <= 19 && q >= -31 && q <= 19 && eisel_lemire(d, (int)q, &v))) {
         char *stop;
         *out = strtod(s, &stop);
         return stop == p ? p : NULL;

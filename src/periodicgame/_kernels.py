@@ -32,7 +32,8 @@ build time, or a build without a GIL) or the interpreter is not CPython,
 ``read_pairs`` is ``read_pairs_py`` and every other kernel stays native.
 The library's text functions run in the "C" numeric locale, which it makes
 once on load.  When anything fails (no compiler, a compile
-error, an unwritable cache, a library that does not load or cannot make that
+error, among them the ``#error`` of a compiler without ``unsigned __int128``,
+an unwritable cache, a library that does not load or cannot make that
 locale) the Python functions run instead and ``backend_reason()`` says why;
 a ``$CC`` that names no compiler forces them.  The ``*_py`` functions stay
 the reference that the native ones are tested against.

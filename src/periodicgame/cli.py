@@ -158,6 +158,11 @@ def _cmd_experiment(args) -> int:
             print(f"{spec.name}: {game.m}x{game.n}, period {game.period}, "
                   f"default algo {DEFAULT_ALGO.value}, eta {default_eta(DEFAULT_ALGO)}")
         return EXIT_OK
+    if args.all and (args.out_csv or args.out_svg):
+        raise ConfigError("--out-csv and --out-svg name one run's files; "
+                          "use --out-dir with --all")
+    if args.out_dir and not args.all:
+        raise ConfigError("--out-dir applies only to --all; use --out-csv for one run")
     if args.all:
         for spec in builtin_experiments():
             out_csv = None
@@ -207,6 +212,8 @@ def _composite(eta):
 
 def _cmd_analyze(args) -> int:
     eta = args.eta
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.what == "fixed-curve":
         worst = 0.0
         print(f"boundary fixed-point curve at eta={eta}")
@@ -259,6 +266,8 @@ def _report_exit(report) -> int:
 def _cmd_verify(args) -> int:
     # --tol replaces the checker's own default only when given.
     tol = {} if args.tol is None else {"tol": args.tol}
+    if args.cases < 1:
+        raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     if args.what == "identities":
         spec = experiment_by_name(args.experiment or "game2x2")
         eta = args.eta if args.eta is not None else 1e-3

@@ -188,12 +188,11 @@ def _init_state(pair) -> JointState:
     return JointState.from_probabilities(pair[0], pair[1])
 
 
-def resolve_game(cfg: RunConfig):
-    """The (game, spec-or-None) pair named by a config."""
+def resolve_game(cfg: RunConfig) -> PeriodicGame:
+    """The game a config names: its builtin experiment's, or its matrices."""
     if cfg.experiment is not None:
-        spec = experiment_by_name(cfg.experiment)
-        return spec.game, spec
-    return PeriodicGame(tuple(cfg.matrices)), None
+        return experiment_by_name(cfg.experiment).game
+    return PeriodicGame(tuple(cfg.matrices))
 
 
 def run_experiment(cfg: RunConfig):
@@ -202,7 +201,7 @@ def run_experiment(cfg: RunConfig):
 
     Returns (trajectory, equilibrium-or-None, {kind: path}).
     """
-    game, _ = resolve_game(cfg)
+    game = resolve_game(cfg)
     algo = Algorithm(cfg.algo) if cfg.algo else DEFAULT_ALGO
     eta = float(cfg.eta) if cfg.eta is not None else default_eta(algo)
     steps = cfg.steps if cfg.steps is not None else DEFAULT_STEPS

@@ -25,9 +25,9 @@ def clean_env(**updates):
 
 @pytest.fixture(scope="session")
 def native_kernels():
-    """The C kernels of the session, built with ``$CC`` (so a ``$CC`` without
-    unsigned __int128 tests the snprintf and strtod paths); where ``$CC``
-    names no compiler, the ones built with the default ``cc``, skipped only
+    """The C kernels of the session, built with ``$CC``; where the session
+    runs on the Python fallback (a ``$CC`` that names no compiler or cannot
+    build the library), the ones built with the default ``cc``, skipped only
     where no ``cc`` is on PATH."""
     if _kernels.backend_name() == "native":
         return _kernels._active

@@ -16,7 +16,7 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import periodicgame as pg
 from periodicgame import _kernels, output
@@ -499,7 +499,7 @@ def _power_of_five_128(q):
 
 
 def _eisel_lemire_gives_up(d, q):
-    """Whether _kernels.c's eisel_lemire leaves d * 10^q to exact_decimal:
+    """Whether _kernels.c's eisel_lemire leaves d * 10^q to strtod:
     P = w * T, with w the digits shifted to 64 bits and T the table's 5^q,
     has the bits below its top 53 within the product's error (w for q < 0,
     else 0) above one half."""
@@ -522,8 +522,8 @@ def test_power_of_five_table():
 
 class TestReaderOracle:
     """parse_csv_rows reads decimal cells with the bits of Python's float()
-    and of parse_csv_rows_py, whichever of Eisel-Lemire, exact_decimal and
-    strtod rounds them."""
+    and of parse_csv_rows_py, whichever of Eisel-Lemire and strtod rounds
+    them."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_decimal_cells(st.integers(1, 19)), min_size=1, max_size=25))
@@ -560,14 +560,30 @@ class TestReaderOracle:
         _read_back(native_kernels, cells)
 
     # Exact ties between two doubles (the first two are EDGE_CELLS), where
-    # Eisel-Lemire gives up and exact_decimal rounds to even.
+    # Eisel-Lemire gives up and strtod rounds to even.
     @pytest.mark.parametrize("cell, d, q", [
         ("9007199254740993", 9007199254740993, 0), ("9007199254740995", 9007199254740995, 0),
         ("4503599627370496.5", 45035996273704965, -1)])
-    def test_ties_left_to_exact_decimal(self, native_kernels, cell, d, q):
+    def test_ties_left_to_strtod(self, native_kernels, cell, d, q):
         assert _eisel_lemire_gives_up(d, q)
         assert not _eisel_lemire_gives_up(d - 1, q) and not _eisel_lemire_gives_up(d + 1, q)
         _read_back(native_kernels, [cell])
+
+    # A "%.17g" cell lies within half a unit in its 17th digit of its double,
+    # at most 0.5e-16 of it, and a midpoint between two doubles at least
+    # 2^-54 (0.55e-16) away: no cell emit_csv writes is a tie or near enough
+    # to one for Eisel-Lemire to leave it to strtod.
+    @settings(max_examples=1000, deadline=None)
+    @given(st.floats(1e-16, 1e16, exclude_min=True, exclude_max=True))
+    @example(1.0000000000000001e-15)    # q = -31, the table's first entry
+    @example(9007199254740991.0)
+    @example(1 / 3)
+    def test_written_cells_never_left_to_strtod(self, v):
+        mantissa, _, exp = ("%.17g" % v).partition("e")
+        whole, _, frac = mantissa.partition(".")
+        d, q = int(whole + frac), int(exp or 0) - len(frac)
+        assume(-31 <= q <= 19)
+        assert not _eisel_lemire_gives_up(d, q), "%.17g" % v
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
@@ -584,22 +600,13 @@ def test_line_end_count(data):
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
-def test_csv_rows_without_int128(tmp_path):
-    # Without unsigned __int128 every cell goes through snprintf.
+def test_build_without_int128_falls_back(tmp_path):
+    # Both exact number paths need unsigned __int128: without it the build
+    # stops at the #error, which the Python fallback's reason names.
     lib, reason = _kernels._load(clean_env(CC="cc -U__SIZEOF_INT128__",
                                            XDG_CACHE_HOME=str(tmp_path)))
-    assert lib is not None, reason
-    native = _kernels._bind(lib)
-    cells = np.concatenate([SPECIAL, 2.0 ** -np.arange(1, 61), 10.0 ** np.arange(-17, 18),
-                            np.random.default_rng(12).normal(size=400)])
-    cells = np.column_stack([cells, -cells])
-    times = np.arange(len(cells))
-    written = _csv_bytes(native.format_csv_rows, times, times, cells)
-    assert written == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells)
-    # ... and every cell is read by strtod.
-    data = b"t,phase,a,b\n" + written
-    t, _, back = native.parse_csv_rows(data, 12, 2, ["t", "phase", "a", "b"], 0, 1)
-    assert _same_bits(t, times) and _same_bits(back, cells)
+    assert lib is None and reason.startswith("python: ") and "__int128" in reason, reason
+    assert not list(tmp_path.glob("periodicgame/*")), "no library or temporary file is left"
 
 
 LOCALE_SCRIPT = (

@@ -122,9 +122,8 @@ class TestParseConfig:
     def test_inline_matrices_equal_builtin(self, tmp_path):
         cfg = pg.parse_config(self.write(tmp_path, {
             "matrices": [[[0, -1], [-1, 0]], [[0, 1], [1, 0]]], "period": 2}))
-        game, spec = pg.experiments.resolve_game(cfg)
+        game = pg.experiments.resolve_game(cfg)
         builtin = pg.experiment_by_name("game2x2").game
-        assert spec is None
         assert game.period == builtin.period
         for a, b in zip(game.matrices, builtin.matrices):
             assert np.array_equal(a.entries, b.entries)
@@ -281,6 +280,30 @@ class TestCliCommands:
         assert code == 0
         for name in ("game2x2", "exp1", "exp2", "nocommon3"):
             assert (tmp_path / f"{name}.csv").exists()
+
+    # Each flag would otherwise be ignored: --all writes only to --out-dir,
+    # and one run only to --out-csv and --out-svg.
+    @pytest.mark.parametrize("flags", [
+        ["--all", "--out-csv", "{d}/x.csv"],
+        ["--all", "--out-svg", "{d}/x.svg"],
+        ["exp1", "--out-dir", "{d}/o"],
+    ])
+    def test_experiment_output_flag_that_would_be_ignored(self, tmp_path, capsys, flags):
+        flags = [f.format(d=tmp_path) for f in flags]
+        assert main(["experiment", "--steps", "10", *flags]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "bregman", "--cases", "-5"],
+        ["verify", "bregman", "--cases", "0"],
+        ["analyze", "fixed-curve", "--samples", "0"],
+        ["analyze", "fixed-curve", "--samples", "-1"],
+    ])
+    def test_nonpositive_count_exit_code(self, argv, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert f"{argv[2]} must be at least 1, got {argv[3]}" in out.err and not out.out
 
 
 PROPERTY_ARGV = ["verify", "orbit", "--steps", "1000", "--expect", "converged_point"]

@@ -23,8 +23,12 @@
  * points of |v| >= 2^53 / 1000.  An SVG series takes two passes:
  * plot_extent counts the points that emit_svg_plot keeps and finds their
  * extremes, and format_plot_points drops the others, takes log10 (the libm
- * function that Python's math.log10 calls), scales and writes the rest,
- * with the bits of the numpy expressions of its Python fallback.
+ * function that Python's math.log10 calls) and scales the rest, with the
+ * bits of the numpy expressions of its Python fallback.  It writes at most
+ * four points of each pixel column of the plot: of each run of consecutive
+ * points whose written x has one integer part, the first, the first of
+ * least y, the first of greatest y and the last, which keep the line's
+ * ends and its extremes in every column.
  *
  * parse_csv_rows reads such a file back for read_csv: the columns t and
  * phase as exact int64, every other cell as the nearest double, which is
@@ -480,15 +484,17 @@ static char *put_cell(char *p, char *end, double v)
     return put_printf(p, end, "%.17g", v);
 }
 
-/* "%.3f" of v, rounded as Python rounds it: to the nearest thousandth of
- * the exact binary value, ties to even.  |v| = f * 2^-s exactly, so
- * |v| * 1000 = f * 1000 * 2^-s with f * 1000 < 2^63, and s > 9 as
- * |v| < 2^43; for s >= 64 the product is below one half. */
-static inline char *put_fixed3(char *p, char *end, double v)
+/* put_fixed3 scales |v| exactly below this bound. */
+#define F3_EXACT (0x1p53 / 1000)
+
+/* |v| in thousandths for |v| < F3_EXACT, rounded as Python's "%.3f"
+ * rounds: to the nearest thousandth of the exact binary value, ties to
+ * even.  |v| = f * 2^-s exactly, so |v| * 1000 = f * 1000 * 2^-s with
+ * f * 1000 < 2^63, and s > 9 as |v| < 2^43; for s >= 64 the product is
+ * below one half. */
+static inline uint64_t thousandths(double v)
 {
     double a = fabs(v);
-    if (!(a < 0x1p53 / 1000))   /* NaN, inf, or too large to scale exactly */
-        return put_printf(p, end, "%.3f", v);
     uint64_t bits;
     memcpy(&bits, &a, sizeof bits);
     int biased = (int)(bits >> 52);
@@ -502,6 +508,12 @@ static inline char *put_fixed3(char *p, char *end, double v)
         r = n >> s;
         r += (rem > half) | ((rem == half) & r);
     }
+    return r;
+}
+
+/* "%.3f" of v from r = thousandths(v). */
+static inline char *put_thousandths(char *p, double v, uint64_t r)
+{
     if (signbit(v))
         *p++ = '-';
     uint64_t w;
@@ -517,6 +529,14 @@ static inline char *put_fixed3(char *p, char *end, double v)
     p[0] = '.';
     store8(p + 1, w >> 40);     /* the last three digits */
     return p + 4;
+}
+
+/* "%.3f" of v, rounded as Python rounds it. */
+static inline char *put_fixed3(char *p, char *end, double v)
+{
+    if (!(fabs(v) < F3_EXACT))  /* NaN, inf, or too large to scale exactly */
+        return put_printf(p, end, "%.3f", v);
+    return put_thousandths(p, v, thousandths(v));
 }
 
 /* CSV lines "t,phase,c_1,...,c_k\n" for rows start.. of cells: (rows, k),
@@ -583,36 +603,121 @@ long plot_extent(const double *xy, long n, int log_y, double *out)
     return kept;
 }
 
-/* Pass two: the kept points start.. of xy as "x,y" pairs at %.3f, each
- * pair after the series' first preceded by a space.  axes holds
- * (k, start, span, size, margin) for x, then for y; a coordinate is
+/* A kept plot point: its index and coordinates, thousandths(x) where
+ * |x| < F3_EXACT, and the integer part of its written x, the "%.3f" text
+ * before the '.', as a number whose sign tells "-0" from "0".  A finite x
+ * past F3_EXACT is a multiple of 2^-9, and rounding it to thousandths keeps
+ * its integer part, trunc(x), which also stands for NaN and inf.  Points
+ * pass by value, so that the compiler keeps their fields in registers. */
+struct plot_point {
+    long at;
+    double x, y, col;
+    uint64_t rx;
+};
+
+/* The plot point of index i of xy, a kept one.  v becomes log10 v under
+ * log_y (the libm function math.log10 calls).  axes holds (k, start, span,
+ * size, margin) for x, then for y; a coordinate is
  * margin + (v * k - start) / span * size, evaluated in that order, where
  * k = 0.5 halves v as emit_svg_plot halves the other operands when a span
- * overflows.  Stops before a point whose pair might not fit in cap bytes;
- * stores the bytes written in *len and returns the next index.  A call
- * with start > 0 follows one that stopped on a full buffer, so a pair has
- * been written before it. */
+ * overflows. */
+static inline struct plot_point plot_point_at(const double *xy, int log_y, const double *axes,
+                                              long i)
+{
+    const double *ax = axes, *ay = axes + 5;
+    double t = xy[2 * i], v = log_y ? log10(xy[2 * i + 1]) : xy[2 * i + 1];
+    struct plot_point pt = {i, ax[4] + (t * ax[0] - ax[1]) / ax[2] * ax[3],
+                            ay[4] + (v * ay[0] - ay[1]) / ay[2] * ay[3], 0, 0};
+    if (fabs(pt.x) < F3_EXACT) {
+        pt.rx = thousandths(pt.x);
+        pt.col = copysign((double)(pt.rx / 1000), pt.x);
+    } else {
+        pt.col = trunc(pt.x);
+    }
+    return pt;
+}
+
+/* Whether two integer parts of plot_point_at are the same text; no
+ * comparison with NaN holds. */
+static inline int same_column(double a, double b)
+{
+    return a == b && !signbit(a) == !signbit(b);
+}
+
+/* " x,y" at %.3f, without the space unless sep. */
+static inline char *put_pair(char *p, char *end, struct plot_point pt, int sep)
+{
+    *p = ' ';
+    p += sep;
+    p = fabs(pt.x) < F3_EXACT ? put_thousandths(p, pt.x, pt.rx) : put_printf(p, end, "%.3f", pt.x);
+    *p++ = ',';
+    return put_fixed3(p, end, pt.y);
+}
+
+/* The pairs of one run: its first point, its first points of least and of
+ * greatest y and its last point, in point order, each once. */
+static inline char *put_run(char *p, char *end, int sep, struct plot_point first,
+                            struct plot_point lo, struct plot_point hi, struct plot_point last)
+{
+    if (hi.at < lo.at) {
+        struct plot_point pt = lo;
+        lo = hi;
+        hi = pt;
+    }
+    p = put_pair(p, end, first, sep);
+    if (lo.at != first.at)
+        p = put_pair(p, end, lo, 1);
+    if (hi.at != lo.at)
+        p = put_pair(p, end, hi, 1);
+    if (last.at != hi.at)
+        p = put_pair(p, end, last, 1);
+    return p;
+}
+
+/* Room for one written pair and the space before it. */
+#define PAIR_ROOM (2 * F3_ROOM + 2)
+
+/* Pass two: "x,y" pairs at %.3f, each after the series' first preceded by
+ * a space, for the kept points of xy from start on, at most four of each
+ * run of consecutive kept points whose written x has one integer part, a
+ * pixel column of the plot (M4; Jugel et al., "M4: A Visualization-Oriented
+ * Time Series Data Aggregation", VLDB 2014): those of put_run.  In every
+ * column the polyline through them reaches the least and the greatest y of
+ * the one through every kept point.  Stops before a run whose pairs might
+ * not fit in cap bytes; stores the bytes written in *len and returns the
+ * index of that run's first point, or n.  A call with start > 0 follows
+ * one that stopped on a full buffer, so a pair has been written before it. */
 long format_plot_points(const double *xy, int log_y, const double *axes, long start, long n,
                         char *buf, long cap, long *len)
 {
     locale_t caller = uselocale(c_numeric);
-    const double *ax = axes, *ay = axes + 5;
     char *p = buf, *end = buf + cap;
-    int sep = start > 0;
+    int sep = start > 0, in_run = 0;
+    struct plot_point first = {0}, lo = first, hi = first, last = first;
     long i = start;
-    for (; i < n && end - p >= 2 * F3_ROOM + 2; i++) {
-        double t = xy[2 * i], v = xy[2 * i + 1];
-        if (!plot_keeps(t, v, log_y))
+    for (; i < n; i++) {
+        if (!plot_keeps(xy[2 * i], xy[2 * i + 1], log_y))
             continue;
-        if (log_y)
-            v = log10(v);
-        if (sep)
-            *p++ = ' ';
-        sep = 1;
-        p = put_fixed3(p, end, ax[4] + (t * ax[0] - ax[1]) / ax[2] * ax[3]);
-        *p++ = ',';
-        p = put_fixed3(p, end, ay[4] + (v * ay[0] - ay[1]) / ay[2] * ay[3]);
+        struct plot_point cur = plot_point_at(xy, log_y, axes, i);
+        if (in_run && same_column(cur.col, first.col)) {
+            if (cur.y < lo.y)
+                lo = cur;
+            if (cur.y > hi.y)
+                hi = cur;
+            last = cur;
+            continue;
+        }
+        if (in_run) {
+            p = put_run(p, end, sep, first, lo, hi, last);
+            sep = 1;
+        }
+        if (end - p < 4 * PAIR_ROOM)
+            break;
+        first = lo = hi = last = cur;
+        in_run = 1;
     }
+    if (i == n && in_run)
+        p = put_run(p, end, sep, first, lo, hi, last);
     *len = (long)(p - buf);
     uselocale(caller);
     return i;

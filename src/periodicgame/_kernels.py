@@ -10,7 +10,8 @@ that fallback runs),
 the CSV writer ``format_csv_rows``, which writes the same bytes as the
 Python template it replaces, the two passes of an SVG series,
 ``plot_extent`` (the kept points' count and extremes) and
-``format_plot_points`` (drop, log10, scale and "%.3f,%.3f" in one loop),
+``format_plot_points`` (drop, log10, scale and "%.3f,%.3f" in one loop, at
+most four points of each pixel column: those of ``_column_extremes``),
 which give the counts, extremes and bytes of their numpy fallbacks, and the CSV
 reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
 same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
@@ -273,15 +274,43 @@ def plot_extent_py(xy, log_y):
             float(vs[vs.argmin()]), float(vs[vs.argmax()]))
 
 
+def _column_extremes(xs, ys):
+    """The indices, in order, of the plot points (xs, ys) that
+    format_plot_points writes: of each run of consecutive points whose
+    written x has one integer part (the "%.3f" text before the '.', "-0"
+    and "0" apart), a pixel column of the plot, the first, the first of
+    least y, the first of greatest y and the last.  As in the C loop, no
+    comparison with NaN holds: a NaN x is a run of its own, and a NaN y
+    first in its run is both extremes."""
+    if not len(xs):
+        return np.empty(0, dtype=np.intp)
+    # round(x, 3) is the double nearest the "%.3f" text of x, its sign kept.
+    cols = np.trunc([round(x, 3) for x in xs.tolist()])
+    signs = np.signbit(cols)
+    starts = np.concatenate(([True], (cols[1:] != cols[:-1]) | (signs[1:] != signs[:-1])))
+    run = np.cumsum(starts)
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], len(xs)) - 1
+    # lexsort is stable and puts NaN last: in each run, the first least y
+    # (of -y: greatest y), -0 and +0 tied.
+    nan_first = np.isnan(ys[first])
+    lo = np.where(nan_first, first, np.lexsort((ys, run))[first])
+    hi = np.where(nan_first, first, np.lexsort((-ys, run))[first])
+    return np.unique(np.concatenate([first, lo, hi, last]))
+
+
 def format_plot_points_py(xy, log_y, axes, fh):
     """Write the kept points of the plot series ``xy`` (N, 2) to the binary
-    handle ``fh`` as "x,y" pairs at %.3f, joined by spaces.  ``axes`` holds
-    (k, start, span, size, margin) for x, then for y; a coordinate is
+    handle ``fh`` as "x,y" pairs at %.3f, joined by spaces: at most four
+    points of each pixel column, those of ``_column_extremes``.  ``axes``
+    holds (k, start, span, size, margin) for x, then for y; a coordinate is
     margin + (v * k - start) / span * size."""
     ts, vs = _kept_points(xy, log_y)
     kx, x0, xspan, xsize, xmargin, ky, y0, yspan, ysize, ymargin = axes
-    xy = np.column_stack([xmargin + (ts * kx - x0) / xspan * xsize,
-                          ymargin + (vs * ky - y0) / yspan * ysize])
+    xs = xmargin + (ts * kx - x0) / xspan * xsize
+    ys = ymargin + (vs * ky - y0) / yspan * ysize
+    keep = _column_extremes(xs, ys)
+    xy = np.column_stack([xs[keep], ys[keep]])
     for lo in range(0, len(xy), _PY_BLOCK):
         block = xy[lo:lo + _PY_BLOCK]
         pairs = " ".join(["%.3f,%.3f"] * len(block)) % tuple(block.ravel().tolist())

@@ -153,6 +153,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if args.list:
+        if args.all or args.name:
+            raise ConfigError("--list lists the builtin experiments; it runs none, "
+                              "so it takes no name and no --all")
         for spec in builtin_experiments():
             game = spec.game
             print(f"{spec.name}: {game.m}x{game.n}, period {game.period}, "
@@ -266,6 +269,9 @@ def _report_exit(report) -> int:
 def _cmd_verify(args) -> int:
     # --tol replaces the checker's own default only when given.
     tol = {} if args.tol is None else {"tol": args.tol}
+    if tol and args.what in ("increments", "orbit"):
+        raise ConfigError(f"--tol does not apply to verify {args.what}, "
+                          "which has no tolerance")
     if args.cases < 1:
         raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     if args.what == "identities":

@@ -114,7 +114,12 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     C pass (``_kernels.read_pairs``).  Each series then takes two passes of
     ``_kernels``: ``plot_extent`` counts its kept points and finds their
     extremes, and once the axes are known ``format_plot_points`` skips the
-    dropped points and takes log10 of, scales and writes the rest."""
+    dropped points and takes log10 of and scales the rest.  Of each run of
+    consecutive points whose written x has one integer part, a pixel column,
+    it writes the first, the first of least y, the first of greatest y and
+    the last: at most four points a column, which keep the line's first and
+    last points and its extremes in every column.  The CSV of a run keeps
+    every point."""
     if not series:
         raise InputError("no series to plot")
     cleaned = []

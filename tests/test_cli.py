@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import types
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -293,6 +294,32 @@ class TestCliCommands:
         assert main(["experiment", "--steps", "10", *flags]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.iterdir())
+
+    # A flag the command has no use for is refused, not ignored.
+    @pytest.mark.parametrize("argv", [
+        ["verify", "increments", "--steps", "200", "--tol", "-1"],
+        ["verify", "orbit", "--steps", "100", "--tol", "1e-3"],
+        ["experiment", "--list", "--all"],
+        ["experiment", "--list", "exp1"],
+    ])
+    def test_flag_without_effect_is_config_error(self, argv, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("config error: ") and not out.out
+
+    def test_long_run_svgs_keep_four_points_per_column(self, tmp_path, capsys):
+        """A 100k-step run's polylines hold at most four points for each of
+        the 713 integer x of the plot box, 72 to 784."""
+        csv, svg, kl = tmp_path / "exp1.csv", tmp_path / "exp1.svg", tmp_path / "kl.svg"
+        assert main(["experiment", "exp1", "--steps", "100000", "--out-csv", str(csv),
+                     "--out-svg", str(svg)]) == 0
+        assert main(["plot", "--in-csv", str(csv), "--out-svg", str(kl), "--series", "kl",
+                     "--log-y"]) == 0
+        for path, lines in ((svg, 6), (kl, 1)):
+            polylines = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}polyline")
+            sizes = [len(line.get("points").split()) for line in polylines]
+            assert len(sizes) == lines and max(sizes) <= 4 * 713
+        assert svg.stat().st_size < 300_000
 
     @pytest.mark.parametrize("argv", [
         ["verify", "bregman", "--cases", "-5"],

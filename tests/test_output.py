@@ -1,13 +1,17 @@
 import collections
 import dataclasses
 import hashlib
+import io
+import math
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import periodicgame as pg
+from periodicgame import _kernels
 from periodicgame.experiments import _svg_series
 
 DBL_MAX = np.finfo(np.float64).max
@@ -369,8 +373,8 @@ GOLDEN = {
                     "b30baf251a5c75f4133463bc71241f006d5f7df03d715eba8f8d2301b0bb33e0",
                     "a6986075ccef4449304d4887fc516009f024be5878dd8accef1806526e7640ce"),
     "omwu2x2_boundary": ("e3eb1af8f90c2aeef1ae743b4a888f03a679633c330afa5ceca4ba33165c304b",
-                        "e78850c42fdb4cd5c0c6eff31cc4bb4657b568f91e3f4137cb23eccb3f5174fd",
-                        "b63db1674a278ef01fcfaee7500d332d9ee00b191dc1e9508617be5dfc808196"),
+                        "38a78b545628fb777d346c13e7c067329289b24e5e3e9be117be567d3c5b335f",
+                        "0fc7fa4249b132b2eb684d04560273c69b4fe085f315ef66e4d5618f7414280f"),
     "one_record": ("f534588d4204e47bc1996ad816bc407a2c450b6558b1fdb50cbd52492268ea22",
                   "20fbe10556093b8ec4ef6ba90579f598d77085a4d1a113e33e94c3884b4f5940",
                   "759b1f051d99c9970151e8735b24abd3ec807e344311a5fc02c943ef4719a607"),
@@ -408,3 +412,190 @@ class TestGoldenBytes:
         if traj.reference is not None:
             pg.emit_svg_plot(_svg_series(traj, log_y=True), str(path), log_y=True)
             assert _sha256(path) == GOLDEN[name][2]
+
+
+def old_plot_points(xy, log_y, axes):
+    """The plot pass before per-column decimation, as the oracle: the
+    "x,y" pair at %.3f of every point emit_svg_plot keeps (t and v finite,
+    v > 0 and log10 v under log_y), and the computed y of each."""
+    keep = np.isfinite(xy[:, 0]) & np.isfinite(xy[:, 1])
+    if log_y:
+        keep &= xy[:, 1] > 0
+    ts, vs = xy[keep, 0], xy[keep, 1]
+    if log_y:
+        vs = np.array([math.log10(v) for v in vs.tolist()], dtype=np.float64)
+    kx, x0, xspan, xsize, xmargin, ky, y0, yspan, ysize, ymargin = axes
+    xs = xmargin + (ts * kx - x0) / xspan * xsize
+    ys = ymargin + (vs * ky - y0) / yspan * ysize
+    return ["%.3f,%.3f" % p for p in zip(xs.tolist(), ys.tolist())], ys.tolist()
+
+
+def _thousandths(pairs):
+    """Written "x,y" pairs (x >= 0) as two int64 arrays of thousandths of a
+    pixel."""
+    text = " ".join(pairs).replace(".", "").replace(",", " ")
+    return np.array(list(map(int, text.split())), dtype=np.int64).reshape(-1, 2).T
+
+
+def _runs(cols):
+    """Start and end of each run of equal consecutive columns."""
+    starts = np.flatnonzero(np.r_[True, cols[1:] != cols[:-1]])
+    return np.array([starts, np.r_[starts[1:], len(cols)]])
+
+
+def _column_extents(x, y):
+    """Per pixel column (x // 1000 in thousandths), the least and greatest y
+    of the polyline through (x, y) with its segments clipped at the column
+    edges: its points in the column, and the y where a segment crosses an
+    edge, which the columns on both sides share (the double nearest its
+    exact value)."""
+    cols = x // 1000
+    edge_cols, edge_ys = [], []
+    for i in np.flatnonzero(cols[1:] != cols[:-1]).tolist():
+        x0, y0, x1, y1 = int(x[i]), int(y[i]), int(x[i + 1]), int(y[i + 1])
+        c0, c1 = sorted((x0 // 1000, x1 // 1000))
+        for c in range(c0 + 1, c1 + 1):
+            at_edge = (y0 * (x1 - x0) + (y1 - y0) * (1000 * c - x0)) / (x1 - x0)
+            edge_cols += [c - 1, c]
+            edge_ys += [at_edge, at_edge]
+    cols = np.r_[cols, np.array(edge_cols, dtype=np.int64)]
+    ys = np.r_[y.astype(np.float64), edge_ys]
+    order = np.lexsort((ys, cols))
+    cols, ys = cols[order], ys[order]
+    starts, ends = _runs(cols)
+    return cols[starts].tolist(), ys[starts].tolist(), ys[ends - 1].tolist()
+
+
+def _column_rule(cols, ys):
+    """Indices of the points the per-column rule keeps, by a plain scan: of
+    each run of consecutive points in one column the first, the first of
+    least y, the first of greatest y and the last, in order."""
+    keep = []
+    for start, end in zip(*_runs(cols).tolist()):
+        run = ys[start:end]
+        keep += sorted({start, start + run.index(min(run)), start + run.index(max(run)),
+                        end - 1})
+    return keep
+
+
+def _check_decimation(kernels, xy, log_y, axes):
+    """format_plot_points of ``kernels`` against the oracle on one series;
+    returns the written pairs."""
+    fh = io.BytesIO()
+    kernels.format_plot_points(xy, log_y, axes, fh)
+    new = fh.getvalue().decode().split()
+    old, ys = old_plot_points(xy, log_y, axes)
+    if not old:
+        assert new == []
+        return new
+    old_x, old_y = _thousandths(old)
+    new_x, new_y = _thousandths(new)
+    assert (old_x >= 0).all()
+    # The rule, on the oracle's points.
+    assert new == [old[i] for i in _column_rule(old_x // 1000, ys)]
+    # What the rule is for: the same first and last points, the same
+    # extremes in every column, at most four points a run.
+    assert (new[0], new[-1]) == (old[0], old[-1])
+    assert _column_extents(new_x, new_y) == _column_extents(old_x, old_y)
+    starts, ends = _runs(new_x // 1000)
+    assert (ends - starts).max() <= 4
+    starts, ends = _runs(old_x // 1000)
+    if (ends - starts).max() <= 2:
+        assert new == old
+    return new
+
+
+def _check_plot(kernels, series, log_y, path):
+    """_check_decimation on the (xy, log_y, axes) of every polyline that
+    emit_svg_plot writes for ``series`` into ``path``; returns the written
+    pairs of each."""
+    with mock.patch.object(_kernels, "format_plot_points",
+                           wraps=_kernels.format_plot_points) as spy:
+        pg.emit_svg_plot(series, str(path), log_y=log_y)
+    return [_check_decimation(kernels, *call.args[:3]) for call in spy.call_args_list]
+
+
+_PLOT_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),                    # ties in y, and nonpositive
+    st.floats(-1e6, 1e6), st.floats(1e-300, 1e300),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]))
+
+
+@st.composite
+def _plot_points(draw):
+    """Up to 60 drawn points, sorted by t or not; or up to 3,000 sorted
+    points whose t and v are sampled from drawn pools, many to a column."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(4, 60)))
+    t = draw(hnp.arrays(np.float64, n, elements=st.one_of(
+        st.integers(0, 40).map(float),              # repeated t
+        st.floats(-1e3, 1e3), st.sampled_from([np.nan, np.inf]))))
+    v = (np.full(n, draw(_PLOT_VALUES)) if draw(st.booleans())     # constant
+         else draw(hnp.arrays(np.float64, n, elements=_PLOT_VALUES)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.integers(61, 3000))
+        t, v = np.sort(rng.choice(t, size)), rng.choice(v, size)
+    elif draw(st.booleans()):
+        t = np.sort(t)
+    return np.column_stack([t, v])
+
+
+@pytest.fixture(scope="module")
+def long_exp1():
+    return pg.run_experiment(pg.RunConfig(experiment="exp1", steps=100_000))[0]
+
+
+class TestColumnDecimation:
+    """format_plot_points writes, of each pixel column, the points that keep
+    the column's extremes, and the oracle's bytes where a column holds at
+    most two points."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(xy=_plot_points(), log_y=st.booleans())
+    def test_series(self, kernels, xy, log_y, tmp_path_factory):
+        keep = np.isfinite(xy).all(axis=1) & (~log_y | (xy[:, 1] > 0))
+        assume(keep.any())
+        _check_plot(kernels, [("a", xy)], log_y, tmp_path_factory.mktemp("m4") / "a.svg")
+
+    @pytest.mark.parametrize("n, seed", [(10_000, 5), (100_000, 6)])
+    def test_random_walks(self, kernels, n, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.standard_normal(n))
+        t = np.arange(n)
+        series = [("walk", np.column_stack([t, walk])),
+                  ("steps", np.column_stack([t, np.round(walk / 8)]))]   # ties
+        for log_y, values in ((False, series), (True, [("exp", np.column_stack(
+                [t, np.exp(walk / 40)]))])):
+            for pairs in _check_plot(kernels, values, log_y, tmp_path / "w.svg"):
+                assert len(pairs) <= 4 * 713
+
+    def test_golden_trajectories(self, kernels, golden_trajs, tmp_path):
+        for traj in golden_trajs.values():
+            _check_plot(kernels, _strategy_series(traj, True), False, tmp_path / "x.svg")
+            _check_plot(kernels, _log_series(traj, True), True, tmp_path / "kl.svg")
+
+    def test_long_exp1_run(self, kernels, long_exp1, tmp_path):
+        for log_y in (False, True):
+            written = _check_plot(kernels, _svg_series(long_exp1, log_y), log_y,
+                                  tmp_path / "e.svg")
+            assert all(len(pairs) <= 4 * 713 for pairs in written)
+            assert sum(map(len, written)) < long_exp1.n_records
+
+    def test_runs_across_blocks(self, kernels):
+        # 20,000 columns of five points each write several native blocks:
+        # the pass stops between runs and resumes at the next one.
+        t = np.repeat(np.arange(20_000.0), 5) + np.tile([0.1, 0.3, 0.5, 0.7, 0.9], 20_000)
+        v = np.random.default_rng(7).standard_normal(len(t))
+        written = _check_decimation(kernels, np.column_stack([t, v]), False,
+                                    (1.0, 0.0, 1.0, 1.0, 0.0) * 2)
+        assert len(" ".join(written)) > 2 * _kernels._BLOCK_BYTES
+
+    def test_point_rounded_up_to_a_column_edge(self, kernels):
+        # x = t: 99.9996 is written 100.000, the first point of column 100,
+        # so the point at 100.2, neither extreme nor last there, is dropped.
+        t = [99.2, 99.5, 99.9996, 100.2, 100.4, 100.6, 100.8]
+        v = [1.0, 2.0, 5.0, 4.0, 0.0, 9.0, 3.0]
+        axes = (1.0, 0.0, 1.0, 1.0, 0.0) * 2
+        written = _check_decimation(kernels, np.column_stack([t, v]), False, axes)
+        assert written == ["99.200,1.000", "99.500,2.000", "100.000,5.000", "100.400,0.000",
+                           "100.600,9.000", "100.800,3.000"]

@@ -1,8 +1,10 @@
-"""Hot inner loops: a C library with a Python fallback.
+"""Hot inner loops: the loader and binder of the C library, with the
+pure-Python backend of ``_kernels_py`` as its fallback.
 
 ``_kernels.c`` holds the trajectory kernels ``run_schedule`` (all three
 rules) and ``run_reduced_composite``, written operation for operation like
-the pure-Python kernels in this module, so both backends give the same bits,
+the pure-Python kernels of ``_kernels_py``, so both backends give the same
+bits,
 ``kl_rows``, the joint KL to a reference per recorded state behind
 ``simplex.kl_to_reference``, which adds the terms that its numpy fallback
 adds in the same order (``kl_rows`` is None on the Python backend, where
@@ -11,14 +13,17 @@ the CSV writer ``format_csv_rows``, which writes the same bytes as the
 Python template it replaces, the two passes of an SVG series,
 ``plot_extent`` (the kept points' count and extremes) and
 ``format_plot_points`` (drop, log10, scale and "%.3f,%.3f" in one loop, at
-most four points of each pixel column: those of ``_column_extremes``),
-which give the counts, extremes and bytes of their numpy fallbacks, and the CSV
+most four points of each pixel column: those of
+``_kernels_py._column_extremes``), which give the counts, extremes and bytes
+of their numpy fallbacks, and the CSV
 reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
 same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
 written as integers, and ``pairs_into``, behind ``read_pairs``, which copies
 a list of (t, v) pairs of floats and ints into an array with the bits of
 ``np.fromiter`` and hands any other sequence to ``read_pairs_py``.
-On first import the C source is compiled with ``$CC`` (default ``cc``) and
+When this module is first imported (by the first ``periodicgame`` module
+that runs a kernel; ``import periodicgame`` alone loads nothing) the C
+source is compiled with ``$CC`` (default ``cc``) and
 the running interpreter's include directory into
 ``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
 variable is unset), under a name keyed by a sha256 of the source, the
@@ -30,14 +35,17 @@ cached library with ctypes, start no process and import neither
 Python objects, so it is bound through ``ctypes.PyDLL``, which keeps the GIL
 during the call; where the library has no such function (no Python.h at
 build time, or a build without a GIL) or the interpreter is not CPython,
-``read_pairs`` is ``read_pairs_py`` and every other kernel stays native.
+``read_pairs`` hands every sequence to ``read_pairs_py`` and every other
+kernel stays native.
 The library's text functions run in the "C" numeric locale, which it makes
 once on load.  When anything fails (no compiler, a compile
 error, among them the ``#error`` of a compiler without ``unsigned __int128``,
 an unwritable cache, a library that does not load or cannot make that
-locale) the Python functions run instead and ``backend_reason()`` says why;
-a ``$CC`` that names no compiler forces them.  The ``*_py`` functions stay
-the reference that the native ones are tested against.
+locale) the functions of ``_kernels_py`` run instead and
+``backend_reason()`` says why; a ``$CC`` that names no compiler forces them.
+The native path never imports ``_kernels_py`` but for a sequence that
+``read_pairs`` hands back; its ``*_py`` functions stay the reference that
+the native ones are tested against.
 
 Log-weights passed in must already be normalized log-probabilities; the
 kernels keep them normalized after every step.
@@ -45,11 +53,8 @@ kernels keep them normalized after every step.
 
 import ctypes
 import hashlib
-import itertools
 import math
-import numbers
 import os
-import re
 import shlex
 import shutil
 import sys
@@ -65,138 +70,6 @@ ALGO_EXTRA = 2
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-std=c99")
-
-
-def _lse_normalize(lw):
-    # In-place log-softmax: afterwards logsumexp(lw) == 0.
-    m = lw[0]
-    for i in range(1, lw.size):
-        if lw[i] > m:
-            m = lw[i]
-    s = 0.0
-    for i in range(lw.size):
-        # exp(+-0) is exactly 1, and at least one term is the maximum.
-        d = lw[i] - m
-        s += 1.0 if d == 0.0 else math.exp(d)
-    c = m + math.log(s)
-    for i in range(lw.size):
-        lw[i] = lw[i] - c
-
-
-def _exp_into(lw, out):
-    for i in range(lw.size):
-        out[i] = math.exp(lw[i])
-
-
-def _matvec(a, x, out):
-    for i in range(a.shape[0]):
-        acc = 0.0
-        for j in range(a.shape[1]):
-            acc += a[i, j] * x[j]
-        out[i] = acc
-
-
-def _mat_t_vec(a, x, out):
-    for j in range(a.shape[1]):
-        acc = 0.0
-        for i in range(a.shape[0]):
-            acc += a[i, j] * x[i]
-        out[j] = acc
-
-
-def run_schedule_py(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, out2):
-    """Iterate one of the three update rules over the periodic schedule.
-
-    mats: (T, m, n).  lw1/lw2: normalized log-probs of the current state,
-    updated in place.  lwp1/lwp2: previous state (OMWU only).  Recorded
-    states (normalized log-probs) land in out1/out2 at the times listed in
-    rec_times, which must be sorted and include the final step.
-    """
-    periods = mats.shape[0]
-    m = mats.shape[1]
-    n = mats.shape[2]
-    p1 = np.empty(m)
-    p2 = np.empty(n)
-    q1 = np.empty(m)
-    q2 = np.empty(n)
-    v1 = np.empty(m)
-    v2 = np.empty(n)
-    w1 = np.empty(m)
-    w2 = np.empty(n)
-    h1 = np.empty(m)
-    h2 = np.empty(n)
-
-    _exp_into(lw1, p1)
-    _exp_into(lw2, p2)
-    _exp_into(lwp1, q1)
-    _exp_into(lwp2, q2)
-
-    r = 0
-    if rec_times[0] == 0:
-        for i in range(m):
-            out1[0, i] = lw1[i]
-        for j in range(n):
-            out2[0, j] = lw2[j]
-        r = 1
-
-    # ph is t % periods, prev is (t - 1) % periods (periods - 1 at t = 0).
-    ph, prev = 0, periods - 1
-    for t in range(steps):
-        a = mats[ph]
-        if algo == ALGO_MWU:
-            _matvec(a, p2, v1)
-            _mat_t_vec(a, p1, v2)
-            for i in range(m):
-                lw1[i] += eta * v1[i]
-            for j in range(n):
-                lw2[j] -= eta * v2[j]
-        elif algo == ALGO_OMWU:
-            ap = mats[prev]
-            _matvec(a, p2, v1)
-            _mat_t_vec(a, p1, v2)
-            _matvec(ap, q2, w1)
-            _mat_t_vec(ap, q1, w2)
-            for i in range(m):
-                q1[i] = p1[i]
-            for j in range(n):
-                q2[j] = p2[j]
-            for i in range(m):
-                lw1[i] += eta * (2.0 * v1[i] - w1[i])
-            for j in range(n):
-                lw2[j] -= eta * (2.0 * v2[j] - w2[j])
-        else:
-            _matvec(a, p2, v1)
-            _mat_t_vec(a, p1, v2)
-            for i in range(m):
-                h1[i] = lw1[i] + eta * v1[i]
-            for j in range(n):
-                h2[j] = lw2[j] - eta * v2[j]
-            _lse_normalize(h1)
-            _lse_normalize(h2)
-            _exp_into(h1, q1)
-            _exp_into(h2, q2)
-            _matvec(a, q2, w1)
-            _mat_t_vec(a, q1, w2)
-            # Second step restarts from the pre-half-step state.
-            for i in range(m):
-                lw1[i] += eta * w1[i]
-            for j in range(n):
-                lw2[j] -= eta * w2[j]
-        _lse_normalize(lw1)
-        _lse_normalize(lw2)
-        _exp_into(lw1, p1)
-        _exp_into(lw2, p2)
-        if r < rec_times.size and rec_times[r] == t + 1:
-            for i in range(m):
-                out1[r, i] = lw1[i]
-            for j in range(n):
-                out2[r, j] = lw2[j]
-            r += 1
-        prev = ph
-        ph += 1
-        if ph == periods:
-            ph = 0
-    return r
 
 
 def reduced_step(sign, z, eta, out):
@@ -215,131 +88,11 @@ def reduced_step(sign, z, eta, out):
     out[3] = z4 / (z4 + (1.0 - z4) * e2)
 
 
-def run_reduced_composite_py(z0, eta, n_steps, out):
-    """Iterate (even-map o odd-map) n_steps times, recording every iterate."""
-    z = np.empty(4)
-    w = np.empty(4)
-    for k in range(4):
-        z[k] = z0[k]
-        out[0, k] = z0[k]
-    for step in range(n_steps):
-        reduced_step(-1.0, z, eta, w)
-        reduced_step(1.0, w, eta, z)
-        for k in range(4):
-            out[step + 1, k] = z[k]
-
-
-# Rows or points per block of the Python formatters (it keeps their lists
-# of Python floats small), and bytes per block of the native ones.
-_PY_BLOCK = 1024
+# Bytes per block of the native formatters.
 _BLOCK_BYTES = 1 << 18
-
-
-def format_csv_rows_py(times, phases, cells, fh):
-    """Write one CSV line per row of ``cells`` (rows, k) to the binary
-    handle ``fh``: the time and the phase as %d, then each cell as %.17g
-    ('%.17g' also spells nan, inf, -inf and -0)."""
-    row_fmt = "%d,%d" + ",%.17g" * cells.shape[1] + "\n"
-    for lo in range(0, len(cells), _PY_BLOCK):
-        hi = lo + _PY_BLOCK
-        rows = zip(times[lo:hi].tolist(), phases[lo:hi].tolist(), cells[lo:hi].tolist())
-        fh.write("".join([row_fmt % (t, ph, *row) for t, ph, row in rows]).encode())
-
-
-def _kept_points(xy, log_y):
-    """The t and v columns of the plot points of ``xy`` (N, 2) that
-    emit_svg_plot keeps: t and v finite, and v > 0 under ``log_y``, where v
-    becomes log10 v."""
-    keep = np.isfinite(xy[:, 0]) & np.isfinite(xy[:, 1])
-    if log_y:
-        keep &= xy[:, 1] > 0
-    ts, vs = xy[keep, 0], xy[keep, 1]
-    if log_y:
-        # math.log10, not np.log10, which may differ in the last ulp.
-        vs = np.array(list(map(math.log10, vs.tolist())), dtype=np.float64)
-    return ts, vs
-
-
-def plot_extent_py(xy, log_y):
-    """(kept, t_lo, t_hi, v_lo, v_hi) of a plot series ``xy`` (N, 2): the
-    number of points kept, and the first minimum and first maximum of their
-    t and v (log10 v under ``log_y``).  argmin/argmax take the first
-    extreme in point order; np.min/np.max may return either zero of a +0/-0
-    tie, which shows in a zero tick label.  With no point kept the extremes
-    are inf, -inf, inf, -inf."""
-    ts, vs = _kept_points(xy, log_y)
-    if not ts.size:
-        return 0, math.inf, -math.inf, math.inf, -math.inf
-    return (ts.size, float(ts[ts.argmin()]), float(ts[ts.argmax()]),
-            float(vs[vs.argmin()]), float(vs[vs.argmax()]))
-
-
-def _column_extremes(xs, ys):
-    """The indices, in order, of the plot points (xs, ys) that
-    format_plot_points writes: of each run of consecutive points whose
-    written x has one integer part (the "%.3f" text before the '.', "-0"
-    and "0" apart), a pixel column of the plot, the first, the first of
-    least y, the first of greatest y and the last.  As in the C loop, no
-    comparison with NaN holds: a NaN x is a run of its own, and a NaN y
-    first in its run is both extremes."""
-    if not len(xs):
-        return np.empty(0, dtype=np.intp)
-    # round(x, 3) is the double nearest the "%.3f" text of x, its sign kept.
-    cols = np.trunc([round(x, 3) for x in xs.tolist()])
-    signs = np.signbit(cols)
-    starts = np.concatenate(([True], (cols[1:] != cols[:-1]) | (signs[1:] != signs[:-1])))
-    run = np.cumsum(starts)
-    first = np.flatnonzero(starts)
-    last = np.append(first[1:], len(xs)) - 1
-    # lexsort is stable and puts NaN last: in each run, the first least y
-    # (of -y: greatest y), -0 and +0 tied.
-    nan_first = np.isnan(ys[first])
-    lo = np.where(nan_first, first, np.lexsort((ys, run))[first])
-    hi = np.where(nan_first, first, np.lexsort((-ys, run))[first])
-    return np.unique(np.concatenate([first, lo, hi, last]))
-
-
-def format_plot_points_py(xy, log_y, axes, fh):
-    """Write the kept points of the plot series ``xy`` (N, 2) to the binary
-    handle ``fh`` as "x,y" pairs at %.3f, joined by spaces: at most four
-    points of each pixel column, those of ``_column_extremes``.  ``axes``
-    holds (k, start, span, size, margin) for x, then for y; a coordinate is
-    margin + (v * k - start) / span * size."""
-    ts, vs = _kept_points(xy, log_y)
-    kx, x0, xspan, xsize, xmargin, ky, y0, yspan, ysize, ymargin = axes
-    xs = xmargin + (ts * kx - x0) / xspan * xsize
-    ys = ymargin + (vs * ky - y0) / yspan * ysize
-    keep = _column_extremes(xs, ys)
-    xy = np.column_stack([xs[keep], ys[keep]])
-    for lo in range(0, len(xy), _PY_BLOCK):
-        block = xy[lo:lo + _PY_BLOCK]
-        pairs = " ".join(["%.3f,%.3f"] * len(block)) % tuple(block.ravel().tolist())
-        fh.write(((" " if lo else "") + pairs).encode())
-
-
-def read_pairs_py(points):
-    """The (N, 2) float64 array of ``points``, a sequence of (t, v) pairs
-    of real numbers (``numbers.Real``: int, float, bool and numpy's integer
-    and floating scalars), each converted as ``float()`` converts it.  Raises
-    ValueError for a point that is not a pair, TypeError for a value that
-    is not a real number, and OverflowError for an int beyond the float
-    range."""
-    if not set(map(len, points)) <= {2}:
-        raise ValueError("points must be (t, v) pairs")
-    kinds = set(map(type, itertools.chain.from_iterable(points)))
-    if not all(issubclass(kind, numbers.Real) for kind in kinds):
-        raise TypeError("point values must be real numbers")
-    return np.fromiter(itertools.chain.from_iterable(points), np.float64,
-                       count=2 * len(points)).reshape(-1, 2)
-
 
 # A cell's blanks as parse_csv_rows in _kernels.c reads them.
 _BLANKS = " \t\v\f"
-# The cells it accepts, spelled as regular expressions; they only name the
-# bad cell once np.loadtxt or int() has refused one.
-_INT_CELL = re.compile(r"[ \t\v\f]*[+-]?[0-9]+[ \t\v\f]*")
-_FLOAT_CELL = re.compile(r"[ \t\v\f]*[+-]?(?:inf|infinity|nan|(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
-                         r"(?:e[+-]?[0-9]+)?)[ \t\v\f]*", re.IGNORECASE)
 
 
 def _bad_cell(line, name, cell, integer):
@@ -348,63 +101,6 @@ def _bad_cell(line, name, cell, integer):
 
 def _bad_length(line, count, ncols):
     return f"line {line} has {count} cells, the header names {ncols}"
-
-
-def _first_bad_cell(lines, line, names, int_cols):
-    """The message for the first bad cell or row of ``lines``, numbered
-    from ``line``."""
-    for number, row in enumerate(lines, line):
-        if not row.strip(_BLANKS):
-            continue
-        cells = row.split(",")
-        for j, cell in enumerate(cells[:len(names)]):
-            if j in int_cols:
-                ok = _INT_CELL.fullmatch(cell) and -2**63 <= int(cell) < 2**63
-            else:
-                ok = _FLOAT_CELL.fullmatch(cell)
-            if not ok:
-                return _bad_cell(number, names[j], cell, j in int_cols)
-        if len(cells) != len(names):
-            return _bad_length(number, len(cells), len(names))
-    return None
-
-
-def parse_csv_rows_py(data, start, line, names, t_col, phase_col):
-    """Read the CSV body ``data[start:]`` (UTF-8 bytes whose first line is
-    file line ``line``) under the header ``names``: returns int64 ``t`` and
-    ``phase`` (columns ``t_col`` and ``phase_col``) and float64 ``cells``
-    (rows, len(names) - 2) holding the other columns in order.  Lines end in
-    \\n, \\r\\n or \\r, '#' starts a comment, and a line blank up to its
-    comment is skipped.  A cell is a decimal, inf, infinity or nan (any
-    case, optional sign; an integer in columns t and phase) with blanks on
-    either side; np.loadtxt reads the numbers.  A bad cell or a row of the
-    wrong length raises ValueError naming its line and column."""
-    text = data[start:].decode()
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if "#" in text:
-        lines = [row.partition("#")[0] for row in lines]
-    rows = [row for row in lines if row.strip(_BLANKS)]
-    ncols = len(names)
-    split_at = max(t_col, phase_col) + 1
-    try:
-        # np.loadtxt would take the separators \x1c-\x1f and non-ASCII
-        # spaces for blanks.
-        joined = "\n".join(rows)
-        if not joined.isascii() or any(c in joined for c in "\x1c\x1d\x1e\x1f"):
-            raise ValueError
-        body = (np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if rows
-                else np.empty((0, ncols)))
-        if body.shape[1] != ncols:
-            raise ValueError
-        split = [row.split(",", split_at) for row in rows]
-        t = np.array([int(cells[t_col]) for cells in split], dtype=np.int64)
-        phase = np.array([int(cells[phase_col]) for cells in split], dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(_first_bad_cell(lines, line, names, (t_col, phase_col))
-                         or str(exc)) from None
-    return t, phase, body[:, [j for j in range(ncols) if j not in (t_col, phase_col)]]
 
 
 class _BuildError(Exception):
@@ -530,8 +226,8 @@ def _out_buffer(name, a, shape, min_rows=None):
 def _bind(lib):
     """Thin wrappers with the Python kernels' signatures and in-place
     effects around the C functions of ``lib``, in a namespace keyed by
-    name like ``_PYTHON``.  Every array handed to C stays bound to a local
-    name until the call returns."""
+    name like ``_kernels_py._PYTHON``.  Every array handed to C stays bound
+    to a local name until the call returns."""
 
     def run_schedule(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, out2):
         mats = np.ascontiguousarray(mats, dtype=np.float64)
@@ -654,27 +350,25 @@ def _bind(lib):
     def read_pairs(points):
         # C copies exact lists and tuples of float and int pairs; it hands
         # every other sequence back (-1) to the Python converter.
-        if type(points) in (list, tuple):
+        if pairs_into is not None and type(points) in (list, tuple):
             xy = np.empty((len(points), 2))
             if pairs_into(points, xy.ctypes.data, len(xy)) == len(xy):
                 return xy
+        from ._kernels_py import read_pairs_py
         return read_pairs_py(points)
 
     return types.SimpleNamespace(
         run_schedule=run_schedule, run_reduced_composite=run_reduced_composite,
         kl_rows=kl_rows, format_csv_rows=format_csv_rows, plot_extent=plot_extent,
         format_plot_points=format_plot_points, parse_csv_rows=parse_csv_rows,
-        read_pairs=read_pairs_py if pairs_into is None else read_pairs)
+        read_pairs=read_pairs)
 
-
-_PYTHON = types.SimpleNamespace(
-    run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
-    kl_rows=None, format_csv_rows=format_csv_rows_py, plot_extent=plot_extent_py,
-    format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py,
-    read_pairs=read_pairs_py)
 
 _lib, _reason = _load(os.environ)
-_active = _PYTHON if _lib is None else _bind(_lib)
+if _lib is None:
+    from ._kernels_py import _PYTHON as _active
+else:
+    _active = _bind(_lib)
 run_schedule = _active.run_schedule
 run_reduced_composite = _active.run_reduced_composite
 kl_rows = _active.kl_rows

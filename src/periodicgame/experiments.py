@@ -10,9 +10,7 @@ from typing import List, Optional
 import numpy as np
 
 from .dynamics import Algorithm, OmwuState, max_step_size, run_trajectory
-from .equilibrium import common_equilibrium
 from .errors import ConfigError, InputError
-from .output import emit_csv, emit_svg_plot
 from .simplex import JointState, PeriodicGame, Trajectory
 
 # Payoff schedules transcribed verbatim (tuples are matrix rows; index 0 is
@@ -201,6 +199,9 @@ def run_experiment(cfg: RunConfig):
 
     Returns (trajectory, equilibrium-or-None, {kind: path}).
     """
+    # Here and at the writes, not at the top: verify names experiments but
+    # neither solves nor writes, so it loads neither module.
+    from .equilibrium import common_equilibrium
     game = resolve_game(cfg)
     algo = Algorithm(cfg.algo) if cfg.algo else DEFAULT_ALGO
     eta = float(cfg.eta) if cfg.eta is not None else default_eta(algo)
@@ -230,9 +231,11 @@ def run_experiment(cfg: RunConfig):
                           record_every=cfg.record_every, reference=reference)
     paths = {}
     if cfg.out_csv:
+        from .output import emit_csv
         emit_csv(traj, cfg.out_csv)
         paths["csv"] = cfg.out_csv
     if cfg.out_svg:
+        from .output import emit_svg_plot
         emit_svg_plot(_svg_series(traj, cfg.log_y), cfg.out_svg, log_y=cfg.log_y)
         paths["svg"] = cfg.out_svg
     return traj, equilibrium, paths

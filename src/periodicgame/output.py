@@ -13,13 +13,15 @@ from __future__ import annotations
 import math
 import re
 import sys
-from typing import Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .simplex import Trajectory
+
+if TYPE_CHECKING:
+    from .simplex import Trajectory
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")

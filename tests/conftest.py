@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import periodicgame as pg
-from periodicgame import _kernels
+from periodicgame import _kernels, _kernels_py
 from periodicgame.simplex import LOG_ZERO, fold_columns
 
 
@@ -42,7 +42,7 @@ def native_kernels():
 def kernels(request):
     """Each backend's kernels in turn."""
     if request.param == "python":
-        return _kernels._PYTHON
+        return _kernels_py._PYTHON
     return request.getfixturevalue("native_kernels")
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import periodicgame as pg
-from periodicgame import _kernels, output
+from periodicgame import _kernels, _kernels_py, output
 from periodicgame.simplex import LOG_ZERO, _kl_rows, fold_columns, kl_to_reference, \
     smallest_component
 
@@ -68,7 +68,7 @@ class TestNativeMatchesPython:
                     _start(rng, m, boundary), _start(rng, n, boundary))
             native = _run(native_kernels.run_schedule, *args)
             assert native[0] == rec.size
-            _assert_same(native, _run(_kernels.run_schedule_py, *args))
+            _assert_same(native, _run(_kernels_py.run_schedule_py, *args))
 
     def test_omwu_past_the_boundary_bitwise(self, native_kernels, game2x2):
         # Long enough for probabilities to underflow through subnormals to 0.
@@ -77,18 +77,18 @@ class TestNativeMatchesPython:
         args = (_kernels.ALGO_OMWU, game2x2.stacked(), 0.3, 40_000, rec, lw, lw, lw, lw)
         native = _run(native_kernels.run_schedule, *args)
         assert (np.exp(native[3]) == 0.0).any()
-        _assert_same(native, _run(_kernels.run_schedule_py, *args))
+        _assert_same(native, _run(_kernels_py.run_schedule_py, *args))
 
     @pytest.mark.parametrize("eta", [1e-3, 0.02, 0.3])
     def test_reduced_composite_bitwise(self, native_kernels, eta):
         for z0 in ([0.41, 0.47, 0.53, 0.61], [0.0, 0.3, 1.0, 0.9], [0.5, 0.5, 0.5, 0.5]):
             outs = [np.empty((2001, 4)) for _ in range(2)]
             native_kernels.run_reduced_composite(np.array(z0), eta, 2000, outs[0])
-            _kernels.run_reduced_composite_py(np.array(z0), eta, 2000, outs[1])
+            _kernels_py.run_reduced_composite_py(np.array(z0), eta, 2000, outs[1])
             assert np.array_equal(outs[0], outs[1])
 
     def test_overflow_raises_like_math_exp(self, native_kernels):
-        for fn in (native_kernels.run_reduced_composite, _kernels.run_reduced_composite_py):
+        for fn in (native_kernels.run_reduced_composite, _kernels_py.run_reduced_composite_py):
             with pytest.raises(OverflowError):
                 fn(np.array([0.1, 0.9, 0.1, 0.9]), 500.0, 3, np.empty((4, 4)))
 
@@ -118,7 +118,7 @@ def _assert_plot_parity(native, xy, log_y=False, axes=IDENTITY_AXES):
     the written bytes."""
     got = _plot(native, xy, log_y, axes)
     with np.errstate(all="ignore"):
-        assert got == _plot(_kernels._PYTHON, xy, log_y, axes)
+        assert got == _plot(_kernels_py._PYTHON, xy, log_y, axes)
     return got[2]
 
 
@@ -152,7 +152,7 @@ class TestFormattersMatchPython:
         ints = hnp.arrays(np.int64, rows)
         args = (data.draw(ints), data.draw(ints), data.draw(_bit_patterns((rows, k))))
         assert (_csv_bytes(native_kernels.format_csv_rows, *args)
-                == _csv_bytes(_kernels.format_csv_rows_py, *args))
+                == _csv_bytes(_kernels_py.format_csv_rows_py, *args))
 
     def test_csv_rows_special_values(self, native_kernels):
         cells = np.concatenate([SPECIAL, [1 / 3, -2.5e-5, 1e16, 1e17, 123456789.0]])
@@ -160,7 +160,7 @@ class TestFormattersMatchPython:
         times = np.arange(len(cells)) * 1_000_000_007 - 2**62
         args = (times, times % 7, cells)
         native = _csv_bytes(native_kernels.format_csv_rows, *args)
-        assert native == _csv_bytes(_kernels.format_csv_rows_py, *args)
+        assert native == _csv_bytes(_kernels_py.format_csv_rows_py, *args)
         assert b"-nan" not in native and b",nan,nan,nan\n" in native
 
     @settings(max_examples=300, deadline=None)
@@ -256,7 +256,7 @@ class TestFormattersMatchPython:
         cells = np.column_stack([values, -values])
         times = np.arange(len(cells))
         native = _csv_bytes(native_kernels.format_csv_rows, times, times, cells)
-        assert native == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells)
+        assert native == _csv_bytes(_kernels_py.format_csv_rows_py, times, times, cells)
         assert b",2.9802322387695312e-08," in native     # the tie goes to even
         assert b",1e-14," in native
 
@@ -268,7 +268,7 @@ class TestFormattersMatchPython:
                  * rng.choice([-1.0, 1.0], 1_000_000)).reshape(-1, 4)
         times = np.arange(len(cells))
         assert (_csv_bytes(native_kernels.format_csv_rows, times, times, cells)
-                == _csv_bytes(_kernels.format_csv_rows_py, times, times, cells))
+                == _csv_bytes(_kernels_py.format_csv_rows_py, times, times, cells))
 
     def test_blocks_join_seamlessly(self, native_kernels):
         # More bytes than one native block, so the output spans several.
@@ -282,7 +282,7 @@ class TestFormattersMatchPython:
         cells = np.random.default_rng(1).normal(size=(30_000, 5))
         times = np.arange(len(cells))
         assert (_csv_bytes(native_kernels.format_csv_rows, times, times % 3, cells)
-                == _csv_bytes(_kernels.format_csv_rows_py, times, times % 3, cells))
+                == _csv_bytes(_kernels_py.format_csv_rows_py, times, times % 3, cells))
 
 
 NAMES = ["t", "phase", "x1_1", "x2_1", "kl_to_ref", "min_component"]
@@ -313,7 +313,7 @@ def _same_bits(a, b):
 def _both(native_kernels, body, **kw):
     """The two parsers' results for one body, checked equal."""
     native = _parse(native_kernels.parse_csv_rows, body, **kw)
-    python = _parse(_kernels.parse_csv_rows_py, body, **kw)
+    python = _parse(_kernels_py.parse_csv_rows_py, body, **kw)
     if isinstance(native, str) or isinstance(python, str):
         assert native == python
     else:
@@ -612,15 +612,15 @@ def test_build_without_int128_falls_back(tmp_path):
 LOCALE_SCRIPT = (
     "import io, locale, os, sys\n"
     "import numpy as np\n"
-    "from periodicgame import _kernels\n"
+    "from periodicgame import _kernels, _kernels_py\n"
     "locale.setlocale(locale.LC_ALL, sys.argv[1])\n"
     "print(locale.localeconv()['decimal_point'])\n"
     "native = _kernels._bind(_kernels._load(os.environ)[0])\n"
     "xy = np.array([[0.5, -1e300], [1 / 3, 2.0**53], [float('nan'), 1e-9]])\n"
     "t = np.arange(3)\n"
     "axes = (1.0, 0.0, 1.0, 1.0, 0.0) * 2\n"
-    "for fn, ref, args in ((native.format_csv_rows, _kernels.format_csv_rows_py, (t, t, xy)),\n"
-    "                      (native.format_plot_points, _kernels.format_plot_points_py,\n"
+    "for fn, ref, args in ((native.format_csv_rows, _kernels_py.format_csv_rows_py, (t, t, xy)),\n"
+    "                      (native.format_plot_points, _kernels_py.format_plot_points_py,\n"
     "                       (xy, False, axes))):\n"
     "    out = [io.BytesIO(), io.BytesIO()]\n"
     "    fn(*args, out[0])\n"
@@ -633,7 +633,7 @@ LOCALE_SCRIPT = (
 READ_SCRIPT = (
     "import io, locale, os, sys\n"
     "import numpy as np\n"
-    "from periodicgame import _kernels\n"
+    "from periodicgame import _kernels, _kernels_py\n"
     "locale.setlocale(locale.LC_ALL, sys.argv[1])\n"
     "print(locale.localeconv()['decimal_point'])\n"
     "native = _kernels._bind(_kernels._load(os.environ)[0])\n"
@@ -642,7 +642,7 @@ READ_SCRIPT = (
     "out = io.BytesIO()\n"
     "native.format_csv_rows(t, t, cells, out)\n"
     "data = b't,phase,a,b\\n' + out.getvalue()\n"
-    "for parse in (native.parse_csv_rows, _kernels.parse_csv_rows_py):\n"
+    "for parse in (native.parse_csv_rows, _kernels_py.parse_csv_rows_py):\n"
     "    back = parse(data, 12, 2, ['t', 'phase', 'a', 'b'], 0, 1)[2]\n"
     "    print(back.tobytes() == cells.tobytes())\n"
     "print(locale.localeconv()['decimal_point'], locale.str(0.5))\n"
@@ -972,14 +972,18 @@ class TestPairReader:
 
     @pytest.fixture(scope="class")
     def read_pairs(self, native_kernels):
-        if native_kernels.read_pairs is _kernels.read_pairs_py:
-            pytest.skip("the library was built without Python.h")
+        # Without the C converter every sequence goes to the Python one.
+        with mock.patch.object(_kernels_py, "read_pairs_py", side_effect=AssertionError):
+            try:
+                native_kernels.read_pairs([(0.5, 1.0)])
+            except AssertionError:
+                pytest.skip("the library was built without Python.h")
         return native_kernels.read_pairs
 
     def _assert_parity(self, read_pairs, points):
         want = _outcome(_old_points, points)
         assert _points_with(read_pairs, points) == want
-        assert _points_with(_kernels.read_pairs_py, points) == want
+        assert _points_with(_kernels_py.read_pairs_py, points) == want
 
     @settings(max_examples=400, deadline=None)
     @given(points=_series(_pairs(_VALUES)))
@@ -998,7 +1002,7 @@ class TestPairReader:
     def test_floats_and_ints_stay_native(self, read_pairs, points):
         # Exact pairs of floats and ints within the float range never reach
         # the Python converter.
-        with mock.patch.object(_kernels, "read_pairs_py", side_effect=AssertionError):
+        with mock.patch.object(_kernels_py, "read_pairs_py", side_effect=AssertionError):
             got = _points_with(read_pairs, points)
         assert got == _outcome(_old_points, points)
 

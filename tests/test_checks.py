@@ -468,6 +468,58 @@ class TestDistanceOracle:
         assert _float_bits(new.tolist()) == _float_bits(old.tolist())
 
 
+def _old_max_deviation(log_probs, s):
+    """_max_deviation as it was when it exponentiated the whole block."""
+    e = np.exp(log_probs)
+    q = s.probabilities.tolist()
+    acc = np.abs(np.subtract(e[:, 0], q[0]))
+    col = np.empty_like(acc)
+    for j in range(1, len(q)):
+        np.abs(np.subtract(e[:, j], q[j], out=col), out=col)
+        np.maximum(acc, col, out=acc)
+    return acc
+
+
+# A row of a block: ordinary log-probabilities, ones with special entries,
+# or a whole row at -inf, at LOG_ZERO or just below it.
+_ROW_FILL = st.sampled_from([-np.inf, LOG_ZERO, _BELOW])
+
+
+class TestColumnExpOracle:
+    """_max_deviation, which exponentiates one copied column at a time,
+    gives the bits of the old body, which exponentiated the whole (R, m)
+    block: np.exp gives a column the bits it gives the block.  Blocks of up
+    to 300 rows cover numpy's vector loops and their remainders."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+        st.lists(st.floats(-20.0, 5.0), min_size=k, max_size=k),
+        st.lists(st.one_of(
+            st.lists(st.one_of(st.floats(-800.0, 5.0),
+                               st.sampled_from([-np.inf, np.nan, 0.0, -0.0, 800.0,
+                                                LOG_ZERO, _BELOW])),
+                     min_size=k, max_size=k),
+            _ROW_FILL.map(lambda v: [v] * k)), min_size=1, max_size=300),
+        st.booleans())))
+    def test_matches_the_block_exp(self, case):
+        lw, rows, fortran = case
+        s = pg.Simplex(lw)
+        lp = np.array(rows, order="F" if fortran else "C")
+        with np.errstate(all="ignore"):
+            old = _old_max_deviation(lp, s)
+            new = _max_deviation(lp, s)
+        assert _float_bits(new.tolist()) == _float_bits(old.tolist())
+
+    def test_long_block(self):
+        rng = np.random.default_rng(47)
+        lp = np.log(rng.dirichlet(np.ones(3), size=10_001))
+        lp[::7, 1] = -np.inf
+        lp[::11] = LOG_ZERO
+        s = pg.Simplex.from_probabilities([0.2, 0.3, 0.5])
+        with np.errstate(all="ignore"):
+            assert _max_deviation(lp, s).tobytes() == _old_max_deviation(lp, s).tobytes()
+
+
 def _kl_steps_formula(traj, ref, stride):
     """d1 @ r1 + d2 @ r2 in fresh arrays: what _kl_step_differences computed
     before it shared one buffer."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import periodicgame as pg
+from periodicgame import cli
 from periodicgame.cli import main, run
 
 from conftest import clean_env
@@ -215,7 +216,8 @@ class TestCliCommands:
     @pytest.mark.parametrize("what", ["identities", "kl-monotone", "bregman"])
     @pytest.mark.parametrize("tol", ["-1e-10", "nan", "inf"])
     def test_verify_bad_tol_exit_code(self, what, tol, capsys):
-        argv = ["verify", what, "--steps", "20", "--cases", "2", f"--tol={tol}"]
+        size = ["--cases", "2"] if what == "bregman" else ["--steps", "20"]
+        argv = ["verify", what, *size, f"--tol={tol}"]
         assert main(argv) == 1
         assert "tol must be a nonnegative finite number" in capsys.readouterr().err
 
@@ -301,11 +303,27 @@ class TestCliCommands:
         ["verify", "orbit", "--steps", "100", "--tol", "1e-3"],
         ["experiment", "--list", "--all"],
         ["experiment", "--list", "exp1"],
+        ["verify", "identities", "--steps", "200", "--dim", "7"],
+        ["verify", "increments", "--steps", "200", "--cases", "5"],
+        ["verify", "orbit", "--steps", "100", "--seed", "3"],
+        ["verify", "identities", "--steps", "200", "--algo", "omwu"],
+        ["verify", "kl-monotone", "--steps", "100", "--expect", "converged_orbit"],
+        ["verify", "bregman", "--cases", "5", "--experiment", "exp1"],
+        ["verify", "bregman", "--cases", "5", "--eta", "0.1"],
+        ["verify", "bregman", "--cases", "5", "--steps", "10"],
+        ["analyze", "eigen", "--samples", "5"],
+        ["analyze", "jacobian", "--samples", "5"],
+        ["analyze", "fixed-curve", "--samples", "3", "--boundary-a", "0.3"],
     ])
     def test_flag_without_effect_is_config_error(self, argv, capsys):
         assert main(argv) == 1
         out = capsys.readouterr()
         assert out.err.startswith("config error: ") and not out.out
+
+    def test_literal_choices_are_the_enum_values(self):
+        # The parser names them without importing dynamics or checks.
+        assert cli.ALGORITHMS == tuple(a.value for a in pg.Algorithm)
+        assert cli.ORBIT_VERDICTS == tuple(v.value for v in pg.OrbitVerdict)
 
     def test_long_run_svgs_keep_four_points_per_column(self, tmp_path, capsys):
         """A 100k-step run's polylines hold at most four points for each of

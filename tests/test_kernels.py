@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import periodicgame as pg
-from periodicgame import _kernels
+from periodicgame import _kernels, _kernels_py
 from periodicgame.simplex import kl_to_reference
 
 from conftest import random_interior_joint
@@ -67,7 +67,7 @@ def test_eta_at_max_step_size(kernels, algo, game2x2):
     out1, out2 = run(kernels.run_schedule, algo, game2x2.stacked(), eta, 2_000, lw, lw)
     assert np.isfinite(out1).all() and np.isfinite(out2).all()
     assert np.abs(_lse(out1)).max() < 1e-12 and np.abs(_lse(out2)).max() < 1e-12
-    ref = run(_kernels.run_schedule_py, algo, game2x2.stacked(), eta, 2_000, lw, lw)
+    ref = run(_kernels_py.run_schedule_py, algo, game2x2.stacked(), eta, 2_000, lw, lw)
     assert np.array_equal(out1, ref[0]) and np.array_equal(out2, ref[1])
 
 

@@ -20,15 +20,15 @@
  * output.py.  Both round exactly without printf (put_g17, put_fixed3) and
  * write eight digits at a time (eight_digits); snprintf writes only the
  * cells outside 1e-16 < |v| < 1e16 (zeros, NaN and inf among them) and the
- * points of |v| >= 2^53 / 1000.  An SVG series takes two passes:
- * plot_extent counts the points that emit_svg_plot keeps and finds their
- * extremes, and format_plot_points drops the others, takes log10 (the libm
- * function that Python's math.log10 calls) and scales the rest, with the
- * bits of the numpy expressions of its Python fallback.  It writes at most
- * four points of each pixel column of the plot: of each run of consecutive
- * points whose written x has one integer part, the first, the first of
- * least y, the first of greatest y and the last, which keep the line's
- * ends and its extremes in every column.
+ * points of |v| >= 2^53 / 1000.  An SVG series takes one pass here, over
+ * the points that emit_svg_plot keeps, found in numpy with their extremes:
+ * format_plot_points takes log10 (the libm function that Python's
+ * math.log10 calls) and scales them, with the bits of the numpy
+ * expressions of its Python fallback.  It writes at most four points of
+ * each pixel column of the plot: of each run of consecutive points whose
+ * written x has one integer part, the first, the first of least y, the
+ * first of greatest y and the last, which keep the line's ends and its
+ * extremes in every column.
  *
  * parse_csv_rows reads such a file back for read_csv: the columns t and
  * phase as exact int64, every other cell as the nearest double, which is
@@ -564,46 +564,7 @@ long format_csv_rows(const int64_t *t, const int64_t *phase, const double *cells
     return r;
 }
 
-/* The points of a plot series that emit_svg_plot keeps: t and v finite,
- * and v > 0 under log_y. */
-static inline int plot_keeps(double t, double v, int log_y)
-{
-    return isfinite(t) && isfinite(v) && (!log_y || v > 0);
-}
-
-/* Pass one over a plot series xy: (n, 2) of (t, v) points.  Returns the
- * number of kept points and stores in out the first minimum and the first
- * maximum of their t, then of their v (log10 v under log_y), as argmin and
- * argmax find them: the strict comparisons keep the earlier of a +0/-0
- * tie.  With no point kept, out holds inf, -inf, inf, -inf. */
-long plot_extent(const double *xy, long n, int log_y, double *out)
-{
-    double t_lo = INFINITY, t_hi = -INFINITY, v_lo = INFINITY, v_hi = -INFINITY;
-    long kept = 0;
-    for (long i = 0; i < n; i++) {
-        double t = xy[2 * i], v = xy[2 * i + 1];
-        if (!plot_keeps(t, v, log_y))
-            continue;
-        if (log_y)
-            v = log10(v);   /* the function math.log10 calls */
-        kept++;
-        if (t < t_lo)
-            t_lo = t;
-        if (t > t_hi)
-            t_hi = t;
-        if (v < v_lo)
-            v_lo = v;
-        if (v > v_hi)
-            v_hi = v;
-    }
-    out[0] = t_lo;
-    out[1] = t_hi;
-    out[2] = v_lo;
-    out[3] = v_hi;
-    return kept;
-}
-
-/* A kept plot point: its index and coordinates, thousandths(x) where
+/* A plot point: its index and coordinates, thousandths(x) where
  * |x| < F3_EXACT, and the integer part of its written x, the "%.3f" text
  * before the '.', as a number whose sign tells "-0" from "0".  A finite x
  * past F3_EXACT is a multiple of 2^-9, and rounding it to thousandths keeps
@@ -615,9 +576,9 @@ struct plot_point {
     uint64_t rx;
 };
 
-/* The plot point of index i of xy, a kept one.  v becomes log10 v under
- * log_y (the libm function math.log10 calls).  axes holds (k, start, span,
- * size, margin) for x, then for y; a coordinate is
+/* The plot point of index i of xy.  v becomes log10 v under log_y (the
+ * libm function math.log10 calls).  axes holds (k, start, span, size,
+ * margin) for x, then for y; a coordinate is
  * margin + (v * k - start) / span * size, evaluated in that order, where
  * k = 0.5 halves v as emit_svg_plot halves the other operands when a span
  * overflows. */
@@ -677,16 +638,17 @@ static inline char *put_run(char *p, char *end, int sep, struct plot_point first
 /* Room for one written pair and the space before it. */
 #define PAIR_ROOM (2 * F3_ROOM + 2)
 
-/* Pass two: "x,y" pairs at %.3f, each after the series' first preceded by
- * a space, for the kept points of xy from start on, at most four of each
- * run of consecutive kept points whose written x has one integer part, a
- * pixel column of the plot (M4; Jugel et al., "M4: A Visualization-Oriented
- * Time Series Data Aggregation", VLDB 2014): those of put_run.  In every
- * column the polyline through them reaches the least and the greatest y of
- * the one through every kept point.  Stops before a run whose pairs might
- * not fit in cap bytes; stores the bytes written in *len and returns the
- * index of that run's first point, or n.  A call with start > 0 follows
- * one that stopped on a full buffer, so a pair has been written before it. */
+/* "x,y" pairs at %.3f, each after the series' first preceded by a space,
+ * for the points of xy (t and v finite, v > 0 under log_y: those that
+ * emit_svg_plot keeps) from start on, at most four of each run of
+ * consecutive points whose written x has one integer part, a pixel column
+ * of the plot (M4; Jugel et al., "M4: A Visualization-Oriented Time Series
+ * Data Aggregation", VLDB 2014): those of put_run.  In every column the
+ * polyline through them reaches the least and the greatest y of the one
+ * through every point.  Stops before a run whose pairs might not fit in
+ * cap bytes; stores the bytes written in *len and returns the index of
+ * that run's first point, or n.  A call with start > 0 follows one that
+ * stopped on a full buffer, so a pair has been written before it. */
 long format_plot_points(const double *xy, int log_y, const double *axes, long start, long n,
                         char *buf, long cap, long *len)
 {
@@ -696,8 +658,6 @@ long format_plot_points(const double *xy, int log_y, const double *axes, long st
     struct plot_point first = {0}, lo = first, hi = first, last = first;
     long i = start;
     for (; i < n; i++) {
-        if (!plot_keeps(xy[2 * i], xy[2 * i + 1], log_y))
-            continue;
         struct plot_point cur = plot_point_at(xy, log_y, axes, i);
         if (in_run && same_column(cur.col, first.col)) {
             if (cur.y < lo.y)

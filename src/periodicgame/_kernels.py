@@ -10,12 +10,11 @@ bits,
 adds in the same order (``kl_rows`` is None on the Python backend, where
 that fallback runs),
 the CSV writer ``format_csv_rows``, which writes the same bytes as the
-Python template it replaces, the two passes of an SVG series,
-``plot_extent`` (the kept points' count and extremes) and
-``format_plot_points`` (drop, log10, scale and "%.3f,%.3f" in one loop, at
-most four points of each pixel column: those of
-``_kernels_py._column_extremes``), which give the counts, extremes and bytes
-of their numpy fallbacks, and the CSV
+Python template it replaces, the one pass of an SVG series,
+``format_plot_points`` (log10, scale and "%.3f,%.3f" in one loop over the
+points ``output`` keeps, at most four points of each pixel column: those
+of ``_kernels_py._column_extremes``), which writes the bytes of its numpy
+fallback, and the CSV
 reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
 same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
 written as integers, and ``pairs_into``, behind ``read_pairs``, which copies
@@ -182,8 +181,6 @@ def _load(environ):
     lib.run_reduced_composite.restype = long_
     lib.format_csv_rows.argtypes = [ptr, ptr, ptr] + [long_] * 3 + [ptr, long_, ptr]
     lib.format_csv_rows.restype = long_
-    lib.plot_extent.argtypes = [ptr, long_, ctypes.c_int, ptr]
-    lib.plot_extent.restype = long_
     lib.format_plot_points.argtypes = [ptr, ctypes.c_int, ptr] + [long_] * 2 + [ptr, long_, ptr]
     lib.format_plot_points.restype = long_
     lib.parse_csv_rows.argtypes = [ctypes.c_char_p] + [long_] * 6 + [ptr] * 4
@@ -299,20 +296,10 @@ def _bind(lib):
         write_blocks(lib.format_csv_rows, (t.ctypes.data, ph.ctypes.data, c.ctypes.data, k),
                      len(c), fh, _BLOCK_BYTES + 64 * k)
 
-    def plot_series(xy):
+    def format_plot_points(xy, log_y, axes, fh):
         pts = np.ascontiguousarray(xy, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise InputError(f"xy must have shape (N, 2), got {pts.shape}")
-        return pts
-
-    def plot_extent(xy, log_y):
-        pts = plot_series(xy)
-        out = np.empty(4)
-        kept = lib.plot_extent(pts.ctypes.data, len(pts), bool(log_y), out.ctypes.data)
-        return (kept, *out.tolist())
-
-    def format_plot_points(xy, log_y, axes, fh):
-        pts = plot_series(xy)
         ax = np.ascontiguousarray(axes, dtype=np.float64)
         if ax.shape != (10,):
             raise InputError(f"axes must hold 10 numbers, got shape {ax.shape}")
@@ -359,9 +346,8 @@ def _bind(lib):
 
     return types.SimpleNamespace(
         run_schedule=run_schedule, run_reduced_composite=run_reduced_composite,
-        kl_rows=kl_rows, format_csv_rows=format_csv_rows, plot_extent=plot_extent,
-        format_plot_points=format_plot_points, parse_csv_rows=parse_csv_rows,
-        read_pairs=read_pairs)
+        kl_rows=kl_rows, format_csv_rows=format_csv_rows, format_plot_points=format_plot_points,
+        parse_csv_rows=parse_csv_rows, read_pairs=read_pairs)
 
 
 _lib, _reason = _load(os.environ)
@@ -373,7 +359,6 @@ run_schedule = _active.run_schedule
 run_reduced_composite = _active.run_reduced_composite
 kl_rows = _active.kl_rows
 format_csv_rows = _active.format_csv_rows
-plot_extent = _active.plot_extent
 format_plot_points = _active.format_plot_points
 parse_csv_rows = _active.parse_csv_rows
 read_pairs = _active.read_pairs

@@ -3,8 +3,9 @@
 Each ``*_py`` function here does what its namesake in ``_kernels.c`` does,
 operation for operation, so both backends give the same bits and bytes:
 the trajectory kernels ``run_schedule_py`` and ``run_reduced_composite_py``,
-the CSV writer ``format_csv_rows_py``, the two passes of an SVG series
-``plot_extent_py`` and ``format_plot_points_py``, the pair reader
+the CSV writer ``format_csv_rows_py``, the format pass of an SVG series
+``format_plot_points_py`` (``output`` keeps a series' points and finds
+their extremes in numpy for both backends), the pair reader
 ``read_pairs_py`` and the CSV reader ``parse_csv_rows_py``.  ``_PYTHON``
 holds them under the names of the native kernels; there is no Python
 ``kl_rows``, so ``simplex.kl_to_reference`` takes its numpy path.
@@ -185,34 +186,6 @@ def format_csv_rows_py(times, phases, cells, fh):
         fh.write("".join([row_fmt % (t, ph, *row) for t, ph, row in rows]).encode())
 
 
-def _kept_points(xy, log_y):
-    """The t and v columns of the plot points of ``xy`` (N, 2) that
-    emit_svg_plot keeps: t and v finite, and v > 0 under ``log_y``, where v
-    becomes log10 v."""
-    keep = np.isfinite(xy[:, 0]) & np.isfinite(xy[:, 1])
-    if log_y:
-        keep &= xy[:, 1] > 0
-    ts, vs = xy[keep, 0], xy[keep, 1]
-    if log_y:
-        # math.log10, not np.log10, which may differ in the last ulp.
-        vs = np.array(list(map(math.log10, vs.tolist())), dtype=np.float64)
-    return ts, vs
-
-
-def plot_extent_py(xy, log_y):
-    """(kept, t_lo, t_hi, v_lo, v_hi) of a plot series ``xy`` (N, 2): the
-    number of points kept, and the first minimum and first maximum of their
-    t and v (log10 v under ``log_y``).  argmin/argmax take the first
-    extreme in point order; np.min/np.max may return either zero of a +0/-0
-    tie, which shows in a zero tick label.  With no point kept the extremes
-    are inf, -inf, inf, -inf."""
-    ts, vs = _kept_points(xy, log_y)
-    if not ts.size:
-        return 0, math.inf, -math.inf, math.inf, -math.inf
-    return (ts.size, float(ts[ts.argmin()]), float(ts[ts.argmax()]),
-            float(vs[vs.argmin()]), float(vs[vs.argmax()]))
-
-
 def _column_extremes(xs, ys):
     """The indices, in order, of the plot points (xs, ys) that
     format_plot_points writes: of each run of consecutive points whose
@@ -239,12 +212,17 @@ def _column_extremes(xs, ys):
 
 
 def format_plot_points_py(xy, log_y, axes, fh):
-    """Write the kept points of the plot series ``xy`` (N, 2) to the binary
-    handle ``fh`` as "x,y" pairs at %.3f, joined by spaces: at most four
-    points of each pixel column, those of ``_column_extremes``.  ``axes``
-    holds (k, start, span, size, margin) for x, then for y; a coordinate is
+    """Write the points of the plot series ``xy`` (N, 2), whose t and v are
+    finite and v > 0 under ``log_y`` (the points emit_svg_plot keeps), to
+    the binary handle ``fh`` as "x,y" pairs at %.3f, joined by spaces: at
+    most four points of each pixel column, those of ``_column_extremes``.
+    v becomes log10 v under log_y.  ``axes`` holds (k, start, span, size,
+    margin) for x, then for y; a coordinate is
     margin + (v * k - start) / span * size."""
-    ts, vs = _kept_points(xy, log_y)
+    ts, vs = xy[:, 0], xy[:, 1]
+    if log_y:
+        # math.log10, not np.log10, which may differ in the last ulp.
+        vs = np.array(list(map(math.log10, vs.tolist())), dtype=np.float64)
     kx, x0, xspan, xsize, xmargin, ky, y0, yspan, ysize, ymargin = axes
     xs = xmargin + (ts * kx - x0) / xspan * xsize
     ys = ymargin + (vs * ky - y0) / yspan * ysize
@@ -339,9 +317,8 @@ def parse_csv_rows_py(data, start, line, names, t_col, phase_col):
 
 _PYTHON = types.SimpleNamespace(
     run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
-    kl_rows=None, format_csv_rows=format_csv_rows_py, plot_extent=plot_extent_py,
-    format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py,
-    read_pairs=read_pairs_py)
+    kl_rows=None, format_csv_rows=format_csv_rows_py, format_plot_points=format_plot_points_py,
+    parse_csv_rows=parse_csv_rows_py, read_pairs=read_pairs_py)
 
 
 # Last: on the Python backend _kernels imports _PYTHON while it loads, so

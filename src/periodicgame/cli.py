@@ -134,6 +134,11 @@ def _reject_unread_flags(args):
             raise ConfigError(f"{flag} does not apply to {args.command} {args.what}")
 
 
+def _require_at_least(flag, value, low):
+    if value is not None and value < low:
+        raise ConfigError(f"{flag} must be at least {low}, got {value}")
+
+
 def _cmd_simulate(args) -> int:
     from .experiments import parse_config, run_experiment
     cfg = parse_config(args.config)
@@ -159,6 +164,8 @@ def _cmd_experiment(args) -> int:
             print(f"{spec.name}: {game.m}x{game.n}, period {game.period}, "
                   f"default algo {DEFAULT_ALGO.value}, eta {default_eta(DEFAULT_ALGO)}")
         return EXIT_OK
+    # numpy's generators take no negative seed.
+    _require_at_least("--seed", args.seed, 0)
     if args.all and (args.out_csv or args.out_svg):
         raise ConfigError("--out-csv and --out-svg name one run's files; "
                           "use --out-dir with --all")
@@ -208,14 +215,14 @@ def _vec(v) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    from .dynamics import omwu_reduced_composite
+    from .dynamics import omwu_reduced_composite, require_step_size
     _reject_unread_flags(args)
     eta = args.eta
     if args.what == "fixed-curve":
         from .checks import boundary_fixed_point
+        _require_at_least("--samples", args.samples, 1)
         samples = args.samples if args.samples is not None else 20
-        if samples < 1:
-            raise ConfigError(f"--samples must be at least 1, got {samples}")
+        require_step_size(eta)   # before the header line is printed
         worst = 0.0
         print(f"boundary fixed-point curve at eta={eta}")
         for k in range(samples):
@@ -310,9 +317,10 @@ def _cmd_verify(args) -> int:
                               record_every=1, reference=eq.joint)
         return _report_exit(check_extra_kl_decrease(traj, eq.joint, **tol))
     if args.what == "bregman":
+        _require_at_least("--cases", args.cases, 1)
+        _require_at_least("--dim", args.dim, 2)
+        _require_at_least("--seed", args.seed, 0)
         cases = args.cases if args.cases is not None else 1000
-        if cases < 1:
-            raise ConfigError(f"--cases must be at least 1, got {cases}")
         dim = args.dim if args.dim is not None else 3
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         worst = 0.0

@@ -2,10 +2,11 @@
 
 Both formats are bit-deterministic for identical input: floats are written
 with 17 significant digits (lossless for binary64), lines end with LF, and
-the SVG contains no timestamps or random ids.  The per-value work, the CSV
-cells, an SVG series' drop, log10, scaling and formatting, and the parsing
-of a CSV read back, runs in ``_kernels`` (native or Python, the same bytes
-and bits either way).
+the SVG contains no timestamps or random ids.  An SVG series' drop and
+extremes are one numpy step here; the per-value work, the CSV cells, an SVG
+series' log10, scaling and formatting, and the parsing of a CSV read back,
+runs in ``_kernels`` (native or Python, the same bytes and bits either
+way).
 """
 
 from __future__ import annotations
@@ -113,30 +114,29 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     non-finite points" counts both.
 
     A list of (t, v) pairs of floats and ints is copied into an array in one
-    C pass (``_kernels.read_pairs``).  Each series then takes two passes of
-    ``_kernels``: ``plot_extent`` counts its kept points and finds their
-    extremes, and once the axes are known ``format_plot_points`` skips the
-    dropped points and takes log10 of and scales the rest.  Of each run of
-    consecutive points whose written x has one integer part, a pixel column,
-    it writes the first, the first of least y, the first of greatest y and
-    the last: at most four points a column, which keep the line's first and
-    last points and its extremes in every column.  The CSV of a run keeps
-    every point."""
+    C pass (``_kernels.read_pairs``).  One numpy step (``_kept_extent``) then
+    keeps a series' points and finds their extremes, and once the axes are
+    known one pass of ``_kernels.format_plot_points`` takes log10 of and
+    scales the kept points.  Of each run of consecutive points whose written
+    x has one integer part, a pixel column, it writes the first, the first
+    of least y, the first of greatest y and the last: at most four points a
+    column, which keep the line's first and last points and its extremes in
+    every column.  The CSV of a run keeps every point."""
     if not series:
         raise InputError("no series to plot")
     cleaned = []
     dropped = 0
     for label, points in series:
         pts = _points(label, points)
-        kept, *extent = _kernels.plot_extent(pts, log_y)
-        dropped += len(pts) - kept
-        cleaned.append((str(label), pts, kept, extent))
-    extents = [extent for _, _, kept, extent in cleaned if kept]
+        kept, extent = _kept_extent(pts, log_y)
+        dropped += len(pts) - len(kept)
+        cleaned.append((str(label), kept, extent))
+    extents = [extent for _, kept, extent in cleaned if len(kept)]
     if not extents:
         raise InputError("every data point was dropped; nothing to plot")
 
     # min and max keep the first of equal extremes, in series order as
-    # plot_extent does in point order: a +0/-0 tie shows in a zero tick label.
+    # _kept_extent does in point order: a +0/-0 tie shows in a zero tick label.
     t_los, t_his, v_los, v_his = zip(*extents)
     x_lo, x_hi, y_lo, y_hi = min(t_los), max(t_his), min(v_los), max(v_his)
     if x_hi == x_lo:
@@ -170,7 +170,7 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     ]
     legend = []
     legend_y = _MARGIN_T + 18
-    for idx, (label, _, _, _) in enumerate(cleaned):
+    for idx, (label, _, _) in enumerate(cleaned):
         color = _PALETTE[idx % len(_PALETTE)]
         y = legend_y + idx * 18
         legend.append(f'<line x1="{_WIDTH - 170}" y1="{y - 4}" x2="{_WIDTH - 140}" '
@@ -180,13 +180,13 @@ def emit_svg_plot(series: Series, path: str, log_y: bool = False) -> None:
     axes = _scale(x_lo, x_hi, plot_w, _MARGIN_L) + _scale(y_hi, y_lo, plot_h, _MARGIN_T)
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in out).encode())
-        for idx, (label, pts, kept, _) in enumerate(cleaned):
-            if not kept:
+        for idx, (label, kept, _) in enumerate(cleaned):
+            if not len(kept):
                 continue
             color = _PALETTE[idx % len(_PALETTE)]
             fh.write(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="'.encode())
-            _kernels.format_plot_points(pts, log_y, axes, fh)
+            _kernels.format_plot_points(kept, log_y, axes, fh)
             fh.write(b'"/>\n')
         fh.write("".join(line + "\n" for line in legend).encode())
 
@@ -205,6 +205,30 @@ def _points(label, points):
             pass
     raise InputError(f"series {label!r}: points must be (t, v) pairs of numbers "
                      "or an (N, 2) array")
+
+
+def _kept_extent(xy, log_y):
+    """The points of a series ``xy`` (N, 2) that a plot keeps, those with t
+    and v finite and v > 0 under ``log_y`` (``xy`` itself when it keeps
+    every point), and their (t_lo, t_hi, v_lo, v_hi), or None when it keeps
+    none: the first minimum and first maximum of t and of v as argmin and
+    argmax take them, so the first of a +0/-0 tie.  Under log_y v_lo and
+    v_hi are math.log10 of the v extremes, the extremes of the log10 of
+    every point because libm's log10 (the function math.log10 and the
+    native format pass call) is monotone."""
+    t, v = xy[:, 0], xy[:, 1]
+    keep = np.isfinite(t) & np.isfinite(v)
+    if log_y:
+        keep &= v > 0
+    if not keep.all():
+        xy = np.compress(keep, xy, axis=0)   # several times faster than xy[keep]
+        t, v = xy[:, 0], xy[:, 1]
+    if not len(xy):
+        return xy, None
+    v_lo, v_hi = float(v[v.argmin()]), float(v[v.argmax()])
+    if log_y:
+        v_lo, v_hi = math.log10(v_lo), math.log10(v_hi)
+    return xy, (float(t[t.argmin()]), float(t[t.argmax()]), v_lo, v_hi)
 
 
 def _widen(v):

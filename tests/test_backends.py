@@ -3,6 +3,8 @@ C formatters byte for byte, and the backend switch must build, load and
 report the kernel it says."""
 
 import collections
+import ctypes
+import ctypes.util
 import io
 import itertools
 import math
@@ -10,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -104,22 +107,56 @@ def _csv_bytes(fn, times, phases, cells):
 IDENTITY_AXES = (1.0, 0.0, 1.0, 1.0, -0.0) * 2
 
 
-def _plot(kernels, xy, log_y=False, axes=IDENTITY_AXES):
-    """plot_extent's result, with each extreme as its bits, and the bytes
-    format_plot_points writes for the series ``xy``."""
-    kept, *extent = kernels.plot_extent(xy, log_y)
+def old_plot_extent(xy, log_y):
+    """The oracle of output._kept_extent, plot_extent_py as it was before
+    the extent left the backends: (kept, t_lo, t_hi, v_lo, v_hi) of the
+    points with t and v finite and v > 0 under ``log_y``, with math.log10 of
+    every kept v under log_y, and the first minimum and maximum of each
+    column as argmin/argmax take them; inf, -inf, inf, -inf with no point
+    kept."""
+    keep = np.isfinite(xy[:, 0]) & np.isfinite(xy[:, 1])
+    if log_y:
+        keep &= xy[:, 1] > 0
+    ts, vs = xy[keep, 0], xy[keep, 1]
+    if log_y:
+        vs = np.array(list(map(math.log10, vs.tolist())), dtype=np.float64)
+    if not ts.size:
+        return 0, math.inf, -math.inf, math.inf, -math.inf
+    return (ts.size, float(ts[ts.argmin()]), float(ts[ts.argmax()]),
+            float(vs[vs.argmin()]), float(vs[vs.argmax()]))
+
+
+def _kept(xy, log_y):
+    """output._kept_extent's kept points and extent of the series ``xy``
+    (inf, -inf, inf, -inf for none), checked against the oracle bit for
+    bit, and raising no RuntimeWarning; a series that keeps every point is
+    not copied."""
+    xy = np.ascontiguousarray(xy, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kept, extent = output._kept_extent(xy, log_y)
+    extent = extent or (math.inf, -math.inf, math.inf, -math.inf)
+    count, *old = old_plot_extent(xy, log_y)
+    assert len(kept) == count and (kept is xy) == (count == len(xy))
+    assert np.array(extent).tobytes() == np.array(old).tobytes()
+    return kept, extent
+
+
+def _format(kernels, kept, log_y, axes):
     fh = io.BytesIO()
-    kernels.format_plot_points(xy, log_y, axes, fh)
-    return kept, np.array(extent).tobytes(), fh.getvalue()
+    kernels.format_plot_points(kept, log_y, axes, fh)
+    return fh.getvalue()
 
 
 def _assert_plot_parity(native, xy, log_y=False, axes=IDENTITY_AXES):
-    """native's plot passes give what the Python fallbacks give; returns
-    the written bytes."""
-    got = _plot(native, xy, log_y, axes)
+    """The keep-and-extent step on ``xy`` against its oracle, then native's
+    format pass on the kept points against the Python fallback's; returns
+    the kept points, their extent and the written bytes."""
+    kept, extent = _kept(xy, log_y)
+    got = _format(native, kept, log_y, axes)
     with np.errstate(all="ignore"):
-        assert got == _plot(_kernels_py._PYTHON, xy, log_y, axes)
-    return got[2]
+        assert got == _format(_kernels_py._PYTHON, kept, log_y, axes)
+    return kept, extent, got
 
 
 def _from_bits(*bits):
@@ -135,6 +172,36 @@ SPECIAL = np.concatenate([
 ])
 _SCALE_LIMIT = 2.0**53 / 1000
 _POINTS = st.tuples(st.integers(0, 60), st.just(2))
+
+
+# Positive finite doubles at which log10 is checked: powers of ten and
+# their neighbours, subnormals, powers of two down to 2^-1074, the
+# neighbours of 1, random values and bit patterns, and DBL_MAX.
+_TENS = 10.0 ** np.arange(-323, 309)
+_RNG = np.random.default_rng(14)
+LOG10_VALUES = np.concatenate([
+    _TENS, np.nextafter(_TENS, 0), np.nextafter(_TENS, np.inf),
+    _from_bits(*range(1, 40)), 2.0 ** -np.arange(1022, 1075),
+    1 + np.arange(-40, 41) * 2.0**-52, _RNG.uniform(0.5, 2, 500),
+    _RNG.integers(1, 0x7FF0000000000000, 3000, dtype=np.int64).view(np.float64),
+    [1.7976931348623157e308]])
+
+
+def _with_log10_examples(test):
+    """``test`` with the subnormals, powers of ten and their neighbours of
+    LOG10_VALUES as explicit hypothesis examples."""
+    for x in LOG10_VALUES[:3 * len(_TENS) + 39].tolist():
+        test = example(x=x)(test)
+    return test
+
+
+@settings(max_examples=500, deadline=None)
+@_with_log10_examples
+@given(x=st.floats(min_value=5e-324, max_value=1.7976931348623157e308))
+def test_log10_is_monotone(x):
+    # output takes log10 of a log-y series' two extremes only, which equal
+    # the extremes of every point's log10 because log10 never decreases.
+    assert math.log10(x) <= math.log10(math.nextafter(x, math.inf))
 
 
 def _bit_patterns(shape):
@@ -179,7 +246,7 @@ class TestFormattersMatchPython:
             SPECIAL, thousandth_ties, exact_ties, past_limit,
             [np.nextafter(_SCALE_LIMIT, 0), -0.0004, 0.0004999999999999999]])
         xy = np.column_stack([values, -values])
-        native = _assert_plot_parity(native_kernels, xy)
+        native = _assert_plot_parity(native_kernels, xy)[2]
         # The NaN and inf points are dropped, and no space leads.
         assert native.startswith(b"0.000,-0.000 -0.000,0.000 0.000,-0.000 -0.000,0.000 ")
         assert b" 0.062,-0.062 " in native                 # 0.0625: the tie goes to even
@@ -189,7 +256,7 @@ class TestFormattersMatchPython:
         _assert_plot_parity(native_kernels, xy, log_y=True)
 
     @pytest.mark.parametrize("log_y", [False, True])
-    def test_plot_series_adversarial(self, native_kernels, log_y):
+    def test_plot_series_adversarial(self, native_kernels, log_y, tmp_path):
         tiny = np.array([5e-324, -5e-324, 2.2250738585072014e-308, 1e-310])
         rng = np.random.default_rng(13)
         cases = {
@@ -208,39 +275,46 @@ class TestFormattersMatchPython:
                                         dtype=np.uint64).view(np.float64),
         }
         for name, xy in cases.items():
-            kept, *extent = native_kernels.plot_extent(xy, log_y)
+            kept, extent = _kept(xy, log_y)
             # The axes emit_svg_plot would build for this series alone, so
             # spans past the float range take the halving path, and those
             # of the identity axes.
             axes = (output._scale(extent[0], extent[1], 712, 72)
                     + output._scale(extent[3], extent[2], 536, 16))
             for ax in (IDENTITY_AXES, axes):
-                written = _assert_plot_parity(native_kernels, xy, log_y, ax)
-                assert (written == b"") == (kept == 0), name
-        assert _plot(native_kernels, cases["all_dropped"], log_y)[:2] == (
-            0, np.array([np.inf, -np.inf, np.inf, -np.inf]).tobytes())
+                written = _assert_plot_parity(native_kernels, xy, log_y, ax)[2]
+                assert (written == b"") == (len(kept) == 0), name
+            # emit_svg_plot drops what the keep step drops, and counts it.
+            path = tmp_path / f"{name}.svg"
+            if len(kept):
+                output.emit_svg_plot([(name, xy)], str(path), log_y)
+                assert (f"<!-- dropped {len(xy) - len(kept)} non-finite points -->"
+                        in path.read_text()), name
+            else:
+                with pytest.raises(pg.InputError, match="every data point was dropped"):
+                    output.emit_svg_plot([(name, xy)], str(path), log_y)
+        kept, extent = output._kept_extent(cases["all_dropped"], log_y)
+        assert kept.shape == (0, 2) and extent is None
         # The first of a +0/-0 tie is the extreme, as argmin/argmax take it.
-        _, t_lo, t_hi, v_lo, v_hi = native_kernels.plot_extent(cases["zero_ties"], False)
+        t_lo, t_hi, v_lo, v_hi = _kept(cases["zero_ties"], False)[1]
         assert [math.copysign(1, e) for e in (t_lo, t_hi, v_lo, v_hi)] == [1, 1, -1, -1]
         # The wide series' x span overflows: k = 0.5.
-        wide = native_kernels.plot_extent(cases["wide"], False)
-        assert output._scale(wide[1], wide[2], 712, 72)[0] == 0.5
+        wide = _kept(cases["wide"], False)[1]
+        assert output._scale(wide[0], wide[1], 712, 72)[0] == 0.5
 
     def test_log10_matches_math(self, native_kernels):
-        # The C pass calls the C library's log10, which math.log10 calls for
-        # a finite positive argument: the same bits everywhere.
-        rng = np.random.default_rng(14)
-        tens = 10.0 ** np.arange(-323, 309)
-        values = np.concatenate([
-            tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
-            _from_bits(*range(1, 40)), 2.0 ** -np.arange(1022, 1075),
-            1 + np.arange(-40, 41) * 2.0**-52, rng.uniform(0.5, 2, 500),
-            rng.integers(1, 0x7FF0000000000000, 3000, dtype=np.int64).view(np.float64),
-            [1.7976931348623157e308]])
-        got = [native_kernels.plot_extent(np.array([[0.0, v]]), True) for v in values]
-        assert all(kept == 1 and lo == hi for kept, _, _, lo, hi in got)
-        assert (np.array([lo for *_, lo, _ in got]).tobytes()
-                == np.array([math.log10(v) for v in values]).tobytes())
+        # The C format pass calls the C library's log10, which math.log10
+        # calls for a finite positive argument: the same bits everywhere.
+        # Both reach the one libm of the process.
+        libm = ctypes.CDLL(ctypes.util.find_library("m"))
+        libm.log10.argtypes = [ctypes.c_double]
+        libm.log10.restype = ctypes.c_double
+        assert (np.array([libm.log10(v) for v in LOG10_VALUES.tolist()]).tobytes()
+                == np.array([math.log10(v) for v in LOG10_VALUES.tolist()]).tobytes())
+        # And the format pass writes what the Python fallback writes, with
+        # the log10 of each value as its y.
+        xy = np.column_stack([np.arange(len(LOG10_VALUES)), LOG10_VALUES])
+        _assert_plot_parity(native_kernels, xy, log_y=True)
 
     def test_csv_rows_exact_digits_boundaries(self, native_kernels):
         # The integer path serves 1e-16 < |v| < 1e16: exact 18-digit ties
@@ -271,9 +345,9 @@ class TestFormattersMatchPython:
                 == _csv_bytes(_kernels_py.format_csv_rows_py, times, times, cells))
 
     def test_blocks_join_seamlessly(self, native_kernels):
-        # More bytes than one native block, so the output spans several.
-        # Dropped points, the first point among them, fall on either side
-        # of the block ends; the pair after one still takes its space.
+        # More bytes than one native block, so the output spans several:
+        # the kept points of a series whose dropped points, the first among
+        # them, fall all along it.
         xy = np.random.default_rng(0).uniform(-1e6, 1e6, size=(60_000, 2))
         xy[:5_000:3, 0] = np.nan
         xy[::7, 1] = -xy[::7, 1]
@@ -621,7 +695,7 @@ LOCALE_SCRIPT = (
     "axes = (1.0, 0.0, 1.0, 1.0, 0.0) * 2\n"
     "for fn, ref, args in ((native.format_csv_rows, _kernels_py.format_csv_rows_py, (t, t, xy)),\n"
     "                      (native.format_plot_points, _kernels_py.format_plot_points_py,\n"
-    "                       (xy, False, axes))):\n"
+    "                       (xy[:2], False, axes))):\n"
     "    out = [io.BytesIO(), io.BytesIO()]\n"
     "    fn(*args, out[0])\n"
     "    ref(*args, out[1])\n"
@@ -729,8 +803,6 @@ class TestNativeWrapper:
             with pytest.raises(pg.InputError):
                 native_kernels.format_csv_rows(times, t, cells, fh)
         for xy in (np.ones(4), np.ones((2, 3))):
-            with pytest.raises(pg.InputError):
-                native_kernels.plot_extent(xy, False)
             with pytest.raises(pg.InputError):
                 native_kernels.format_plot_points(xy, False, IDENTITY_AXES, fh)
         with pytest.raises(pg.InputError):

@@ -351,6 +351,27 @@ class TestCliCommands:
         assert f"{argv[2]} must be at least 1, got {argv[3]}" in out.err and not out.out
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "bregman", "--cases", "2", "--dim", "-2"], "config error: --dim must be at "
+         "least 2, got -2"),
+        (["verify", "bregman", "--cases", "2", "--dim", "1"], "config error: --dim must be at "
+         "least 2, got 1"),
+        (["verify", "bregman", "--cases", "2", "--seed", "-1"], "config error: --seed must be "
+         "at least 0, got -1"),
+        (["experiment", "game2x2", "--steps", "10", "--seed", "-1"], "config error: --seed "
+         "must be at least 0, got -1"),
+        (["experiment", "--all", "--steps", "10", "--seed", "-3"], "config error: --seed "
+         "must be at least 0, got -3"),
+        (["analyze", "fixed-curve", "--eta", "0"], "input error: eta must be a positive "
+         "finite number"),
+    ], ids=["dim_negative", "dim_one", "bregman_seed", "experiment_seed", "all_seed",
+            "fixed_curve_eta"])
+    def test_out_of_range_value_fails_before_any_output(self, argv, message, capsys):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.err == message + "\n" and not out.out
+
+
 PROPERTY_ARGV = ["verify", "orbit", "--steps", "1000", "--expect", "converged_point"]
 # One command per exit code, as the process entry runs them.
 PROCESS_CASES = [

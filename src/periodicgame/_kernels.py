@@ -6,9 +6,8 @@ rules) and ``run_reduced_composite``, written operation for operation like
 the pure-Python kernels of ``_kernels_py``, so both backends give the same
 bits,
 ``kl_rows``, the joint KL to a reference per recorded state behind
-``simplex.kl_to_reference``, which adds the terms that its numpy fallback
-adds in the same order (``kl_rows`` is None on the Python backend, where
-that fallback runs),
+``simplex.kl_to_reference``, which adds the terms that the numpy columns
+of ``kl_rows_py`` add, in the same order,
 the CSV writer ``format_csv_rows``, which writes the same bytes as the
 Python template it replaces, the one pass of an SVG series,
 ``format_plot_points`` (log10, scale and "%.3f,%.3f" in one loop over the

@@ -3,12 +3,12 @@
 Each ``*_py`` function here does what its namesake in ``_kernels.c`` does,
 operation for operation, so both backends give the same bits and bytes:
 the trajectory kernels ``run_schedule_py`` and ``run_reduced_composite_py``,
-the CSV writer ``format_csv_rows_py``, the format pass of an SVG series
+the joint KL to a reference per recorded state ``kl_rows_py``, the CSV
+writer ``format_csv_rows_py``, the format pass of an SVG series
 ``format_plot_points_py`` (``output`` keeps a series' points and finds
 their extremes in numpy for both backends), the pair reader
 ``read_pairs_py`` and the CSV reader ``parse_csv_rows_py``.  ``_PYTHON``
-holds them under the names of the native kernels; there is no Python
-``kl_rows``, so ``simplex.kl_to_reference`` takes its numpy path.
+holds them under the names of the native kernels.
 
 ``_kernels`` imports this module only where the C library is missing, and
 its native ``read_pairs`` only for a sequence the C converter hands back;
@@ -170,6 +170,31 @@ def run_reduced_composite_py(z0, eta, n_steps, out):
             out[step + 1, k] = z[k]
 
 
+def _player_kl_rows(rp, rlp, log_probs, log_zero):
+    """KL(ref, row) per row of one player's block, a column at a time: the
+    terms where ``rp`` has mass from left to right and from +0.0, and +inf
+    where the row vanishes (below ``log_zero``) on one of them."""
+    acc = np.zeros(log_probs.shape[0])
+    vanished = np.zeros(log_probs.shape[0], dtype=bool)
+    for j, (p, lp) in enumerate(zip(rp.tolist(), rlp.tolist())):
+        if p > 0.0:
+            col = log_probs[:, j]
+            term = lp - col
+            term *= p
+            acc += term
+            vanished |= col < log_zero
+    acc[vanished] = math.inf
+    return acc
+
+
+def kl_rows_py(rp1, rlp1, lp1, rp2, rlp2, lp2, log_zero):
+    """The joint KL to the reference per row of lp1 and lp2, never below zero."""
+    out = np.zeros(len(lp1))
+    out += _player_kl_rows(rp1, rlp1, lp1, log_zero)
+    out += _player_kl_rows(rp2, rlp2, lp2, log_zero)
+    return np.maximum(out, 0.0)
+
+
 # Rows or points per block of the Python formatters: it keeps their lists
 # of Python floats small.
 _PY_BLOCK = 1024
@@ -317,8 +342,9 @@ def parse_csv_rows_py(data, start, line, names, t_col, phase_col):
 
 _PYTHON = types.SimpleNamespace(
     run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
-    kl_rows=None, format_csv_rows=format_csv_rows_py, format_plot_points=format_plot_points_py,
-    parse_csv_rows=parse_csv_rows_py, read_pairs=read_pairs_py)
+    kl_rows=kl_rows_py, format_csv_rows=format_csv_rows_py,
+    format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py,
+    read_pairs=read_pairs_py)
 
 
 # Last: on the Python backend _kernels imports _PYTHON while it loads, so

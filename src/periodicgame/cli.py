@@ -12,6 +12,9 @@ through ``sys.exit`` as any script does.
 
 Each command imports the modules it runs inside its handler, so a process
 loads only those: ``--backend-info`` the kernels, ``plot`` the emitters.
+Each check of ``verify`` and ``analyze`` is its own subcommand that declares
+only the flags it reads, with their defaults unless worked out from its
+inputs, and names its handler; any other flag is a usage error.
 """
 
 from __future__ import annotations
@@ -36,47 +39,22 @@ EQUILIBRIUM_4D = np.array([0.5, 0.5, 0.5, 0.5])
 ALGORITHMS = ("mwu", "omwu", "extra")
 ORBIT_VERDICTS = ("converged_point", "converged_orbit", "diverging_boundary", "inconclusive")
 
-# The subcommands of verify and analyze that read each flag; the flag given
-# to any other is a config error, not ignored.
-_FLAG_READERS = {
-    "verify": {
-        "experiment": ("identities", "increments", "kl-monotone", "orbit"),
-        "eta": ("identities", "increments", "kl-monotone", "orbit"),
-        "steps": ("identities", "increments", "kl-monotone", "orbit"),
-        "tol": ("identities", "kl-monotone", "bregman"),
-        "seed": ("bregman",),
-        "cases": ("bregman",),
-        "dim": ("bregman",),
-        "expect": ("orbit",),
-        "algo": ("orbit",),
-    },
-    "analyze": {
-        "boundary_a": ("jacobian", "eigen"),
-        "samples": ("fixed-curve",),
-    },
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    @staticmethod
-    def _fail(message):
-        print(f"error: {message}", file=sys.stderr)
-        return EXIT_USAGE
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
-def _add_run_flags(sub):
-    sub.add_argument("--algo", choices=ALGORITHMS)
-    sub.add_argument("--eta", type=float)
-    sub.add_argument("--steps", type=int)
-    sub.add_argument("--record-every", type=int, dest="record_every")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out-csv", dest="out_csv")
-    sub.add_argument("--out-svg", dest="out_svg")
-    sub.add_argument("--log-y", action="store_true", dest="log_y")
+def _checks(sub, name, about):
+    """Add the command ``name``; return a function that adds one of its checks."""
+    checks = sub.add_parser(name, help=about).add_subparsers(dest="what", required=True)
+
+    def add(check, handler, about):
+        parser = checks.add_parser(check, help=about)
+        parser.set_defaults(handler=handler)
+        return parser
+    return add
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,51 +65,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     sim = sub.add_parser("simulate", help="run from a JSON config")
+    sim.set_defaults(handler=_cmd_simulate)
     sim.add_argument("--config", required=True)
     sim.add_argument("--out-csv", dest="out_csv")
     sim.add_argument("--out-svg", dest="out_svg")
     sim.add_argument("--log-y", action="store_true", dest="log_y")
 
     exp = sub.add_parser("experiment", help="run a builtin experiment")
+    exp.set_defaults(handler=_cmd_experiment)
     exp.add_argument("name", nargs="?", help="builtin name (see --list)")
     exp.add_argument("--list", action="store_true", help="list builtin experiments")
     exp.add_argument("--all", action="store_true", help="run every builtin experiment")
     exp.add_argument("--out-dir", dest="out_dir", help="CSV output directory for --all")
-    _add_run_flags(exp)
+    exp.add_argument("--algo", choices=ALGORITHMS)
+    exp.add_argument("--eta", type=float)
+    exp.add_argument("--steps", type=int)
+    exp.add_argument("--record-every", type=int, dest="record_every")
+    exp.add_argument("--seed", type=int)
+    exp.add_argument("--out-csv", dest="out_csv")
+    exp.add_argument("--out-svg", dest="out_svg")
+    exp.add_argument("--log-y", action="store_true", dest="log_y")
 
-    ana = sub.add_parser("analyze", help="Jacobians, eigenvalues, fixed-point curve")
-    ana.add_argument("what", choices=["jacobian", "eigen", "fixed-curve"])
-    ana.add_argument("--eta", type=float, default=0.1)
-    ana.add_argument("--boundary-a", type=float, dest="boundary_a",
-                     help="analyze the boundary fixed point at this curve parameter")
-    ana.add_argument("--samples", type=int)
+    analyze = _checks(sub, "analyze", "Jacobians, eigenvalues, fixed-point curve")
+    for name, handler, about in (
+            ("jacobian", _analyze_jacobian, "the composed reduced map's Jacobian"),
+            ("eigen", _analyze_eigen, "its eigenvalues against the analytic ones")):
+        point = analyze(name, handler, about)
+        point.add_argument("--eta", type=float, default=0.1)
+        point.add_argument("--boundary-a", type=float, dest="boundary_a",
+                           help="analyze the boundary fixed point at this curve parameter")
+    curve = analyze("fixed-curve", _analyze_fixed_curve, "the boundary fixed-point curve")
+    curve.add_argument("--eta", type=float, default=0.1)
+    curve.add_argument("--samples", type=int, default=20)
 
-    ver = sub.add_parser("verify", help="run a property checker; exit 3 on failure")
-    ver.add_argument("what", choices=["identities", "increments", "kl-monotone",
-                                      "bregman", "orbit"])
-    ver.add_argument("--experiment", default=None)
-    ver.add_argument("--eta", type=float)
-    ver.add_argument("--steps", type=int)
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--cases", type=int)
-    ver.add_argument("--dim", type=int)
-    ver.add_argument("--tol", type=float)
-    ver.add_argument("--expect", choices=ORBIT_VERDICTS)
-    ver.add_argument("--algo", choices=ALGORITHMS)
+    verify = _checks(sub, "verify", "run a property checker; exit 3 on failure")
+    ident = verify("identities", _verify_identities, "OMWU's ratio identities on game2x2")
+    ident.add_argument("--eta", type=float, default=1e-3)
+    ident.add_argument("--steps", type=int, default=1000)
+    ident.add_argument("--tol", type=float)
+    incr = verify("increments", _verify_increments, "OMWU's increment bounds on game2x2")
+    incr.add_argument("--eta", type=float,
+                      help="default: the divergence hypothesis' bound at the start")
+    incr.add_argument("--steps", type=int, default=2000)
+    kl = verify("kl-monotone", _verify_kl_monotone, "Extra-MWU's per-step KL decrease")
+    kl.add_argument("--experiment", default="game2x2")
+    kl.add_argument("--eta", type=float, help="default: half the game's max_step_size")
+    kl.add_argument("--steps", type=int, default=10_000)
+    kl.add_argument("--tol", type=float)
+    breg = verify("bregman", _verify_bregman, "the Bregman identities at random points")
+    breg.add_argument("--seed", type=int, default=0)
+    breg.add_argument("--cases", type=int, default=1000)
+    breg.add_argument("--dim", type=int, default=3)
+    breg.add_argument("--tol", type=float)
+    orbit = verify("orbit", _verify_orbit, "the verdict on a run's last ten periods")
+    orbit.add_argument("--experiment", default="nocommon3")
+    orbit.add_argument("--algo", choices=ALGORITHMS, default="extra")
+    orbit.add_argument("--eta", type=float, help="default: an experiment run's eta for --algo")
+    orbit.add_argument("--steps", type=int, default=30_000)
+    orbit.add_argument("--expect", choices=ORBIT_VERDICTS, default="converged_orbit")
 
     plot = sub.add_parser("plot", help="CSV -> SVG")
+    plot.set_defaults(handler=_cmd_plot)
     plot.add_argument("--in-csv", required=True, dest="in_csv")
     plot.add_argument("--out-svg", required=True, dest="out_svg")
     plot.add_argument("--series", choices=["strategies", "kl"], default="strategies")
     plot.add_argument("--log-y", action="store_true", dest="log_y")
     return parser
-
-
-def _reject_unread_flags(args):
-    for dest, readers in _FLAG_READERS[args.command].items():
-        if getattr(args, dest) is not None and args.what not in readers:
-            flag = "--" + dest.replace("_", "-")
-            raise ConfigError(f"{flag} does not apply to {args.command} {args.what}")
 
 
 def _require_at_least(flag, value, low):
@@ -142,10 +141,10 @@ def _require_at_least(flag, value, low):
 def _cmd_simulate(args) -> int:
     from .experiments import parse_config, run_experiment
     cfg = parse_config(args.config)
-    if args.out_csv:
-        cfg.out_csv = args.out_csv
-    if args.out_svg:
-        cfg.out_svg = args.out_svg
+    cfg.out_csv = args.out_csv or cfg.out_csv
+    cfg.out_svg = args.out_svg or cfg.out_svg
+    if args.log_y and not cfg.out_svg:
+        raise ConfigError("--log-y sets the y axis of the SVG; give --out-svg or out_svg")
     cfg.log_y = args.log_y
     traj, equilibrium, paths = run_experiment(cfg)
     _print_run_summary(traj, equilibrium, paths)
@@ -156,9 +155,11 @@ def _cmd_experiment(args) -> int:
     from .experiments import (DEFAULT_ALGO, RunConfig, builtin_experiments, default_eta,
                               run_experiment)
     if args.list:
-        if args.all or args.name:
+        given = {dest for dest, value in vars(args).items()
+                 if value is not None and value is not False}
+        if given != {"command", "handler", "list"}:
             raise ConfigError("--list lists the builtin experiments; it runs none, "
-                              "so it takes no name and no --all")
+                              "so it takes no other argument")
         for spec in builtin_experiments():
             game = spec.game
             print(f"{spec.name}: {game.m}x{game.n}, period {game.period}, "
@@ -171,25 +172,20 @@ def _cmd_experiment(args) -> int:
                           "use --out-dir with --all")
     if args.out_dir and not args.all:
         raise ConfigError("--out-dir applies only to --all; use --out-csv for one run")
-    if args.all:
-        for spec in builtin_experiments():
-            out_csv = None
-            if args.out_dir:
-                out_csv = f"{args.out_dir.rstrip('/')}/{spec.name}.csv"
-            cfg = RunConfig(experiment=spec.name, algo=args.algo, eta=args.eta,
-                            steps=args.steps, record_every=args.record_every,
-                            seed=args.seed, out_csv=out_csv, log_y=args.log_y)
-            traj, equilibrium, paths = run_experiment(cfg)
-            print(f"== {spec.name}")
-            _print_run_summary(traj, equilibrium, paths)
-        return EXIT_OK
-    if not args.name:
+    if args.log_y and not args.out_svg:
+        raise ConfigError("--log-y sets the y axis of the SVG; give --out-svg")
+    if not (args.all or args.name):
         raise ConfigError("experiment name required (or --list / --all)")
-    cfg = RunConfig(experiment=args.name, algo=args.algo, eta=args.eta,
-                    steps=args.steps, record_every=args.record_every, seed=args.seed,
-                    out_csv=args.out_csv, out_svg=args.out_svg, log_y=args.log_y)
-    traj, equilibrium, paths = run_experiment(cfg)
-    _print_run_summary(traj, equilibrium, paths)
+    names = [spec.name for spec in builtin_experiments()] if args.all else [args.name]
+    for name in names:
+        out_csv = f"{args.out_dir.rstrip('/')}/{name}.csv" if args.out_dir else args.out_csv
+        cfg = RunConfig(experiment=name, algo=args.algo, eta=args.eta, steps=args.steps,
+                        record_every=args.record_every, seed=args.seed, out_csv=out_csv,
+                        out_svg=args.out_svg, log_y=args.log_y)
+        traj, equilibrium, paths = run_experiment(cfg)
+        if args.all:
+            print(f"== {name}")
+        _print_run_summary(traj, equilibrium, paths)
     return EXIT_OK
 
 
@@ -214,54 +210,58 @@ def _vec(v) -> str:
     return "(" + ", ".join(f"{x:.6g}" for x in v) + ")"
 
 
-def _cmd_analyze(args) -> int:
+def _analyze_fixed_curve(args) -> int:
+    from .checks import boundary_fixed_point
     from .dynamics import omwu_reduced_composite, require_step_size
-    _reject_unread_flags(args)
-    eta = args.eta
-    if args.what == "fixed-curve":
-        from .checks import boundary_fixed_point
-        _require_at_least("--samples", args.samples, 1)
-        samples = args.samples if args.samples is not None else 20
-        require_step_size(eta)   # before the header line is printed
-        worst = 0.0
-        print(f"boundary fixed-point curve at eta={eta}")
-        for k in range(samples):
-            a = (k + 1) / (samples + 1)
-            z = boundary_fixed_point(a, eta)
-            residual = float(np.abs(omwu_reduced_composite(z, eta) - z).max())
-            worst = max(worst, residual)
-            print(f"a={a:.6g} point=({z[2]:.12g}, {z[3]:.12g}) residual={residual:.3g}")
-        print(f"max residual: {worst:.3g}")
-        return EXIT_OK
+    _require_at_least("--samples", args.samples, 1)
+    require_step_size(args.eta)   # before the header line is printed
+    worst = 0.0
+    print(f"boundary fixed-point curve at eta={args.eta}")
+    for k in range(args.samples):
+        a = (k + 1) / (args.samples + 1)
+        z = boundary_fixed_point(a, args.eta)
+        residual = float(np.abs(omwu_reduced_composite(z, args.eta) - z).max())
+        worst = max(worst, residual)
+        print(f"a={a:.6g} point=({z[2]:.12g}, {z[3]:.12g}) residual={residual:.3g}")
+    print(f"max residual: {worst:.3g}")
+    return EXIT_OK
 
-    from .linalg import (boundary_eigenvalue, char_poly_eval, eigenvalues_small,
-                         interior_eigenvalue_pair, jacobian_fd, unit_eigenvector)
+
+def _reduced_jacobian(args):
+    """The composed reduced map's Jacobian at the interior equilibrium, or at
+    the boundary fixed point of ``--boundary-a``."""
+    from .dynamics import omwu_reduced_composite
+    from .linalg import jacobian_fd
+    point = EQUILIBRIUM_4D
     if args.boundary_a is not None:
         from .checks import boundary_fixed_point
-        point = boundary_fixed_point(args.boundary_a, eta)
-    else:
-        point = EQUILIBRIUM_4D
-    jac = jacobian_fd(lambda z: omwu_reduced_composite(z, eta), point)
-    if args.what == "jacobian":
-        label = (f"boundary a={args.boundary_a}" if args.boundary_a is not None
-                 else "interior equilibrium")
-        print(f"jacobian of the composed reduced map at {label}, eta={eta}")
-        for row in jac:
-            print("  [" + ", ".join(f"{v: .12g}" for v in row) + "]")
-        return EXIT_OK
+        point = boundary_fixed_point(args.boundary_a, args.eta)
+    return jacobian_fd(lambda z: omwu_reduced_composite(z, args.eta), point)
 
-    eigs = eigenvalues_small(jac)
+
+def _analyze_jacobian(args) -> int:
+    jac = _reduced_jacobian(args)
+    label = (f"boundary a={args.boundary_a}" if args.boundary_a is not None
+             else "interior equilibrium")
+    print(f"jacobian of the composed reduced map at {label}, eta={args.eta}")
+    for row in jac:
+        print("  [" + ", ".join(f"{v: .12g}" for v in row) + "]")
+    return EXIT_OK
+
+
+def _analyze_eigen(args) -> int:
+    from .linalg import (boundary_eigenvalue, char_poly_eval, eigenvalues_small,
+                         interior_eigenvalue_pair, unit_eigenvector)
+    jac = _reduced_jacobian(args)
     print("eigenvalues (modulus descending):")
-    for z in eigs:
+    for z in eigenvalues_small(jac):
         print(f"  {z.real:+.12g}{z.imag:+.12g}j  |.|={abs(z):.12g}")
     if args.boundary_a is not None:
-        lam = boundary_eigenvalue(args.boundary_a, eta)
+        lam = boundary_eigenvalue(args.boundary_a, args.eta)
         print(f"analytic nontrivial eigenvalue: {lam:.12g}")
-        vec = unit_eigenvector(jac)
-        print(f"central eigenvector: {_vec(vec)}")
+        print(f"central eigenvector: {_vec(unit_eigenvector(jac))}")
     else:
-        lo, hi = interior_eigenvalue_pair(eta)
-        for lam in (lo, hi):
+        for lam in interior_eigenvalue_pair(args.eta):
             res = abs(char_poly_eval(jac, lam))
             print(f"analytic eigenvalue {lam:.12g}: char-poly residual {res:.3g}")
     return EXIT_OK
@@ -276,77 +276,83 @@ def _report_exit(report) -> int:
     return EXIT_OK if report.passed else EXIT_PROPERTY
 
 
-def _cmd_verify(args) -> int:
-    from .checks import (check_bregman_identities, check_extra_kl_decrease,
-                         check_omwu_increments, check_omwu_ratio_identities,
-                         detect_periodic_orbit)
-    from .dynamics import (Algorithm, divergence_offset, max_step_size,
-                           omwu_eta_bound_for_divergence, run_trajectory)
-    from .experiments import default_eta, default_init, experiment_by_name
-    from .simplex import JointState, Simplex
-    _reject_unread_flags(args)
+def _tol(args) -> dict:
     # --tol replaces the checker's own default only when given.
-    tol = {} if args.tol is None else {"tol": args.tol}
-    if args.what == "identities":
-        spec = experiment_by_name(args.experiment or "game2x2")
-        eta = args.eta if args.eta is not None else 1e-3
-        steps = args.steps if args.steps is not None else 1000
-        init = default_init(spec.game.m, spec.game.n)
-        traj = run_trajectory(spec.game, Algorithm.OMWU, init, eta, steps,
-                              record_every=1)
-        return _report_exit(check_omwu_ratio_identities(traj, eta, **tol))
-    if args.what == "increments":
-        spec = experiment_by_name(args.experiment or "game2x2")
-        init = JointState.from_probabilities([0.45, 0.55], [0.45, 0.55])
-        p = divergence_offset(init)
-        eta = args.eta if args.eta is not None else omwu_eta_bound_for_divergence(init)
-        steps = args.steps if args.steps is not None else 2000
-        traj = run_trajectory(spec.game, Algorithm.OMWU, init, eta, steps,
-                              record_every=1)
-        return _report_exit(check_omwu_increments(traj, p, eta))
-    if args.what == "kl-monotone":
-        from .equilibrium import common_equilibrium
-        spec = experiment_by_name(args.experiment or "game2x2")
-        eq = common_equilibrium(spec.game)
-        if eq is None:
-            raise NumericalError(f"{spec.name} has no common equilibrium")
-        eta = args.eta if args.eta is not None else 0.5 * max_step_size(spec.game)
-        steps = args.steps if args.steps is not None else 10_000
-        traj = run_trajectory(spec.game, Algorithm.EXTRA_MWU,
-                              default_init(spec.game.m, spec.game.n), eta, steps,
-                              record_every=1, reference=eq.joint)
-        return _report_exit(check_extra_kl_decrease(traj, eq.joint, **tol))
-    if args.what == "bregman":
-        _require_at_least("--cases", args.cases, 1)
-        _require_at_least("--dim", args.dim, 2)
-        _require_at_least("--seed", args.seed, 0)
-        cases = args.cases if args.cases is not None else 1000
-        dim = args.dim if args.dim is not None else 3
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-        worst = 0.0
-        for _ in range(cases):
-            p, x, xp = (Simplex.from_probabilities(rng.dirichlet(np.ones(dim)))
-                        for _ in range(3))
-            y = rng.normal(size=dim)
-            report = check_bregman_identities(p, x, xp, y, **tol)
-            worst = max(worst, max(report.stats["residuals"]))
-            if not report.passed:
-                print(f"bregman-identities: FAILED (worst residual {worst:.3g})")
-                return EXIT_PROPERTY
-        print(f"bregman-identities: passed over {cases} cases "
-              f"(worst residual {worst:.3g})")
-        return EXIT_OK
-    # orbit
-    spec = experiment_by_name(args.experiment or "nocommon3")
-    algo = Algorithm(args.algo) if args.algo else Algorithm.EXTRA_MWU
-    eta = args.eta if args.eta is not None else default_eta(algo)
-    steps = args.steps if args.steps is not None else 30_000
-    traj = run_trajectory(spec.game, algo, default_init(spec.game.m, spec.game.n),
-                          eta, steps, record_every=1)
-    expect = args.expect or "converged_orbit"
+    return {} if args.tol is None else {"tol": args.tol}
+
+
+def _verify_identities(args) -> int:
+    from .checks import check_omwu_ratio_identities
+    from .dynamics import Algorithm, run_trajectory
+    from .experiments import default_init, experiment_by_name
+    game = experiment_by_name("game2x2").game
+    traj = run_trajectory(game, Algorithm.OMWU, default_init(game.m, game.n), args.eta,
+                          args.steps, record_every=1)
+    return _report_exit(check_omwu_ratio_identities(traj, args.eta, **_tol(args)))
+
+
+def _verify_increments(args) -> int:
+    from .checks import check_omwu_increments
+    from .dynamics import (Algorithm, divergence_offset, omwu_eta_bound_for_divergence,
+                           run_trajectory)
+    from .experiments import experiment_by_name
+    from .simplex import JointState
+    init = JointState.from_probabilities([0.45, 0.55], [0.45, 0.55])
+    eta = args.eta if args.eta is not None else omwu_eta_bound_for_divergence(init)
+    traj = run_trajectory(experiment_by_name("game2x2").game, Algorithm.OMWU, init, eta,
+                          args.steps, record_every=1)
+    return _report_exit(check_omwu_increments(traj, divergence_offset(init), eta))
+
+
+def _verify_kl_monotone(args) -> int:
+    from .checks import check_extra_kl_decrease
+    from .dynamics import Algorithm, max_step_size, run_trajectory
+    from .equilibrium import common_equilibrium
+    from .experiments import default_init, experiment_by_name
+    spec = experiment_by_name(args.experiment)
+    eq = common_equilibrium(spec.game)
+    if eq is None:
+        raise NumericalError(f"{spec.name} has no common equilibrium")
+    eta = args.eta if args.eta is not None else 0.5 * max_step_size(spec.game)
+    traj = run_trajectory(spec.game, Algorithm.EXTRA_MWU,
+                          default_init(spec.game.m, spec.game.n), eta, args.steps,
+                          record_every=1, reference=eq.joint)
+    return _report_exit(check_extra_kl_decrease(traj, eq.joint, **_tol(args)))
+
+
+def _verify_bregman(args) -> int:
+    from .checks import check_bregman_identities
+    from .simplex import Simplex
+    _require_at_least("--cases", args.cases, 1)
+    _require_at_least("--dim", args.dim, 2)
+    _require_at_least("--seed", args.seed, 0)
+    rng = np.random.default_rng(args.seed)
+    worst = 0.0
+    for _ in range(args.cases):
+        p, x, xp = (Simplex.from_probabilities(rng.dirichlet(np.ones(args.dim)))
+                    for _ in range(3))
+        y = rng.normal(size=args.dim)
+        report = check_bregman_identities(p, x, xp, y, **_tol(args))
+        worst = max(worst, max(report.stats["residuals"]))
+        if not report.passed:
+            print(f"bregman-identities: FAILED (worst residual {worst:.3g})")
+            return EXIT_PROPERTY
+    print(f"bregman-identities: passed over {args.cases} cases "
+          f"(worst residual {worst:.3g})")
+    return EXIT_OK
+
+
+def _verify_orbit(args) -> int:
+    from .checks import detect_periodic_orbit
+    from .dynamics import run_trajectory
+    from .experiments import default_eta, default_init, experiment_by_name
+    game = experiment_by_name(args.experiment).game
+    eta = args.eta if args.eta is not None else default_eta(args.algo)
+    traj = run_trajectory(game, args.algo, default_init(game.m, game.n), eta, args.steps,
+                          record_every=1)
     verdict = detect_periodic_orbit(traj)
-    print(f"orbit verdict: {verdict.value} (expected {expect})")
-    return EXIT_OK if verdict.value == expect else EXIT_PROPERTY
+    print(f"orbit verdict: {verdict.value} (expected {args.expect})")
+    return EXIT_OK if verdict.value == args.expect else EXIT_PROPERTY
 
 
 def _cmd_plot(args) -> int:
@@ -377,15 +383,8 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_help()
         return EXIT_USAGE
-    handlers = {
-        "simulate": _cmd_simulate,
-        "experiment": _cmd_experiment,
-        "analyze": _cmd_analyze,
-        "verify": _cmd_verify,
-        "plot": _cmd_plot,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

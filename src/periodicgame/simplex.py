@@ -247,28 +247,8 @@ class JointState:
         return float(max(d1, d2))
 
 
-# Both KL routines below use the reference's normalized log-probabilities
-# (not the log of its probabilities), which makes the identity case cancel
-# exactly, and add up the terms of the coordinates with reference mass from
-# left to right, starting from +0.0 as numpy's sum does.
-
-def _kl_rows(ref: Simplex, log_probs: np.ndarray) -> np.ndarray:
-    """KL(ref, row) for each row of normalized log-probabilities, the
-    per-player term of kl_to_reference, one column at a time."""
-    acc = np.zeros(log_probs.shape[0])
-    vanished = np.zeros(log_probs.shape[0], dtype=bool)
-    for j, (rp, rlp) in enumerate(zip(ref.probabilities.tolist(),
-                                      ref.log_probabilities.tolist())):
-        if rp > 0.0:
-            col = log_probs[:, j]
-            term = rlp - col
-            term *= rp
-            acc += term
-            vanished |= col < LOG_ZERO
-    acc[vanished] = math.inf
-    return acc
-
-
+# The KL routines take the reference's normalized log-probabilities, not the
+# log of its probabilities, so that the identity case cancels exactly.
 def kl_from_logs(rp, rlp, lq) -> float:
     """KL(r, q) from r's probabilities ``rp`` and normalized
     log-probabilities ``rlp`` and q's normalized log-probabilities ``lq``,
@@ -371,13 +351,8 @@ def kl_to_reference(reference: JointState, log_probs1: np.ndarray,
         raise InputError(f"log-probability blocks of shapes {s1} and {s2} do not match "
                          f"the reference's dimensions {reference.dims} row for row")
     r1, r2 = reference.x1, reference.x2
-    if _kernels.kl_rows is not None:
-        return _kernels.kl_rows(r1.probabilities, r1.log_probabilities, log_probs1,
-                                r2.probabilities, r2.log_probabilities, log_probs2, LOG_ZERO)
-    out = np.zeros(s1[0])
-    out += _kl_rows(r1, log_probs1)
-    out += _kl_rows(r2, log_probs2)
-    return np.maximum(out, 0.0)
+    return _kernels.kl_rows(r1.probabilities, r1.log_probabilities, log_probs1,
+                            r2.probabilities, r2.log_probabilities, log_probs2, LOG_ZERO)
 
 
 def smallest_component(log_probs1: np.ndarray, log_probs2: np.ndarray) -> np.ndarray:

@@ -23,8 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import periodicgame as pg
 from periodicgame import _kernels, _kernels_py, output
-from periodicgame.simplex import LOG_ZERO, _kl_rows, fold_columns, kl_to_reference, \
-    smallest_component
+from periodicgame.simplex import LOG_ZERO, fold_columns, kl_to_reference, smallest_component
 
 from conftest import clean_env, old_kl_rows
 
@@ -837,11 +836,15 @@ class TestNativeWrapper:
 
 
 # The per-record observables against the expressions they replaced: the KL
-# as kl_to_reference added it up in numpy columns, the smallest component as
+# as the Python backend adds it up in numpy columns, the smallest component as
 # the minimum of the exponentiated blocks, and contiguity as a scan of the
 # time steps.
 
-def _old_kl_to_reference(reference, lp1, lp2, rows_fn=_kl_rows):
+def _numpy_kl_rows(ref, lp):
+    return _kernels_py._player_kl_rows(ref.probabilities, ref.log_probabilities, lp, LOG_ZERO)
+
+
+def _old_kl_to_reference(reference, lp1, lp2, rows_fn=_numpy_kl_rows):
     out = np.zeros(lp1.shape[0])
     out += rows_fn(reference.x1, lp1)
     out += rows_fn(reference.x2, lp2)
@@ -944,8 +947,9 @@ class TestObservablesMatchOracles:
                                         traj.log_probs1, ref.x2.probabilities,
                                         ref.x2.log_probabilities, traj.log_probs2, LOG_ZERO)
         assert np.array_equal(native.view(np.uint64), old.view(np.uint64))
-        with mock.patch.object(_kernels, "kl_rows", None):
-            fallback = kl_to_reference(ref, traj.log_probs1, traj.log_probs2)
+        fallback = _kernels_py.kl_rows_py(ref.x1.probabilities, ref.x1.log_probabilities,
+                                          traj.log_probs1, ref.x2.probabilities,
+                                          ref.x2.log_probabilities, traj.log_probs2, LOG_ZERO)
         assert np.array_equal(fallback.view(np.uint64), old.view(np.uint64))
 
     @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -129,6 +130,19 @@ class TestParseConfig:
         assert game.period == builtin.period
         for a, b in zip(game.matrices, builtin.matrices):
             assert np.array_equal(a.entries, b.entries)
+
+
+# The flags of each check of verify and analyze.
+CHECK_FLAGS = {
+    ("verify", "identities"): {"--eta", "--steps", "--tol"},
+    ("verify", "increments"): {"--eta", "--steps"},
+    ("verify", "kl-monotone"): {"--experiment", "--eta", "--steps", "--tol"},
+    ("verify", "bregman"): {"--seed", "--cases", "--dim", "--tol"},
+    ("verify", "orbit"): {"--experiment", "--algo", "--eta", "--steps", "--expect"},
+    ("analyze", "jacobian"): {"--eta", "--boundary-a"},
+    ("analyze", "eigen"): {"--eta", "--boundary-a"},
+    ("analyze", "fixed-curve"): {"--eta", "--samples"},
+}
 
 
 class TestCliCommands:
@@ -297,12 +311,34 @@ class TestCliCommands:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not list(tmp_path.iterdir())
 
-    # A flag the command has no use for is refused, not ignored.
+    # A flag that the command would ignore is refused: --list runs nothing,
+    # and --log-y sets the axis of an SVG that is not written.
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "--list", "--all"],
+        ["experiment", "--list", "exp1"],
+        *(["experiment", "--list", *flag] for flag in (
+            ["--algo", "mwu"], ["--eta", "0.1"], ["--steps", "10"], ["--record-every", "2"],
+            ["--seed", "0"], ["--out-csv", "{d}/x.csv"], ["--out-svg", "{d}/x.svg"],
+            ["--log-y"], ["--out-dir", "{d}/o"])),
+        ["experiment", "exp1", "--steps", "10", "--log-y"],
+        ["experiment", "exp1", "--steps", "10", "--out-csv", "{d}/x.csv", "--log-y"],
+        ["experiment", "--all", "--steps", "10", "--log-y"],
+        ["simulate", "--config", "{d}/cfg.json", "--log-y"],
+    ])
+    def test_flag_without_effect_is_config_error(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "game2x2", "steps": 10,
+                                   "out_csv": str(tmp_path / "sim.csv")}))
+        assert main([a.format(d=tmp_path) for a in argv]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("config error: ") and not out.out
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    # Each check is its own subcommand: a flag it does not declare is a usage
+    # error, whether another check reads it or none does.
     @pytest.mark.parametrize("argv", [
         ["verify", "increments", "--steps", "200", "--tol", "-1"],
         ["verify", "orbit", "--steps", "100", "--tol", "1e-3"],
-        ["experiment", "--list", "--all"],
-        ["experiment", "--list", "exp1"],
         ["verify", "identities", "--steps", "200", "--dim", "7"],
         ["verify", "increments", "--steps", "200", "--cases", "5"],
         ["verify", "orbit", "--steps", "100", "--seed", "3"],
@@ -311,14 +347,33 @@ class TestCliCommands:
         ["verify", "bregman", "--cases", "5", "--experiment", "exp1"],
         ["verify", "bregman", "--cases", "5", "--eta", "0.1"],
         ["verify", "bregman", "--cases", "5", "--steps", "10"],
+        ["verify", "identities", "--steps", "200", "--experiment", "game2x2"],
+        ["verify", "increments", "--steps", "200", "--experiment", "game2x2"],
         ["analyze", "eigen", "--samples", "5"],
         ["analyze", "jacobian", "--samples", "5"],
         ["analyze", "fixed-curve", "--samples", "3", "--boundary-a", "0.3"],
     ])
-    def test_flag_without_effect_is_config_error(self, argv, capsys):
-        assert main(argv) == 1
+    def test_flag_of_no_check_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
         out = capsys.readouterr()
-        assert out.err.startswith("config error: ") and not out.out
+        assert info.value.code == 1
+        assert "unrecognized arguments" in out.err and not out.out
+
+    @pytest.mark.parametrize("command, check", sorted(CHECK_FLAGS))
+    def test_each_check_takes_only_its_own_flags(self, command, check, capsys):
+        parser = cli.build_parser()
+        for name in (command, check):
+            subparsers, = (a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction))
+            parser = subparsers.choices[name]
+        options = {s for a in parser._actions for s in a.option_strings}
+        assert options == {"-h", "--help", *CHECK_FLAGS[command, check]}
+        for flag in sorted(set().union(*CHECK_FLAGS.values()) - options):
+            with pytest.raises(SystemExit) as info:
+                main([command, check, flag, "1"])
+            assert info.value.code == 1
+        assert not capsys.readouterr().out
 
     def test_literal_choices_are_the_enum_values(self):
         # The parser names them without importing dynamics or checks.

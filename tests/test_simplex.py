@@ -15,7 +15,8 @@ from conftest import (
     old_kl_simplex,
     old_log_weights_from_probabilities,
 )
-from periodicgame.simplex import LOG_ZERO, _kl_rows, fold_columns
+from periodicgame._kernels_py import _player_kl_rows
+from periodicgame.simplex import LOG_ZERO, fold_columns
 
 # 0.5*ln(4/3) to 50 digits (offline extended-precision evaluation)
 KL_QUARTER_THREEQ = 0.14384103622589046371960950299691371575175485544888
@@ -296,6 +297,11 @@ def _reference_and_rows(draw):
     rows = draw(st.integers(1, 6))
     lp = draw(st.lists(_entries(True), min_size=k * rows, max_size=k * rows))
     return pg.Simplex(ref_lw), np.array(lp).reshape(rows, k)
+
+
+def _kl_rows(ref, log_probs):
+    """One player's KL rows as the Python backend adds them up."""
+    return _player_kl_rows(ref.probabilities, ref.log_probabilities, log_probs, LOG_ZERO)
 
 
 class TestKlOracle:

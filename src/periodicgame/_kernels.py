@@ -19,9 +19,9 @@ same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
 written as integers, and ``pairs_into``, behind ``read_pairs``, which copies
 a list of (t, v) pairs of floats and ints into an array with the bits of
 ``np.fromiter`` and hands any other sequence to ``read_pairs_py``.
-When this module is first imported (by the first ``periodicgame`` module
-that runs a kernel; ``import periodicgame`` alone loads nothing) the C
-source is compiled with ``$CC`` (default ``cc``) and
+When this module is first imported (by ``--backend-info`` or the first
+``periodicgame`` module that runs a kernel; ``import periodicgame`` alone
+loads nothing) the C source is compiled with ``$CC`` (default ``cc``) and
 the running interpreter's include directory into
 ``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
 variable is unset), under a name keyed by a sha256 of the source, the
@@ -29,7 +29,12 @@ compiler flags, the ``$CC`` words, the resolved compiler's size and mtime,
 and the interpreter (``sys.implementation.cache_tag`` and ``sys.version``),
 so a library is never loaded into another Python; later imports load the
 cached library with ctypes, start no process and import neither
-``subprocess`` nor ``tempfile``, which only a build needs.  ``pairs_into`` reads
+``subprocess`` nor ``tempfile``, which only a build needs.  Loading the
+library and ``backend_name()`` and ``backend_reason()`` need no numpy: the
+first read of a kernel name (``_kernels.run_schedule``) imports numpy and
+binds every kernel as a module global, ``_bind``'s wrappers around the
+library or the functions of ``_kernels_py``, through the module's
+``__getattr__`` (PEP 562).  ``pairs_into`` reads
 Python objects, so it is bound through ``ctypes.PyDLL``, which keeps the GIL
 during the call; where the library has no such function (no Python.h at
 build time, or a build without a GIL) or the interpreter is not CPython,
@@ -57,8 +62,6 @@ import shlex
 import shutil
 import sys
 import types
-
-import numpy as np
 
 from .errors import InputError
 
@@ -206,24 +209,24 @@ def _pairs_into(lib):
     return fn
 
 
-def _out_buffer(name, a, shape, min_rows=None):
-    # Results are written through a raw pointer, so the caller's array must
-    # be the exact memory layout the C code assumes.
-    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
-            and a.flags.c_contiguous and a.flags.writeable):
-        raise InputError(f"{name} must be a writable C-contiguous float64 array")
-    ok = a.shape == shape if min_rows is None else (
-        a.ndim == 2 and a.shape[0] >= min_rows and a.shape[1:] == shape)
-    if not ok:
-        rows = "" if min_rows is None else f"at least {min_rows} rows of "
-        raise InputError(f"{name} must have {rows}shape {shape}, got {a.shape}")
-
-
 def _bind(lib):
     """Thin wrappers with the Python kernels' signatures and in-place
     effects around the C functions of ``lib``, in a namespace keyed by
     name like ``_kernels_py._PYTHON``.  Every array handed to C stays bound
     to a local name until the call returns."""
+    import numpy as np
+
+    def out_buffer(name, a, shape, min_rows=None):
+        # Results are written through a raw pointer, so the caller's array
+        # must be the exact memory layout the C code assumes.
+        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.flags.c_contiguous and a.flags.writeable):
+            raise InputError(f"{name} must be a writable C-contiguous float64 array")
+        ok = a.shape == shape if min_rows is None else (
+            a.ndim == 2 and a.shape[0] >= min_rows and a.shape[1:] == shape)
+        if not ok:
+            rows = "" if min_rows is None else f"at least {min_rows} rows of "
+            raise InputError(f"{name} must have {rows}shape {shape}, got {a.shape}")
 
     def run_schedule(algo, mats, eta, steps, rec_times, lw1, lw2, lwp1, lwp2, out1, out2):
         mats = np.ascontiguousarray(mats, dtype=np.float64)
@@ -235,10 +238,10 @@ def _bind(lib):
         q2 = np.ascontiguousarray(lwp2, dtype=np.float64)
         if q1.shape != (m,) or q2.shape != (n,):
             raise InputError(f"lwp1/lwp2 must have shapes ({m},)/({n},)")
-        _out_buffer("lw1", lw1, (m,))
-        _out_buffer("lw2", lw2, (n,))
-        _out_buffer("out1", out1, (m,), rec.size)
-        _out_buffer("out2", out2, (n,), rec.size)
+        out_buffer("lw1", lw1, (m,))
+        out_buffer("lw2", lw2, (n,))
+        out_buffer("out1", out1, (m,), rec.size)
+        out_buffer("out2", out2, (n,), rec.size)
         scratch = np.empty(5 * (m + n))
         written = lib.run_schedule(
             int(algo), mats.ctypes.data, periods, m, n, float(eta), int(steps),
@@ -254,7 +257,7 @@ def _bind(lib):
         if z.shape != (4,):
             raise InputError(f"z0 must have shape (4,), got {z.shape}")
         n_steps = int(n_steps)
-        _out_buffer("out", out, (4,), max(n_steps, 0) + 1)
+        out_buffer("out", out, (4,), max(n_steps, 0) + 1)
         if lib.run_reduced_composite(z.ctypes.data, float(eta), n_steps, out.ctypes.data) < 0:
             raise OverflowError("math range error")
 
@@ -350,17 +353,25 @@ def _bind(lib):
 
 
 _lib, _reason = _load(os.environ)
-if _lib is None:
-    from ._kernels_py import _PYTHON as _active
-else:
-    _active = _bind(_lib)
-run_schedule = _active.run_schedule
-run_reduced_composite = _active.run_reduced_composite
-kl_rows = _active.kl_rows
-format_csv_rows = _active.format_csv_rows
-format_plot_points = _active.format_plot_points
-parse_csv_rows = _active.parse_csv_rows
-read_pairs = _active.read_pairs
+
+# The names __getattr__ binds, each to its kernel on the active backend.
+_KERNELS = ("run_schedule", "run_reduced_composite", "kl_rows", "format_csv_rows",
+            "format_plot_points", "parse_csv_rows", "read_pairs")
+
+
+def __getattr__(name):
+    # Reached only for a name not bound yet: the first read of a kernel (or
+    # of _active) binds them all, so later reads are plain global lookups.
+    # One dict update binds them, so threads that race here each leave a
+    # whole set from one backend namespace.
+    if name != "_active" and name not in _KERNELS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if _lib is None:
+        from ._kernels_py import _PYTHON as active
+    else:
+        active = _bind(_lib)
+    globals().update(_active=active, **{kernel: getattr(active, kernel) for kernel in _KERNELS})
+    return globals()[name]
 
 
 def backend_name() -> str:

@@ -10,8 +10,9 @@ their extremes in numpy for both backends), the pair reader
 ``read_pairs_py`` and the CSV reader ``parse_csv_rows_py``.  ``_PYTHON``
 holds them under the names of the native kernels.
 
-``_kernels`` imports this module only where the C library is missing, and
-its native ``read_pairs`` only for a sequence the C converter hands back;
+``_kernels`` imports this module only where the C library is missing, on
+the first read of a kernel, and its native ``read_pairs`` only for a
+sequence the C converter hands back;
 the tests import it as the oracle of the native kernels.
 """
 
@@ -22,6 +23,8 @@ import re
 import types
 
 import numpy as np
+
+from ._kernels import ALGO_MWU, ALGO_OMWU, _BLANKS, _bad_cell, _bad_length, reduced_step
 
 
 def _lse_normalize(lw):
@@ -345,8 +348,3 @@ _PYTHON = types.SimpleNamespace(
     kl_rows=kl_rows_py, format_csv_rows=format_csv_rows_py,
     format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py,
     read_pairs=read_pairs_py)
-
-
-# Last: on the Python backend _kernels imports _PYTHON while it loads, so
-# whichever of the two modules loads first finds what it needs in the other.
-from ._kernels import ALGO_MWU, ALGO_OMWU, _BLANKS, _bad_cell, _bad_length, reduced_step

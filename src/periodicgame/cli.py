@@ -10,8 +10,11 @@ with ``os._exit``, skipping the interpreter's teardown of numpy and every
 module; after a failed flush or under a tracer or profiler it exits
 through ``sys.exit`` as any script does.
 
-Each command imports the modules it runs inside its handler, so a process
-loads only those: ``--backend-info`` the kernels, ``plot`` the emitters.
+Each command imports the modules it runs, numpy among them, inside its
+handler, so a process loads only those: ``plot`` the emitters,
+``--backend-info`` the C library and no numpy.  ``--help``, a usage error
+and a config error that the arguments alone decide load no numpy either:
+each handler makes those checks before its imports.
 Each check of ``verify`` and ``analyze`` is its own subcommand that declares
 only the flags it reads, with their defaults unless worked out from its
 inputs, and names its handler; any other flag is a usage error.
@@ -23,16 +26,12 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .errors import ConfigError, InputError, NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_PROPERTY = 3
-
-EQUILIBRIUM_4D = np.array([0.5, 0.5, 0.5, 0.5])
 
 # The values of dynamics.Algorithm and checks.OrbitVerdict, written out so
 # that building the parser imports neither module.
@@ -152,14 +151,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    from .experiments import (DEFAULT_ALGO, RunConfig, builtin_experiments, default_eta,
-                              run_experiment)
     if args.list:
         given = {dest for dest, value in vars(args).items()
                  if value is not None and value is not False}
         if given != {"command", "handler", "list"}:
             raise ConfigError("--list lists the builtin experiments; it runs none, "
                               "so it takes no other argument")
+        from .experiments import DEFAULT_ALGO, builtin_experiments, default_eta
         for spec in builtin_experiments():
             game = spec.game
             print(f"{spec.name}: {game.m}x{game.n}, period {game.period}, "
@@ -176,6 +174,9 @@ def _cmd_experiment(args) -> int:
         raise ConfigError("--log-y sets the y axis of the SVG; give --out-svg")
     if not (args.all or args.name):
         raise ConfigError("experiment name required (or --list / --all)")
+    if args.all and args.name:
+        raise ConfigError("--all runs every builtin experiment; give no name with it")
+    from .experiments import RunConfig, builtin_experiments, run_experiment
     names = [spec.name for spec in builtin_experiments()] if args.all else [args.name]
     for name in names:
         out_csv = f"{args.out_dir.rstrip('/')}/{name}.csv" if args.out_dir else args.out_csv
@@ -211,16 +212,16 @@ def _vec(v) -> str:
 
 
 def _analyze_fixed_curve(args) -> int:
+    _require_at_least("--samples", args.samples, 1)
     from .checks import boundary_fixed_point
     from .dynamics import omwu_reduced_composite, require_step_size
-    _require_at_least("--samples", args.samples, 1)
     require_step_size(args.eta)   # before the header line is printed
     worst = 0.0
     print(f"boundary fixed-point curve at eta={args.eta}")
     for k in range(args.samples):
         a = (k + 1) / (args.samples + 1)
         z = boundary_fixed_point(a, args.eta)
-        residual = float(np.abs(omwu_reduced_composite(z, args.eta) - z).max())
+        residual = float(abs(omwu_reduced_composite(z, args.eta) - z).max())
         worst = max(worst, residual)
         print(f"a={a:.6g} point=({z[2]:.12g}, {z[3]:.12g}) residual={residual:.3g}")
     print(f"max residual: {worst:.3g}")
@@ -232,7 +233,7 @@ def _reduced_jacobian(args):
     the boundary fixed point of ``--boundary-a``."""
     from .dynamics import omwu_reduced_composite
     from .linalg import jacobian_fd
-    point = EQUILIBRIUM_4D
+    point = (0.5, 0.5, 0.5, 0.5)
     if args.boundary_a is not None:
         from .checks import boundary_fixed_point
         point = boundary_fixed_point(args.boundary_a, args.eta)
@@ -321,11 +322,13 @@ def _verify_kl_monotone(args) -> int:
 
 
 def _verify_bregman(args) -> int:
-    from .checks import check_bregman_identities
-    from .simplex import Simplex
     _require_at_least("--cases", args.cases, 1)
     _require_at_least("--dim", args.dim, 2)
     _require_at_least("--seed", args.seed, 0)
+    import numpy as np
+
+    from .checks import check_bregman_identities
+    from .simplex import Simplex
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.cases):
@@ -356,6 +359,8 @@ def _verify_orbit(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    import numpy as np
+
     from .output import emit_svg_plot, read_csv
     data = read_csv(args.in_csv)
     ts = data["t"]

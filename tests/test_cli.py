@@ -312,7 +312,8 @@ class TestCliCommands:
         assert not list(tmp_path.iterdir())
 
     # A flag that the command would ignore is refused: --list runs nothing,
-    # and --log-y sets the axis of an SVG that is not written.
+    # --log-y sets the axis of an SVG that is not written, and --all runs
+    # every builtin whatever name is given.
     @pytest.mark.parametrize("argv", [
         ["experiment", "--list", "--all"],
         ["experiment", "--list", "exp1"],
@@ -324,6 +325,7 @@ class TestCliCommands:
         ["experiment", "exp1", "--steps", "10", "--out-csv", "{d}/x.csv", "--log-y"],
         ["experiment", "--all", "--steps", "10", "--log-y"],
         ["simulate", "--config", "{d}/cfg.json", "--log-y"],
+        ["experiment", "exp1", "--all", "--steps", "10"],
     ])
     def test_flag_without_effect_is_config_error(self, argv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

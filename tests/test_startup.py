@@ -1,6 +1,7 @@
 """What a process loads: ``import periodicgame`` nothing, each CLI command
-only the modules it runs, and the package namespace the same names and
-objects as the modules that define them.
+only the modules it runs, the front end (``--backend-info``, ``--help``,
+usage and config errors) no numpy, and the package namespace the same names
+and objects as the modules that define them.
 
 Each start-up case runs a fresh interpreter without bytecode caches, as the
 CLI's users and its benchmark start it, and lists ``sys.modules`` after the
@@ -14,7 +15,7 @@ import sys
 import pytest
 
 import periodicgame as pg
-from periodicgame.cli import main
+from periodicgame.cli import build_parser, main
 
 from conftest import clean_env
 
@@ -24,21 +25,37 @@ BASE = {"cli", "errors"}
 PROBE = (
     "import contextlib, io, json, sys\n"
     "from periodicgame import cli\n"
-    "with contextlib.redirect_stdout(io.StringIO()):\n"
-    "    code = cli.main(sys.argv[1:])\n"
+    "out = io.StringIO()\n"
+    "with contextlib.redirect_stdout(out):\n"
+    "    try:\n"
+    "        code = cli.main(sys.argv[1:])\n"
+    "    except SystemExit as exc:   # argparse's --help and usage errors\n"
+    "        code = exc.code\n"
     "kernels = sys.modules.get('periodicgame._kernels')\n"
-    "print(json.dumps([code, sorted(sys.modules), kernels and kernels.backend_name()]))\n"
+    "print(json.dumps([code, sorted(sys.modules), kernels and kernels.backend_name(),\n"
+    "                  out.getvalue()]))\n"
 )
+
+
+def _probe(argv, **env):
+    """(exit code, every module loaded, the kernel backend or None, stdout,
+    stderr) of ``cli.main(argv)`` in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
+                          env=clean_env(PYTHONDONTWRITEBYTECODE="1", **env), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, modules, backend, out = json.loads(proc.stdout.splitlines()[-1])
+    return code, modules, backend, out, proc.stderr
+
+
+def _ours(modules):
+    return {m.split(".", 1)[1] for m in modules if m.startswith("periodicgame.")}
 
 
 def _loaded(argv, **env):
     """(exit code, the periodicgame modules loaded, the kernel backend or
     None) of ``cli.main(argv)`` in a fresh process."""
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, text=True,
-                          env=clean_env(PYTHONDONTWRITEBYTECODE="1", **env), timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    code, modules, backend = json.loads(proc.stdout.splitlines()[-1])
-    return code, {m.split(".", 1)[1] for m in modules if m.startswith("periodicgame.")}, backend
+    code, modules, backend, _, _ = _probe(argv, **env)
+    return code, _ours(modules), backend
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +86,53 @@ def test_command_loads_only_its_modules(argv, allowed):
     code, ours, _ = _loaded(argv)
     assert code == 0
     assert ours <= BASE | allowed, sorted(ours - BASE - allowed)
+
+
+@pytest.mark.parametrize("cc", [None, "periodicgame-no-cc"], ids=["default-cc", "no-cc"])
+def test_backend_info_loads_no_numpy(cc):
+    env = {} if cc is None else {"CC": cc}
+    code, modules, backend, out, _ = _probe(["--backend-info"], **env)
+    assert "numpy" not in modules and _ours(modules) <= BASE | {"_kernels"}, sorted(modules)
+    assert code == 0
+    name, reason = out.splitlines()
+    assert name == f"kernel backend: {backend}" and reason.startswith(f"{backend}: ")
+    if cc is not None:
+        assert out == ("kernel backend: python\n"
+                       "python: compiler 'periodicgame-no-cc' not found\n")
+
+
+def test_help_loads_no_numpy(monkeypatch):
+    # argparse wraps the help to $COLUMNS, so both processes get one width.
+    monkeypatch.setenv("COLUMNS", "80")
+    code, modules, _, out, _ = _probe(["--help"], COLUMNS="80")
+    assert "numpy" not in modules and _ours(modules) <= BASE, sorted(modules)
+    assert (code, out) == (0, build_parser().format_help())
+
+
+# Every config error that the arguments alone decide is made before the
+# handler imports anything, numpy among them.
+@pytest.mark.parametrize("argv, error", [
+    (["experiment", "--algo", "sgd"], "error: argument --algo: invalid choice"),
+    (["experiment", "--list", "--all"], "config error: --list"),
+    (["experiment", "--seed", "-1", "exp1"], "config error: --seed"),
+    (["experiment", "--all", "--out-csv", "x.csv"], "config error: --out-csv"),
+    (["experiment", "exp1", "--out-dir", "o"], "config error: --out-dir"),
+    (["experiment", "exp1", "--log-y"], "config error: --log-y"),
+    (["experiment"], "config error: experiment name required"),
+    (["experiment", "exp1", "--all"], "config error: --all"),
+    (["verify", "bregman", "--cases", "0"], "config error: --cases"),
+    (["verify", "bregman", "--dim", "1"], "config error: --dim"),
+    (["verify", "bregman", "--seed", "-1"], "config error: --seed"),
+    (["analyze", "fixed-curve", "--samples", "0"], "config error: --samples"),
+], ids=["usage-error", "experiment-list-with-all", "experiment-seed", "experiment-all-out-csv",
+        "experiment-out-dir", "experiment-log-y", "experiment-no-name",
+        "experiment-name-with-all", "bregman-cases", "bregman-dim", "bregman-seed",
+        "fixed-curve-samples"])
+def test_argument_error_loads_no_numpy(argv, error):
+    code, modules, _, out, err = _probe(argv)
+    assert "numpy" not in modules and _ours(modules) <= BASE, sorted(modules)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith(error), err
 
 
 def test_plot_loads_only_the_emitters(exp1_csv, tmp_path):
@@ -109,6 +173,28 @@ def test_python_backend_module_may_load_first():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=clean_env(CC="periodicgame-no-cc"), timeout=120)
     assert proc.stdout.split() == ["True"], proc.stderr
+
+
+def test_racing_first_kernel_reads_bind_one_backend_namespace():
+    # Threads that read kernels for the first time at once may each bind
+    # them all; every name must end up from the one namespace in _active.
+    script = (
+        "import sys, threading\n"
+        "from periodicgame import _kernels\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=getattr, args=(_kernels, name))\n"
+        "           for name in _kernels._KERNELS * 4]\n"
+        "for thread in threads:\n"
+        "    thread.start()\n"
+        "for thread in threads:\n"
+        "    thread.join(60)\n"
+        "print(not any(thread.is_alive() for thread in threads),\n"
+        "      all(getattr(_kernels, name) is getattr(_kernels._active, name)\n"
+        "          for name in _kernels._KERNELS))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=clean_env(), timeout=120)
+    assert proc.stdout.split() == ["True", "True"], proc.stderr
 
 
 # The names the package bound eagerly, by module, before it became lazy.

@@ -16,7 +16,9 @@ of ``_kernels_py._column_extremes``), which writes the bytes of its numpy
 fallback, and the CSV
 reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
 same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
-written as integers, and ``pairs_into``, behind ``read_pairs``, which copies
+written as integers, into arrays of its own or the rows of those it is
+given (``out``), sized by ``count_line_ends``, which counts the \\n and \\r
+bytes of a block, and ``pairs_into``, behind ``read_pairs``, which copies
 a list of (t, v) pairs of floats and ints into an array with the bits of
 ``np.fromiter`` and hands any other sequence to ``read_pairs_py``.
 When this module is first imported (by ``--backend-info`` or the first
@@ -24,7 +26,8 @@ When this module is first imported (by ``--backend-info`` or the first
 loads nothing) the C source is compiled with ``$CC`` (default ``cc``) and
 the running interpreter's include directory into
 ``$XDG_CACHE_HOME/periodicgame/`` (``~/.cache/periodicgame/`` when the
-variable is unset), under a name keyed by a sha256 of the source, the
+variable is unset), under a name keyed by a sha256 (CPython's built-in
+one: ``hashlib`` would load OpenSSL) of the source, the
 compiler flags, the ``$CC`` words, the resolved compiler's size and mtime,
 and the interpreter (``sys.implementation.cache_tag`` and ``sys.version``),
 so a library is never loaded into another Python; later imports load the
@@ -55,7 +58,6 @@ kernels keep them normalized after every step.
 """
 
 import ctypes
-import hashlib
 import math
 import os
 import shlex
@@ -108,6 +110,18 @@ class _BuildError(Exception):
     pass
 
 
+def _sha256():
+    """CPython's built-in sha256 constructor (``_sha2`` from 3.12, ``_sha256``
+    before), or ``hashlib``'s where neither exists: ``hashlib`` loads
+    OpenSSL's ``_hashlib``, 3.5 MB of RSS and 4 ms of a start (Python 3.11
+    on a 2-vCPU VM)."""
+    for name in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+
+
 def _build_library(environ):
     """Path of the compiled library and "compiled" or "cached"; raises
     _BuildError naming the cause when there is none."""
@@ -125,7 +139,7 @@ def _build_library(environ):
         raise _BuildError(f"cannot key the build: {exc}") from None
     # pairs_into is built against the running interpreter's headers, so the
     # interpreter is part of the key too.
-    key = hashlib.sha256(b"\0".join([source, " ".join(_CFLAGS).encode(), *map(str.encode, cc),
+    key = _sha256()(b"\0".join([source, " ".join(_CFLAGS).encode(), *map(str.encode, cc),
                                      f"{stat.st_size} {stat.st_mtime_ns}".encode(),
                                      f"{sys.implementation.cache_tag} {sys.version}".encode()]))
     cache = os.path.join(environ.get("XDG_CACHE_HOME")
@@ -185,9 +199,9 @@ def _load(environ):
     lib.format_csv_rows.restype = long_
     lib.format_plot_points.argtypes = [ptr, ctypes.c_int, ptr] + [long_] * 2 + [ptr, long_, ptr]
     lib.format_plot_points.restype = long_
-    lib.parse_csv_rows.argtypes = [ctypes.c_char_p] + [long_] * 6 + [ptr] * 4
+    lib.parse_csv_rows.argtypes = [ptr] + [long_] * 6 + [ptr] * 4
     lib.parse_csv_rows.restype = long_
-    lib.count_byte.argtypes = [ctypes.c_char_p, long_, long_, ctypes.c_int]
+    lib.count_byte.argtypes = [ptr, long_, long_, ctypes.c_int]
     lib.count_byte.restype = long_
     lib.kl_rows.argtypes = [ptr, ptr, long_, ptr, long_, long_, double, ptr]
     lib.kl_rows.restype = None
@@ -216,14 +230,14 @@ def _bind(lib):
     to a local name until the call returns."""
     import numpy as np
 
-    def out_buffer(name, a, shape, min_rows=None):
+    def out_buffer(name, a, shape, min_rows=None, dtype=np.float64):
         # Results are written through a raw pointer, so the caller's array
         # must be the exact memory layout the C code assumes.
-        if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype
                 and a.flags.c_contiguous and a.flags.writeable):
-            raise InputError(f"{name} must be a writable C-contiguous float64 array")
+            raise InputError(f"{name} must be a writable C-contiguous {np.dtype(dtype)} array")
         ok = a.shape == shape if min_rows is None else (
-            a.ndim == 2 and a.shape[0] >= min_rows and a.shape[1:] == shape)
+            a.ndim == 1 + len(shape) and a.shape[0] >= min_rows and a.shape[1:] == shape)
         if not ok:
             rows = "" if min_rows is None else f"at least {min_rows} rows of "
             raise InputError(f"{name} must have {rows}shape {shape}, got {a.shape}")
@@ -308,29 +322,38 @@ def _bind(lib):
         write_blocks(lib.format_plot_points, (pts.ctypes.data, bool(log_y), ax.ctypes.data),
                      len(pts), fh, _BLOCK_BYTES)
 
-    def parse_csv_rows(data, start, line, names, t_col, phase_col):
+    def count_line_ends(data):
+        buf = np.frombuffer(data, dtype=np.uint8)
+        return tuple(lib.count_byte(buf.ctypes.data, 0, len(buf), end) for end in b"\n\r")
+
+    def parse_csv_rows(data, start, line, names, t_col, phase_col, out=None):
         ncols = len(names)
-        if not (isinstance(data, bytes) and 0 <= start <= len(data)
+        if not (isinstance(data, (bytes, bytearray, memoryview)) and 0 <= start <= len(data)
                 and t_col != phase_col and 0 <= min(t_col, phase_col)
                 and max(t_col, phase_col) < ncols):
-            raise InputError("data must be bytes, start an offset into it, and t_col and "
+            raise InputError("data must be bytes-like, start an offset into it, and t_col and "
                              "phase_col two columns of names")
+        buf = np.frombuffer(data, dtype=np.uint8)
         # One row per line at most: every line but the last ends in \n or \r.
-        cap = (lib.count_byte(data, start, len(data), ord("\n")) + 1
-               + lib.count_byte(data, start, len(data), ord("\r")))
-        t = np.empty(cap, dtype=np.int64)
-        phase = np.empty(cap, dtype=np.int64)
-        cells = np.empty((cap, ncols - 2))
+        cap = sum(count_line_ends(buf[start:])) + 1
+        if out is None:
+            out = (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
+                   np.empty((cap, ncols - 2)))
+        t, phase, cells = out
+        out_buffer("t", t, (), cap, np.int64)
+        out_buffer("phase", phase, (), cap, np.int64)
+        out_buffer("cells", cells, (ncols - 2,), cap)
         err = np.zeros(4, dtype=np.int64)
         # A bytes object keeps a NUL after its last byte, where strtod stops
-        # on a last cell that has no line end.
-        rows = lib.parse_csv_rows(data, start, len(data), line, ncols, t_col, phase_col,
-                                  t.ctypes.data, phase.ctypes.data, cells.ctypes.data,
-                                  err.ctypes.data)
+        # on a last cell that has no line end; read_csv puts one after the
+        # view of its buffer that it passes.
+        rows = lib.parse_csv_rows(buf.ctypes.data, start, len(buf), line, ncols, t_col,
+                                  phase_col, t.ctypes.data, phase.ctypes.data,
+                                  cells.ctypes.data, err.ctypes.data)
         if rows < 0:
             number, j, a, b = err.tolist()
             raise ValueError(_bad_length(number, a, ncols) if j < 0 else
-                             _bad_cell(number, names[j], data[a:b].decode(),
+                             _bad_cell(number, names[j], str(data[a:b], "utf-8"),
                                        j in (t_col, phase_col)))
         return t[:rows], phase[:rows], cells[:rows]
 
@@ -349,14 +372,14 @@ def _bind(lib):
     return types.SimpleNamespace(
         run_schedule=run_schedule, run_reduced_composite=run_reduced_composite,
         kl_rows=kl_rows, format_csv_rows=format_csv_rows, format_plot_points=format_plot_points,
-        parse_csv_rows=parse_csv_rows, read_pairs=read_pairs)
+        count_line_ends=count_line_ends, parse_csv_rows=parse_csv_rows, read_pairs=read_pairs)
 
 
 _lib, _reason = _load(os.environ)
 
 # The names __getattr__ binds, each to its kernel on the active backend.
 _KERNELS = ("run_schedule", "run_reduced_composite", "kl_rows", "format_csv_rows",
-            "format_plot_points", "parse_csv_rows", "read_pairs")
+            "format_plot_points", "count_line_ends", "parse_csv_rows", "read_pairs")
 
 
 def __getattr__(name):

@@ -7,7 +7,8 @@ the joint KL to a reference per recorded state ``kl_rows_py``, the CSV
 writer ``format_csv_rows_py``, the format pass of an SVG series
 ``format_plot_points_py`` (``output`` keeps a series' points and finds
 their extremes in numpy for both backends), the pair reader
-``read_pairs_py`` and the CSV reader ``parse_csv_rows_py``.  ``_PYTHON``
+``read_pairs_py``, the line-end counter ``count_line_ends_py`` and the CSV
+reader ``parse_csv_rows_py``.  ``_PYTHON``
 holds them under the names of the native kernels.
 
 ``_kernels`` imports this module only where the C library is missing, on
@@ -305,17 +306,25 @@ def _first_bad_cell(lines, line, names, int_cols):
     return None
 
 
-def parse_csv_rows_py(data, start, line, names, t_col, phase_col):
-    """Read the CSV body ``data[start:]`` (UTF-8 bytes whose first line is
-    file line ``line``) under the header ``names``: returns int64 ``t`` and
-    ``phase`` (columns ``t_col`` and ``phase_col``) and float64 ``cells``
-    (rows, len(names) - 2) holding the other columns in order.  Lines end in
+def count_line_ends_py(data):
+    """The number of \\n bytes and of \\r bytes in the bytes-like ``data``."""
+    data = bytes(data)
+    return data.count(b"\n"), data.count(b"\r")
+
+
+def parse_csv_rows_py(data, start, line, names, t_col, phase_col, out=None):
+    """Read the CSV body ``data[start:]`` (UTF-8 bytes-like, whose first line
+    is file line ``line``) under the header ``names``: returns int64 ``t``
+    and ``phase`` (columns ``t_col`` and ``phase_col``) and float64 ``cells``
+    (rows, len(names) - 2) holding the other columns in order, in the first
+    rows of ``out``'s three arrays when it is given (the native parser needs
+    one row for each \\n and \\r in the body, and one more).  Lines end in
     \\n, \\r\\n or \\r, '#' starts a comment, and a line blank up to its
     comment is skipped.  A cell is a decimal, inf, infinity or nan (any
     case, optional sign; an integer in columns t and phase) with blanks on
     either side; np.loadtxt reads the numbers.  A bad cell or a row of the
     wrong length raises ValueError naming its line and column."""
-    text = data[start:].decode()
+    text = str(data[start:], "utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
@@ -340,11 +349,16 @@ def parse_csv_rows_py(data, start, line, names, t_col, phase_col):
     except (ValueError, OverflowError) as exc:
         raise ValueError(_first_bad_cell(lines, line, names, (t_col, phase_col))
                          or str(exc)) from None
-    return t, phase, body[:, [j for j in range(ncols) if j not in (t_col, phase_col)]]
+    parsed = t, phase, body[:, [j for j in range(ncols) if j not in (t_col, phase_col)]]
+    if out is None:
+        return parsed
+    for into, rows in zip(out, parsed):
+        into[:len(rows)] = rows
+    return tuple(into[:len(t)] for into in out)
 
 
 _PYTHON = types.SimpleNamespace(
     run_schedule=run_schedule_py, run_reduced_composite=run_reduced_composite_py,
     kl_rows=kl_rows_py, format_csv_rows=format_csv_rows_py,
-    format_plot_points=format_plot_points_py, parse_csv_rows=parse_csv_rows_py,
-    read_pairs=read_pairs_py)
+    format_plot_points=format_plot_points_py, count_line_ends=count_line_ends_py,
+    parse_csv_rows=parse_csv_rows_py, read_pairs=read_pairs_py)

@@ -137,11 +137,24 @@ def _require_at_least(flag, value, low):
         raise ConfigError(f"{flag} must be at least {low}, got {value}")
 
 
+def _require_distinct(*files):
+    """A ConfigError when two of ``files``, (flag, path or None) pairs, name
+    one file (by ``os.path.realpath``), which a later write would replace."""
+    seen = {}
+    for flag, path in files:
+        if path:
+            first = seen.setdefault(os.path.realpath(path), flag)
+            if first != flag:
+                raise ConfigError(f"{flag} names the same file as {first}: {path}")
+
+
 def _cmd_simulate(args) -> int:
     from .experiments import parse_config, run_experiment
     cfg = parse_config(args.config)
     cfg.out_csv = args.out_csv or cfg.out_csv
     cfg.out_svg = args.out_svg or cfg.out_svg
+    _require_distinct(("--config", args.config), ("--out-csv", cfg.out_csv),
+                      ("--out-svg", cfg.out_svg))
     if args.log_y and not cfg.out_svg:
         raise ConfigError("--log-y sets the y axis of the SVG; give --out-svg or out_svg")
     cfg.log_y = args.log_y
@@ -176,6 +189,7 @@ def _cmd_experiment(args) -> int:
         raise ConfigError("experiment name required (or --list / --all)")
     if args.all and args.name:
         raise ConfigError("--all runs every builtin experiment; give no name with it")
+    _require_distinct(("--out-csv", args.out_csv), ("--out-svg", args.out_svg))
     from .experiments import RunConfig, builtin_experiments, run_experiment
     names = [spec.name for spec in builtin_experiments()] if args.all else [args.name]
     for name in names:
@@ -359,6 +373,7 @@ def _verify_orbit(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    _require_distinct(("--in-csv", args.in_csv), ("--out-svg", args.out_svg))
     import numpy as np
 
     from .output import emit_svg_plot, read_csv

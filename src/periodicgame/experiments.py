@@ -242,13 +242,16 @@ def run_experiment(cfg: RunConfig):
 
 
 def _svg_series(traj: Trajectory, log_y: bool):
+    """The series run_experiment plots: the KL under log_y when the run has a
+    reference, else every strategy's probability.  Each probability column
+    is copied and exponentiated in place, which gives the bits of
+    ``traj.probabilities1/2`` without making either (R, m) block."""
     ts = traj.times
     if log_y and traj.reference is not None:
         return [("KL(eq, x^t)", np.column_stack([ts, traj.kl_to_ref]))]
     series = []
-    p1, p2 = traj.probabilities1, traj.probabilities2
-    for i in range(p1.shape[1]):
-        series.append((f"x1_{i + 1}", np.column_stack([ts, p1[:, i]])))
-    for j in range(p2.shape[1]):
-        series.append((f"x2_{j + 1}", np.column_stack([ts, p2[:, j]])))
+    for name, log_probs in (("x1", traj.log_probs1), ("x2", traj.log_probs2)):
+        for i in range(log_probs.shape[1]):
+            p = log_probs[:, i].copy()
+            series.append((f"{name}_{i + 1}", np.column_stack([ts, np.exp(p, out=p)])))
     return series

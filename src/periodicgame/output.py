@@ -6,11 +6,15 @@ the SVG contains no timestamps or random ids.  An SVG series' drop and
 extremes are one numpy step here; the per-value work, the CSV cells, an SVG
 series' log10, scaling and formatting, and the parsing of a CSV read back,
 runs in ``_kernels`` (native or Python, the same bytes and bits either
-way).
+way).  Neither holds a whole file: ``read_csv`` holds one block of it
+(``_READ_BLOCK`` bytes, more only for a longer line) besides the arrays it
+returns, and ``emit_csv`` the cells and text of one block of rows
+(``_WRITE_ROWS``) besides the trajectory.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import re
 import sys
@@ -27,56 +31,104 @@ if TYPE_CHECKING:
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 _EOL = re.compile(rb"\r\n?|\n")
+# Bytes a read of read_csv takes, and rows a block of emit_csv writes.
+_READ_BLOCK = 1 << 20
+_WRITE_ROWS = 1 << 12
 
 
 def emit_csv(traj: Trajectory, path: str) -> None:
-    """Write `t,phase,x1_1..x1_m,x2_1..x2_n,kl_to_ref,min_component`."""
-    m = traj.log_probs1.shape[1]
-    n = traj.log_probs2.shape[1]
+    """Write `t,phase,x1_1..x1_m,x2_1..x2_n,kl_to_ref,min_component`, a
+    block of ``_WRITE_ROWS`` rows at a time."""
+    lp1, lp2 = traj.log_probs1, traj.log_probs2
+    m, n = lp1.shape[1], lp2.shape[1]
     header = (["t", "phase"]
               + [f"x1_{i + 1}" for i in range(m)]
               + [f"x2_{j + 1}" for j in range(n)]
               + ["kl_to_ref", "min_component"])
-    cells = np.column_stack([traj.probabilities1, traj.probabilities2,
-                             traj.kl_to_ref, traj.min_component])
+    times = traj.times
+    kl, low = traj.kl_to_ref[:, None], traj.min_component[:, None]
+    cells = np.empty((min(_WRITE_ROWS, len(times)), m + n + 2))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        _kernels.format_csv_rows(traj.times, traj.phases, cells, fh)
+        for lo in range(0, len(times), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            t = times[rows]
+            # np.exp of whole rows, contiguous as in the full block: the same bits.
+            block = np.concatenate((np.exp(lp1[rows]), np.exp(lp2[rows]), kl[rows], low[rows]),
+                                   axis=1, out=cells[:len(t)])
+            _kernels.format_csv_rows(t, t % traj.period, block, fh)
 
 
 def read_csv(path: str) -> dict:
     """Parse a trajectory CSV back into arrays: ``t`` and ``phase`` as exact
     int64 (a cell there must be an integer), every other column with the
     float64 bits that were written.  A malformed file raises InputError
-    naming it, and the file line and column header of a bad cell."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
-    # The header is the first line that is not blank.
-    start, line = 0, 1
-    while True:
-        eol = _EOL.search(data, start)
-        text = data[start:eol.start() if eol else len(data)].decode()
-        if text.strip(_kernels._BLANKS) or eol is None:
-            break
-        start, line = eol.end(), line + 1
-    header = text.split(",")
-    cols = {name: idx for idx, name in enumerate(header)}
-    missing = sorted({"t", "phase", "kl_to_ref", "min_component"} - cols.keys())
-    if missing:
-        raise InputError(f"{path} has no {missing[0]!r} column")
-    t_col, phase_col = cols["t"], cols["phase"]
-    try:
-        t, phase, cells = _kernels.parse_csv_rows(data, eol.end() if eol else len(data),
-                                                  line + 1, header, t_col, phase_col)
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
-    if not len(t):
+    naming it, and the file line and column header of a bad cell.
+
+    The file is read a block of whole lines at a time into one buffer
+    (``_lines``) of ``_READ_BLOCK`` bytes, or the file's size when that is
+    less.  A first pass checks that it is
+    UTF-8, finds the header and counts the body's line ends, which bound
+    its rows; a second parses each block into the arrays sized from that
+    count, from the buffer when one block held the whole file, else reading
+    the body again.  A pipe, which cannot be read twice, is held whole."""
+    with open(path, "rb", buffering=0) as raw:
+        fh = raw if raw.seekable() else io.BytesIO(raw.read())
+        # One byte over the file's size, so that one fill reaches its end.
+        buf = bytearray(min(_READ_BLOCK, fh.seek(0, io.SEEK_END) + 1) + 1)
+        fh.seek(0)
+        offset, line, header, ends = 0, 1, None, 0
+        for cut, eof in _lines(fh, buf):
+            if not buf.isascii():
+                try:
+                    str(memoryview(buf)[:cut], "utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputError(f"{path} is not UTF-8 text: "
+                                     f"{_decode_error(exc, offset)}") from exc
+            start = 0
+            while header is None:
+                # The header is the first line that is not blank.
+                eol = _EOL.search(buf, start, cut)
+                if eol is None and not eof:
+                    break   # blank lines up to the cut
+                text = buf[start:eol.start() if eol else cut].decode()
+                start, line = eol.end() if eol else cut, line + 1
+                if text.strip(_kernels._BLANKS) or eol is None:
+                    header, body = text.split(","), offset + start
+            if header is not None:
+                ends += sum(_kernels.count_line_ends(memoryview(buf)[start:cut]))
+            offset += cut
+        cols = {name: idx for idx, name in enumerate(header)}
+        if len(cols) < len(header):
+            twice = next(name for idx, name in enumerate(header) if cols[name] != idx)
+            raise InputError(f"{path} has more than one {twice!r} column")
+        missing = sorted({"t", "phase", "kl_to_ref", "min_component"} - cols.keys())
+        if missing:
+            raise InputError(f"{path} has no {missing[0]!r} column")
+        t_col, phase_col = cols["t"], cols["phase"]
+        t = np.empty(ends + 1, dtype=np.int64)
+        phase = np.empty(ends + 1, dtype=np.int64)
+        cells = np.empty((ends + 1, len(header) - 2))
+        if offset == cut:   # one fill held the whole file: parse it where it is
+            blocks = [(body, cut, True)]
+        else:
+            fh.seek(body)
+            blocks = ((0, cut, eof) for cut, eof in _lines(fh, buf))
+        rows = 0
+        for start, cut, eof in blocks:
+            # Views of buf live only for a call: one alive would stop buf growing.
+            try:
+                got = _kernels.parse_csv_rows(memoryview(buf)[:cut], start, line, header, t_col,
+                                              phase_col, (t[rows:], phase[rows:], cells[rows:]))
+            except ValueError as exc:
+                raise InputError(f"{path}: {exc}") from exc
+            rows += len(got[0])
+            if not eof:
+                lf, cr = _kernels.count_line_ends(memoryview(buf)[:cut])
+                line += lf + cr - (buf.count(b"\r\n", 0, cut) if cr else 0)
+    if not rows:
         raise InputError(f"{path} holds no data rows")
+    t, phase, cells = t[:rows], phase[:rows], cells[:rows]
 
     def at(i):   # the cells column of header column i
         return i - (i > t_col) - (i > phase_col)
@@ -92,6 +144,44 @@ def read_csv(path: str) -> dict:
         "kl_to_ref": cells[:, at(cols["kl_to_ref"])],
         "min_component": cells[:, at(cols["min_component"])],
     }
+
+
+def _lines(fh, buf):
+    """Read the binary file ``fh`` from where it stands into the bytearray
+    ``buf`` (its last byte spare), and yield (cut, eof) for each fill:
+    ``buf[:cut]`` holds whole lines, all that is left at the end of the
+    file (eof), and ``buf[cut]`` a NUL, where the native parser's strtod
+    stops.  The bytes after the cut move to the front for the next fill,
+    and a line longer than the buffer doubles it."""
+    size = 0
+    while True:
+        got = fh.readinto(memoryview(buf)[size:-1])
+        size += got
+        if got and size < len(buf) - 1:
+            continue
+        # A \r last in the buffer may be the first half of a \r\n.
+        cut = max(buf.rfind(b"\n", 0, size), buf.rfind(b"\r", 0, size - 1)) + 1 if got else size
+        if not cut and got:
+            buf.extend(bytes(len(buf) - 1))
+            continue
+        kept, buf[cut] = buf[cut], 0
+        yield cut, not got
+        if not got:
+            return
+        buf[cut] = kept
+        buf[:size - cut] = buf[cut:size]
+        size -= cut
+
+
+def _decode_error(exc, offset):
+    """str(exc), the UnicodeDecodeError of bytes that start at file offset
+    ``offset``, with the file positions that decoding the whole file names."""
+    start = offset + exc.start
+    if exc.end - exc.start == 1:
+        return (f"'{exc.encoding}' codec can't decode byte 0x{exc.object[exc.start]:02x} "
+                f"in position {start}: {exc.reason}")
+    return (f"'{exc.encoding}' codec can't decode bytes in position "
+            f"{start}-{offset + exc.end - 1}: {exc.reason}")
 
 
 # Each entry pairs a label with its points: any sequence of (t, v) pairs of

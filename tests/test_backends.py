@@ -5,6 +5,7 @@ report the kernel it says."""
 import collections
 import ctypes
 import ctypes.util
+import hashlib
 import io
 import itertools
 import math
@@ -659,9 +660,11 @@ class TestReaderOracle:
         assert not _eisel_lemire_gives_up(d, q), "%.17g" % v
 
 
+LINE_END_DATA = [b"", b"\n", b"a\r\nb\rc\n", b"no line end", b"\r" * 3, b"0,0\n" * 1000 + b"1,1"]
+
+
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
-@pytest.mark.parametrize("data", [b"", b"\n", b"a\r\nb\rc\n", b"no line end", b"\r" * 3,
-                                  b"0,0\n" * 1000 + b"1,1"])
+@pytest.mark.parametrize("data", LINE_END_DATA)
 def test_line_end_count(data):
     # parse_csv_rows's outputs hold one row per counted line end, plus one.
     lib, reason = _kernels._load(clean_env())
@@ -670,6 +673,39 @@ def test_line_end_count(data):
         for byte in b"\n\r":
             assert (lib.count_byte(data, start, len(data), byte)
                     == data.count(bytes([byte]), start)), (start, byte)
+
+
+@pytest.mark.parametrize("data", LINE_END_DATA)
+def test_line_ends_of_any_bytes_like(kernels, data):
+    # read_csv counts the line ends of views of its buffer.
+    buf = bytearray(b"\r\n" + data + b"\n")
+    for view in (data, bytearray(data), memoryview(buf)[2:-1]):
+        assert kernels.count_line_ends(view) == (data.count(b"\n"), data.count(b"\r"))
+
+
+def test_parse_into_given_rows(kernels):
+    # read_csv parses each block into the rows after those of the blocks
+    # before it; the rows around them keep their values.
+    body = HEADER + b"0,0,0.5,0.5,0,0.5\r\n# note\n\n1,1,0.25,0.75,inf,nan"
+    start = len(HEADER)
+    whole = kernels.parse_csv_rows(body, start, 2, NAMES, 0, 1)
+    t, phase = np.full(9, -1, dtype=np.int64), np.full(9, -2, dtype=np.int64)
+    cells = np.full((9, 4), -3.0)
+    got = kernels.parse_csv_rows(memoryview(bytearray(body)), start, 2, NAMES, 0, 1,
+                                 (t[3:], phase[3:], cells[3:]))
+    assert all(_same_bits(a, b) for a, b in zip(got, whole))
+    assert got[0].base is t and got[2].base is cells
+    assert (t[[0, 1, 2, 5, 6, 7, 8]] == -1).all() and (cells[:3] == -3.0).all()
+
+
+@pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
+def test_cache_key_is_the_sha256_of_hashlib(monkeypatch):
+    # The key is hashed by CPython's built-in sha256, not OpenSSL's: the
+    # same digest, so the same cached library.
+    assert _kernels._sha256() is not hashlib.sha256 or sys.implementation.name != "cpython"
+    built = _kernels._build_library(clean_env())
+    monkeypatch.setattr(_kernels, "_sha256", lambda: hashlib.sha256)
+    assert _kernels._build_library(clean_env()) == (built[0], "cached")
 
 
 @pytest.mark.skipif(not HAVE_CC, reason="no C compiler 'cc' on PATH")
@@ -817,6 +853,22 @@ class TestNativeWrapper:
                      (data, len(HEADER), 2, NAMES, 0, 6)):
             with pytest.raises(pg.InputError):
                 native_kernels.parse_csv_rows(*args)
+
+    def test_parser_rows_rejected(self, native_kernels):
+        # The C parser writes one row per line end and one more, unchecked:
+        # rows it is given must be that many, and the layout it writes.
+        data = HEADER + b"0,0,0.5,0.5,0,0.5\n1,1,0.5,0.5,0,0.5\n"
+        ints, cells = np.zeros(3, dtype=np.int64), np.zeros((3, 4))
+        read_only = cells.copy()
+        read_only.flags.writeable = False
+        for out in ((ints[:2], ints, cells), (ints, ints, cells[:2]),
+                    (ints, ints.astype(np.int32), cells), (ints, ints, cells.astype(np.float32)),
+                    (ints, ints, np.zeros((3, 5))), (ints, ints, np.zeros((3, 8))[:, ::2]),
+                    (np.zeros((6,), dtype=np.int64)[::2], ints, cells), (ints, ints, read_only),
+                    (ints, ints, cells.ravel()), (ints.reshape(3, 1), ints, cells)):
+            with pytest.raises(pg.InputError):
+                native_kernels.parse_csv_rows(data, len(HEADER), 2, NAMES, 0, 1, out)
+        assert not ints.any() and not cells.any()
 
     def test_kl_shapes_rejected(self, native_kernels):
         rp, rlp = np.full(2, 0.5), np.log(np.full(2, 0.5))

@@ -263,6 +263,7 @@ class TestCliCommands:
         pytest.param(GOOD_CSV.replace("t,", "time,", 1), id="no-t-column"),
         pytest.param(GOOD_CSV.replace("kl_to_ref", "kl"), id="no-kl-column"),
         pytest.param(GOOD_CSV.encode("utf-16"), id="not-utf8"),
+        pytest.param(GOOD_CSV.replace("x1_2", "x1_1", 1), id="repeated-column"),
     ])
     def test_plot_bad_csv_is_input_error(self, tmp_path, capsys, body):
         csv = tmp_path / "bad.csv"
@@ -335,6 +336,32 @@ class TestCliCommands:
         out = capsys.readouterr()
         assert out.err.startswith("config error: ") and not out.out
         assert list(tmp_path.iterdir()) == [cfg]
+
+    # A write must not replace the command's input or its other output: the
+    # same path, spelled the same or not, or a link to it.
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "exp1", "--steps", "10", "--out-csv", "{d}/f", "--out-svg", "{d}/f"],
+        ["experiment", "exp1", "--steps", "10", "--out-csv", "{d}/f", "--out-svg", "{d}/./f"],
+        ["experiment", "exp1", "--steps", "10", "--out-csv", "{d}/link", "--out-svg",
+         "{d}/cfg.json"],
+        ["simulate", "--config", "{d}/cfg.json", "--out-svg", "{d}/sim.csv"],
+        ["simulate", "--config", "{d}/cfg.json", "--out-csv", "{d}/cfg.json"],
+        ["simulate", "--config", "{d}/link", "--out-csv", "{d}/x.csv", "--out-svg",
+         "{d}/cfg.json"],
+        ["plot", "--in-csv", "{d}/cfg.json", "--out-svg", "{d}/cfg.json"],
+        ["plot", "--in-csv", "{d}/cfg.json", "--out-svg", "{d}/link"],
+    ])
+    def test_output_over_another_file_is_config_error(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "game2x2", "steps": 10,
+                                   "out_csv": str(tmp_path / "sim.csv")}))
+        (tmp_path / "link").symlink_to(cfg)
+        assert main([a.format(d=tmp_path) for a in argv]) == 1
+        out = capsys.readouterr()
+        assert out.err.startswith("config error: ") and "names the same file as" in out.err
+        assert not out.out
+        assert sorted(tmp_path.iterdir()) == [cfg, tmp_path / "link"]
+        assert json.loads(cfg.read_text())["out_csv"] == str(tmp_path / "sim.csv")
 
     # Each check is its own subcommand: a flag it does not declare is a usage
     # error, whether another check reads it or none does.

@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import threading
+import tracemalloc
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import periodicgame as pg
-from periodicgame import _kernels
+from periodicgame import _kernels, _kernels_py, output
 from periodicgame.experiments import _svg_series
 
 DBL_MAX = np.finfo(np.float64).max
@@ -83,8 +86,8 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True
 
 
 @st.composite
-def _trajectories(draw):
-    r = draw(st.integers(1, 6))
+def _trajectories(draw, max_rows=6):
+    r = draw(st.integers(1, max_rows))
     m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     start = draw(st.integers(0, 10**12))
     gaps = draw(hnp.arrays(np.int64, r, elements=st.integers(1, 1000)))
@@ -167,6 +170,252 @@ class TestCsvRoundTrip:
         assert data["x1"].shape == (1, 2) and data["x2"].shape == (1, 2)
         assert data["t"].dtype == np.int64 and data["phase"].dtype == np.int64
         assert data["kl_to_ref"].shape == (1,)
+
+
+
+# Oracles: read_csv, emit_csv and the experiment's strategy series as they
+# were before they went a block (or a column) at a time, for the parity tests
+# of the code that replaced them.
+
+def old_read_csv(path):
+    """The whole file read into one bytes object and parsed in one call."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise pg.InputError(f"{path} is not UTF-8 text: {exc}") from exc
+    start, line = 0, 1
+    while True:
+        eol = output._EOL.search(data, start)
+        text = data[start:eol.start() if eol else len(data)].decode()
+        if text.strip(_kernels._BLANKS) or eol is None:
+            break
+        start, line = eol.end(), line + 1
+    header = text.split(",")
+    cols = {name: idx for idx, name in enumerate(header)}
+    missing = sorted({"t", "phase", "kl_to_ref", "min_component"} - cols.keys())
+    if missing:
+        raise pg.InputError(f"{path} has no {missing[0]!r} column")
+    t_col, phase_col = cols["t"], cols["phase"]
+    try:
+        t, phase, cells = _kernels.parse_csv_rows(data, eol.end() if eol else len(data),
+                                                  line + 1, header, t_col, phase_col)
+    except ValueError as exc:
+        raise pg.InputError(f"{path}: {exc}") from exc
+    if not len(t):
+        raise pg.InputError(f"{path} holds no data rows")
+
+    def at(i):
+        return i - (i > t_col) - (i > phase_col)
+
+    def block(prefix):
+        return cells[:, [at(i) for name, i in cols.items() if name.startswith(prefix)]]
+
+    return {"t": t, "phase": phase, "x1": block("x1_"), "x2": block("x2_"),
+            "kl_to_ref": cells[:, at(cols["kl_to_ref"])],
+            "min_component": cells[:, at(cols["min_component"])]}
+
+
+def old_emit_csv(traj):
+    """The CSV bytes of one (R, m + n + 2) block of cells built from the
+    whole probability blocks."""
+    m, n = traj.log_probs1.shape[1], traj.log_probs2.shape[1]
+    header = (["t", "phase"] + [f"x1_{i + 1}" for i in range(m)]
+              + [f"x2_{j + 1}" for j in range(n)] + ["kl_to_ref", "min_component"])
+    cells = np.column_stack([traj.probabilities1, traj.probabilities2,
+                             traj.kl_to_ref, traj.min_component])
+    fh = io.BytesIO()
+    fh.write((",".join(header) + "\n").encode())
+    _kernels.format_csv_rows(traj.times, traj.phases, cells, fh)
+    return fh.getvalue()
+
+
+def old_strategy_series(traj):
+    p1, p2 = traj.probabilities1, traj.probabilities2
+    return ([(f"x1_{i + 1}", np.column_stack([traj.times, p1[:, i]])) for i in range(p1.shape[1])]
+            + [(f"x2_{j + 1}", np.column_stack([traj.times, p2[:, j]]))
+               for j in range(p2.shape[1])])
+
+
+@pytest.fixture
+def on_backend(kernels, monkeypatch):
+    """The output functions run on each backend's kernels in turn."""
+    for name in _kernels._KERNELS:
+        monkeypatch.setattr(_kernels, name, getattr(kernels, name))
+    return kernels
+
+
+def _read(read, path):
+    """read(path), or the message of the InputError it raises."""
+    try:
+        return read(str(path))
+    except pg.InputError as exc:
+        return str(exc)
+
+
+def _same_read(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.keys() == b.keys() and all(_same_bits(a[key], b[key]) for key in a)
+
+
+_HEAD = b"t,phase,x1_1,x2_1,kl_to_ref,min_component"
+_ROWS = [b"0,0,0.5,0.5,0,0.5", b"1,1,0.25,0.75,1.25e-3,0.25", b"2,0,0.125,0.875,inf,nan",
+         b"3,1,-0,1,0.5,5e-324"]
+_BODY = b"\n".join(_ROWS)
+
+# Files whose every byte some block size puts last in a block: line ends
+# split, a lone \r, the header, comments and blank lines at the edges, a
+# multi-byte sequence split (valid in a comment, or not UTF-8), and errors
+# that the second or a later block raises.
+READ_CASES = {
+    "crlf": _HEAD + b"\r\n" + b"\r\n".join(_ROWS) + b"\r\n",
+    "lone-cr": _HEAD + b"\r" + b"\r".join(_ROWS) + b"\r",
+    "mixed-ends": _HEAD + b"\r\n" + _ROWS[0] + b"\r" + _ROWS[1] + b"\n\r\n" + b"\r".join(_ROWS[2:]),
+    "edges": (b"\n \t\r\n\n" + _HEAD + b"\n# a comment\n\n" + _ROWS[0] + b"\r\n \r\n#\n"
+              + b"\n".join(_ROWS[1:]) + b" # tail\n\n"),
+    "no-final-newline": _HEAD + b"\n" + _BODY,
+    "comment-first": b"# caf\xc3\xa9\n" + _HEAD + b"\n" + _BODY,
+    "utf8-comment": _HEAD + b"\n" + _ROWS[0] + b" # caf\xc3\xa9 \xf0\x9f\x98\x80\n" + _BODY,
+    "bad-continuation": _HEAD + b"\n" + _BODY + b"\n# \xe2\x82\x28\n",
+    "bad-sequence": _HEAD + b"\n" + _BODY + b"\n# \xf0\x9f\x98\n" + _ROWS[0],
+    "truncated-at-end": _HEAD + b"\n" + _BODY + b"\n#\xe2\x82",
+    "bad-cell-late": _HEAD + b"\n" + _BODY + b"\n\n4,0,0.5,abc,0,0.5\n",
+    "bad-time-late": _HEAD + b"\r\n" + b"\r\n".join(_ROWS) + b"\r\n4.5,0,0.5,0.5,0,0.5",
+    "short-row-late": _HEAD + b"\n" + _BODY + b"\r\n#\n4,0,0.5,0.5\n",
+    "header-only": b"\n" + _HEAD + b"\n\n",
+    "blank": b" \n\r\n\t",
+    "no-t-column": _HEAD.replace(b"t,", b"time,", 1) + b"\n" + _BODY,
+}
+
+
+class TestBlockReader:
+    """read_csv, which reads a block of whole lines at a time, returns the
+    bits and raises the messages of the whole-file reader for every block
+    size, down to a byte (a line longer than the block doubles it)."""
+
+    @pytest.mark.parametrize("name", sorted(READ_CASES))
+    def test_every_block_size(self, on_backend, name, tmp_path, monkeypatch):
+        path = tmp_path / "run.csv"
+        path.write_bytes(READ_CASES[name])
+        expected = _read(old_read_csv, path)
+        for size in range(1, len(READ_CASES[name]) + 2):
+            monkeypatch.setattr(output, "_READ_BLOCK", size)
+            assert _same_read(_read(pg.read_csv, path), expected), size
+
+    def test_many_blocks(self, on_backend, small_traj, tmp_path, monkeypatch):
+        path = tmp_path / "run.csv"
+        pg.emit_csv(small_traj, str(path))
+        expected = old_read_csv(str(path))
+        for size in (7, 64, 1000):
+            monkeypatch.setattr(output, "_READ_BLOCK", size)
+            assert _same_read(pg.read_csv(str(path)), expected)
+        with open(path, "ab") as fh:
+            fh.write(b"51,1,0.5,0.5,0.5,0.5,0,0.5\n52,0,0.5,x,0.5,0.5,0,0.5\n")
+        message = f"{path}: line 54, column 'x1_2': 'x' is not a number"
+        assert _read(old_read_csv, path) == _read(pg.read_csv, path) == message
+
+    def test_pipe_is_read_whole(self, small_traj, tmp_path):
+        path, fifo = tmp_path / "run.csv", tmp_path / "fifo"
+        pg.emit_csv(small_traj, str(path))
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            data = pg.read_csv(str(fifo))
+        finally:
+            writer.join(60)
+        assert _same_read(data, old_read_csv(str(path)))
+
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("t,phase,x1_1,x1_1,x2_1,x2_2,kl_to_ref,min_component\n"
+                        "0,0,0.25,0.75,0.5,0.5,0,0.25\n")
+        with pytest.raises(pg.InputError) as info:
+            pg.read_csv(str(path))
+        assert str(info.value) == f"{path} has more than one 'x1_1' column"
+
+
+class TestBlockWriter:
+    """emit_csv, which writes blocks of rows, writes the bytes of one block
+    of the whole trajectory, and the experiment's strategy series, one
+    column at a time, hold the bits of the whole probability blocks."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    @settings(max_examples=150, deadline=None)
+    @given(traj=_trajectories(max_rows=40), rows=st.integers(1, 9))
+    def test_csv_bytes(self, traj, rows, tmp_path_factory):
+        path = tmp_path_factory.mktemp("blocks") / "run.csv"
+        with mock.patch.object(output, "_WRITE_ROWS", rows):
+            pg.emit_csv(traj, str(path))
+        assert path.read_bytes() == old_emit_csv(traj)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+    @settings(max_examples=150, deadline=None)
+    @given(traj=_trajectories(max_rows=40))
+    def test_series_bits(self, traj):
+        new, old = _svg_series(traj, log_y=False), old_strategy_series(traj)
+        assert [label for label, _ in new] == [label for label, _ in old]
+        for (_, a), (_, b) in zip(new, old):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_long_run(self, long_exp1, tmp_path):
+        path = tmp_path / "run.csv"
+        pg.emit_csv(long_exp1, str(path))
+        assert path.read_bytes() == old_emit_csv(long_exp1)
+        for (_, a), (_, b) in zip(_svg_series(long_exp1, False), old_strategy_series(long_exp1)):
+            assert a.tobytes() == b.tobytes()
+
+
+def _held(arrays):
+    """Bytes of the distinct buffers behind ``arrays``: a view counts its base."""
+    roots = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values())
+
+
+def _traced_peak(fn):
+    """fn()'s result and the peak of the memory it allocated, as tracemalloc
+    sees it (numpy's arrays included)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Reading and writing a 100k-record CSV holds one block besides the
+    arrays read or written, however long the file."""
+
+    def test_read_csv(self, on_backend, long_exp1, tmp_path):
+        path = tmp_path / "run.csv"
+        pg.emit_csv(long_exp1, str(path))
+        data, peak = _traced_peak(lambda: pg.read_csv(str(path)))
+        # The Python parser's text, lines and lists take about six times
+        # the bytes of the block it parses.
+        blocks = 8 if on_backend is _kernels_py._PYTHON else 2
+        assert peak < _held(data.values()) + blocks * output._READ_BLOCK
+        assert path.stat().st_size > 10 * output._READ_BLOCK
+
+    def test_emit_csv(self, on_backend, long_exp1, tmp_path):
+        path = tmp_path / "run.csv"
+        _, peak = _traced_peak(lambda: pg.emit_csv(long_exp1, str(path)))
+        width = 2 + long_exp1.log_probs1.shape[1] + long_exp1.log_probs2.shape[1]
+        # A block of cells twice (exponentiated, then stacked) and a block
+        # of text: the native writer's buffer, or the Python writer's rows
+        # as floats, lines and bytes.
+        cells = output._WRITE_ROWS * width * 8
+        text = (_kernels_py._PY_BLOCK * width * 128 if on_backend is _kernels_py._PYTHON
+                else _kernels._BLOCK_BYTES + 64 * width)
+        assert peak < 2 * cells + text + (64 << 10)
+        assert long_exp1.n_records > 20 * output._WRITE_ROWS
 
 
 class TestSvg:

@@ -93,6 +93,8 @@ def test_backend_info_loads_no_numpy(cc):
     env = {} if cc is None else {"CC": cc}
     code, modules, backend, out, _ = _probe(["--backend-info"], **env)
     assert "numpy" not in modules and _ours(modules) <= BASE | {"_kernels"}, sorted(modules)
+    # The library's cache key is hashed without OpenSSL.
+    assert "_hashlib" not in modules
     assert code == 0
     name, reason = out.splitlines()
     assert name == f"kernel backend: {backend}" and reason.startswith(f"{backend}: ")
@@ -124,10 +126,12 @@ def test_help_loads_no_numpy(monkeypatch):
     (["verify", "bregman", "--dim", "1"], "config error: --dim"),
     (["verify", "bregman", "--seed", "-1"], "config error: --seed"),
     (["analyze", "fixed-curve", "--samples", "0"], "config error: --samples"),
+    (["experiment", "exp1", "--out-csv", "f", "--out-svg", "./f"], "config error: --out-svg"),
+    (["plot", "--in-csv", "f", "--out-svg", "f"], "config error: --out-svg"),
 ], ids=["usage-error", "experiment-list-with-all", "experiment-seed", "experiment-all-out-csv",
         "experiment-out-dir", "experiment-log-y", "experiment-no-name",
         "experiment-name-with-all", "bregman-cases", "bregman-dim", "bregman-seed",
-        "fixed-curve-samples"])
+        "fixed-curve-samples", "experiment-one-file-twice", "plot-over-its-csv"])
 def test_argument_error_loads_no_numpy(argv, error):
     code, modules, _, out, err = _probe(argv)
     assert "numpy" not in modules and _ours(modules) <= BASE, sorted(modules)

@@ -18,9 +18,11 @@ reader ``parse_csv_rows``, which reads what ``np.loadtxt`` reads, to the
 same bits, but the columns ``t`` and ``phase`` as exact int64 that must be
 written as integers, into arrays of its own or the rows of those it is
 given (``out``), sized by ``count_line_ends``, which counts the \\n and \\r
-bytes of a block, and ``pairs_into``, behind ``read_pairs``, which copies
-a list of (t, v) pairs of floats and ints into an array with the bits of
-``np.fromiter`` and hands any other sequence to ``read_pairs_py``.
+bytes of a block (``parse_csv_rows`` returns the count with the rows, for
+``read_csv``'s line numbers), and ``pairs_into``, behind ``read_pairs``,
+which copies a list of (t, v) pairs of floats and ints into an array with
+the bits of ``np.fromiter`` and hands any other sequence to
+``read_pairs_py``.
 When this module is first imported (by ``--backend-info`` or the first
 ``periodicgame`` module that runs a kernel; ``import periodicgame`` alone
 loads nothing) the C source is compiled with ``$CC`` (default ``cc``) and
@@ -335,7 +337,8 @@ def _bind(lib):
                              "phase_col two columns of names")
         buf = np.frombuffer(data, dtype=np.uint8)
         # One row per line at most: every line but the last ends in \n or \r.
-        cap = sum(count_line_ends(buf[start:])) + 1
+        ends = count_line_ends(buf[start:])
+        cap = sum(ends) + 1
         if out is None:
             out = (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
                    np.empty((cap, ncols - 2)))
@@ -355,7 +358,7 @@ def _bind(lib):
             raise ValueError(_bad_length(number, a, ncols) if j < 0 else
                              _bad_cell(number, names[j], str(data[a:b], "utf-8"),
                                        j in (t_col, phase_col)))
-        return t[:rows], phase[:rows], cells[:rows]
+        return t[:rows], phase[:rows], cells[:rows], ends
 
     pairs_into = _pairs_into(lib)
 

@@ -318,14 +318,17 @@ def parse_csv_rows_py(data, start, line, names, t_col, phase_col, out=None):
     and ``phase`` (columns ``t_col`` and ``phase_col``) and float64 ``cells``
     (rows, len(names) - 2) holding the other columns in order, in the first
     rows of ``out``'s three arrays when it is given (the native parser needs
-    one row for each \\n and \\r in the body, and one more).  Lines end in
-    \\n, \\r\\n or \\r, '#' starts a comment, and a line blank up to its
-    comment is skipped.  A cell is a decimal, inf, infinity or nan (any
-    case, optional sign; an integer in columns t and phase) with blanks on
-    either side; np.loadtxt reads the numbers.  A bad cell or a row of the
-    wrong length raises ValueError naming its line and column."""
+    one row for each \\n and \\r in the body, and one more), and the
+    numbers of \\n and of \\r in the body, as ``count_line_ends`` counts
+    them.  Lines end in \\n, \\r\\n or \\r, '#' starts a comment, and a
+    line blank up to its comment is skipped.  A cell is a decimal, inf,
+    infinity or nan (any case, optional sign; an integer in columns t and
+    phase) with blanks on either side; np.loadtxt reads the numbers.  A bad
+    cell or a row of the wrong length raises ValueError naming its line and
+    column."""
     text = str(data[start:], "utf-8")
-    if "\r" in text:
+    ends = text.count("\n"), text.count("\r")
+    if ends[1]:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if "#" in text:
@@ -351,10 +354,10 @@ def parse_csv_rows_py(data, start, line, names, t_col, phase_col, out=None):
                          or str(exc)) from None
     parsed = t, phase, body[:, [j for j in range(ncols) if j not in (t_col, phase_col)]]
     if out is None:
-        return parsed
+        return (*parsed, ends)
     for into, rows in zip(out, parsed):
         into[:len(rows)] = rows
-    return tuple(into[:len(t)] for into in out)
+    return (*(into[:len(t)] for into in out), ends)
 
 
 _PYTHON = types.SimpleNamespace(

@@ -139,11 +139,17 @@ def _require_at_least(flag, value, low):
 
 def _require_distinct(*files):
     """A ConfigError when two of ``files``, (flag, path or None) pairs, name
-    one file (by ``os.path.realpath``), which a later write would replace."""
+    one file, which a later write would replace: the same inode (so a hard
+    link too), or for a path not yet created the same ``os.path.realpath``."""
     seen = {}
     for flag, path in files:
         if path:
-            first = seen.setdefault(os.path.realpath(path), flag)
+            try:
+                info = os.stat(path)
+                key = info.st_dev, info.st_ino
+            except OSError:
+                key = os.path.realpath(path)
+            first = seen.setdefault(key, flag)
             if first != flag:
                 raise ConfigError(f"{flag} names the same file as {first}: {path}")
 

@@ -364,8 +364,8 @@ HEADER = ",".join(NAMES).encode() + b"\n"
 
 
 def _parse(fn, body, names=NAMES, t_col=0, phase_col=1):
-    """fn's (t, phase, cells) for a file of the header and body, or the
-    message of the ValueError it raises."""
+    """fn's (t, phase, cells, line ends) for a file of the header and body,
+    or the message of the ValueError it raises."""
     data = ",".join(names).encode() + b"\n" + body
     try:
         return fn(data, data.index(b"\n") + 1, 2, names, t_col, phase_col)
@@ -385,14 +385,16 @@ def _same_bits(a, b):
 
 
 def _both(native_kernels, body, **kw):
-    """The two parsers' results for one body, checked equal."""
+    """The two parsers' (t, phase, cells) for one body, checked equal, and
+    their counts of its line ends checked."""
     native = _parse(native_kernels.parse_csv_rows, body, **kw)
     python = _parse(_kernels_py.parse_csv_rows_py, body, **kw)
     if isinstance(native, str) or isinstance(python, str):
         assert native == python
-    else:
-        assert all(_same_bits(a, b) for a, b in zip(native, python))
-    return native
+        return native
+    assert all(_same_bits(a, b) for a, b in zip(native[:3], python[:3]))
+    assert native[3] == python[3] == (body.count(b"\n"), body.count(b"\r"))
+    return native[:3]
 
 
 # Cells and the float64 bits that read_csv gave for them when it parsed
@@ -693,7 +695,8 @@ def test_parse_into_given_rows(kernels):
     cells = np.full((9, 4), -3.0)
     got = kernels.parse_csv_rows(memoryview(bytearray(body)), start, 2, NAMES, 0, 1,
                                  (t[3:], phase[3:], cells[3:]))
-    assert all(_same_bits(a, b) for a, b in zip(got, whole))
+    assert all(_same_bits(a, b) for a, b in zip(got[:3], whole[:3]))
+    assert got[3] == whole[3] == (body.count(b"\n", start), body.count(b"\r", start)) == (3, 1)
     assert got[0].base is t and got[2].base is cells
     assert (t[[0, 1, 2, 5, 6, 7, 8]] == -1).all() and (cells[:3] == -3.0).all()
 

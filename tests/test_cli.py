@@ -350,18 +350,26 @@ class TestCliCommands:
          "{d}/cfg.json"],
         ["plot", "--in-csv", "{d}/cfg.json", "--out-svg", "{d}/cfg.json"],
         ["plot", "--in-csv", "{d}/cfg.json", "--out-svg", "{d}/link"],
+        ["experiment", "exp1", "--steps", "10", "--out-csv", "{d}/cfg.json", "--out-svg",
+         "{d}/hard"],
+        ["simulate", "--config", "{d}/hard", "--out-csv", "{d}/x.csv", "--out-svg",
+         "{d}/link"],
+        ["plot", "--in-csv", "{d}/hard", "--out-svg", "{d}/cfg.json"],
     ])
     def test_output_over_another_file_is_config_error(self, argv, tmp_path, capsys):
+        # "link" is a symlink to cfg.json, "hard" a hard link to it.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "game2x2", "steps": 10,
                                    "out_csv": str(tmp_path / "sim.csv")}))
+        before = cfg.read_bytes()
         (tmp_path / "link").symlink_to(cfg)
+        os.link(cfg, tmp_path / "hard")
         assert main([a.format(d=tmp_path) for a in argv]) == 1
         out = capsys.readouterr()
         assert out.err.startswith("config error: ") and "names the same file as" in out.err
         assert not out.out
-        assert sorted(tmp_path.iterdir()) == [cfg, tmp_path / "link"]
-        assert json.loads(cfg.read_text())["out_csv"] == str(tmp_path / "sim.csv")
+        assert sorted(tmp_path.iterdir()) == [cfg, tmp_path / "hard", tmp_path / "link"]
+        assert cfg.read_bytes() == before
 
     # Each check is its own subcommand: a flag it does not declare is a usage
     # error, whether another check reads it or none does.

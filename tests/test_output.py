@@ -200,8 +200,8 @@ def old_read_csv(path):
         raise pg.InputError(f"{path} has no {missing[0]!r} column")
     t_col, phase_col = cols["t"], cols["phase"]
     try:
-        t, phase, cells = _kernels.parse_csv_rows(data, eol.end() if eol else len(data),
-                                                  line + 1, header, t_col, phase_col)
+        t, phase, cells, _ = _kernels.parse_csv_rows(data, eol.end() if eol else len(data),
+                                                     line + 1, header, t_col, phase_col)
     except ValueError as exc:
         raise pg.InputError(f"{path}: {exc}") from exc
     if not len(t):
@@ -416,6 +416,163 @@ class TestBoundedMemory:
                 else _kernels._BLOCK_BYTES + 64 * width)
         assert peak < 2 * cells + text + (64 << 10)
         assert long_exp1.n_records > 20 * output._WRITE_ROWS
+
+
+def _emit_csv(traj, path):
+    pg.emit_csv(traj, str(path))
+
+
+def _emit_svg(traj, path):
+    pg.emit_svg_plot(_strategy_series(traj, as_array=True), str(path))
+
+
+class _Cut(Exception):
+    pass
+
+
+def _cut_on_second_call(fn):
+    """fn, raising _Cut in place of its second call."""
+    calls = []
+
+    def cut(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise _Cut
+        return fn(*args)
+    return cut
+
+
+def _outcome(write, path):
+    """The bytes write(path) leaves at path, or the OSError it raises."""
+    try:
+        write(path)
+    except OSError as exc:
+        return type(exc), exc.errno, str(exc)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("emit", [_emit_csv, _emit_svg], ids=["csv", "svg"])
+class TestRewrite:
+    """Each emitter rewrites an existing output as open(path, "wb") does,
+    the same file holding the same bytes, but through output._rewrite,
+    which cuts a longer regular file to one byte, not to zero."""
+
+    @pytest.fixture
+    def fresh(self, emit, small_traj, tmp_path):
+        path = tmp_path / "fresh"
+        emit(small_traj, path)
+        return path.read_bytes()
+
+    @pytest.fixture
+    def opened_sizes(self, monkeypatch):
+        """The size of each file output._rewrite opens, right after it opens it."""
+        sizes, rewrite = [], output._rewrite
+
+        def spy(path):
+            fh = rewrite(path)
+            sizes.append(os.fstat(fh.fileno()).st_size)
+            return fh
+        monkeypatch.setattr(output, "_rewrite", spy)
+        return sizes
+
+    @pytest.mark.parametrize("old", ["longer", "shorter", "empty", "one-byte"])
+    def test_old_file_of_any_length(self, on_backend, emit, small_traj, fresh, old,
+                                    opened_sizes, tmp_path):
+        path = tmp_path / "out"
+        path.write_bytes({"longer": b"#" * 3 + fresh * 2, "shorter": fresh[5:50],
+                          "empty": b"", "one-byte": b"#"}[old])
+        emit(small_traj, path)
+        assert path.read_bytes() == fresh
+        assert opened_sizes == [{"empty": 0}.get(old, 1)]
+
+    def test_new_file(self, on_backend, emit, small_traj, fresh, opened_sizes, tmp_path):
+        path, wb = tmp_path / "out", tmp_path / "wb"
+        emit(small_traj, path)
+        with open(wb, "wb"):
+            pass
+        assert path.read_bytes() == fresh and opened_sizes == [0]
+        assert path.stat().st_mode == wb.stat().st_mode
+
+    def test_same_inode_mode_and_links(self, on_backend, emit, small_traj, fresh, tmp_path):
+        path, hard = tmp_path / "out", tmp_path / "hard"
+        path.write_bytes(fresh * 3)
+        path.chmod(0o600)
+        os.link(path, hard)
+        inode = path.stat().st_ino
+        emit(small_traj, path)
+        info = path.stat()
+        assert (info.st_ino, info.st_nlink, info.st_mode & 0o7777) == (inode, 2, 0o600)
+        assert hard.read_bytes() == path.read_bytes() == fresh
+
+    def test_symlink_keeps_its_target(self, on_backend, emit, small_traj, fresh, tmp_path):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(fresh * 3)
+        link.symlink_to(target)
+        emit(small_traj, link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh
+        # A dangling link gets its target created, as under "wb".
+        target.unlink()
+        emit(small_traj, link)
+        assert link.is_symlink() and target.read_bytes() == fresh
+
+    def test_cut_short_leaves_a_prefix(self, on_backend, emit, small_traj, fresh, tmp_path,
+                                       monkeypatch):
+        # A write that stops part way leaves the start of the new output and
+        # nothing of the old file after it.
+        path = tmp_path / "out"
+        path.write_bytes(fresh * 3)
+        monkeypatch.setattr(output, "_WRITE_ROWS", 8)
+        for name in ("format_csv_rows", "format_plot_points"):
+            monkeypatch.setattr(_kernels, name, _cut_on_second_call(getattr(_kernels, name)))
+        with pytest.raises(_Cut):
+            emit(small_traj, path)
+        left = path.read_bytes()
+        assert 1 < len(left) < len(fresh) and fresh.startswith(left)
+
+    def test_dev_null(self, on_backend, emit, small_traj):
+        emit(small_traj, "/dev/null")
+        assert os.path.getsize("/dev/null") == 0
+
+    def test_fifo(self, on_backend, emit, small_traj, fresh, tmp_path):
+        fifo, got = tmp_path / "fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            emit(small_traj, fifo)
+        finally:
+            reader.join(60)
+        assert not reader.is_alive() and got == [fresh]
+
+    @pytest.mark.parametrize("target", ["read-only", "directory", "no-parent"])
+    def test_errors_as_under_wb(self, on_backend, emit, small_traj, fresh, target, tmp_path):
+        # Where open(path, "wb") fails, the emitter raises the same error
+        # and leaves the file as it was; where "wb" succeeds (a read-only
+        # file, for root), it writes the same bytes.
+        path = tmp_path / {"no-parent": "missing/out"}.get(target, "out")
+
+        def prepare():
+            if target == "directory":
+                path.mkdir(exist_ok=True)
+            elif target == "read-only":
+                path.unlink(missing_ok=True)
+                path.write_bytes(b"old rows")
+                path.chmod(0o444)
+
+        def wb(p):
+            with open(p, "wb") as fh:
+                fh.write(fresh)
+
+        prepare()
+        expected = _outcome(wb, path)
+        prepare()
+        assert _outcome(lambda p: emit(small_traj, p), path) == expected
+        if isinstance(expected, tuple):
+            assert expected[0] is {"read-only": PermissionError, "directory": IsADirectoryError,
+                                   "no-parent": FileNotFoundError}[target]
+            if target == "read-only":
+                assert path.read_bytes() == b"old rows"
 
 
 class TestSvg:

@@ -2,9 +2,12 @@
 pure-Python backend of ``_kernels_py`` as its fallback.
 
 ``_kernels.c`` holds the trajectory kernels ``run_schedule`` (all three
-rules) and ``run_reduced_composite``, written operation for operation like
-the pure-Python kernels of ``_kernels_py``, so both backends give the same
-bits,
+rules) and ``run_reduced_composite``, whose steps are written operation for
+operation like the pure-Python kernels of ``_kernels_py``, so both backends
+give the same bits (``run_schedule`` stops stepping once a state repeats
+the one a period before, bit for bit, and copies the rest of the run from
+that closed orbit; ``_bind`` gives it room for a kept state and one period
+of log-weights),
 ``kl_rows``, the joint KL to a reference per recorded state behind
 ``simplex.kl_to_reference``, which adds the terms that the numpy columns
 of ``kl_rows_py`` add, in the same order,
@@ -258,7 +261,9 @@ def _bind(lib):
         out_buffer("lw2", lw2, (n,))
         out_buffer("out1", out1, (m,), rec.size)
         out_buffer("out2", out2, (n,), rec.size)
-        scratch = np.empty(5 * (m + n))
+        # The step's vectors, a kept state and one period of log-weights
+        # (run_schedule in _kernels.c).
+        scratch = np.empty((7 + periods) * (m + n))
         written = lib.run_schedule(
             int(algo), mats.ctypes.data, periods, m, n, float(eta), int(steps),
             rec.ctypes.data, rec.size, lw1.ctypes.data, lw2.ctypes.data,

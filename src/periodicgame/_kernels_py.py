@@ -8,7 +8,9 @@ writer ``format_csv_rows_py``, the format pass of an SVG series
 ``format_plot_points_py`` (``output`` keeps a series' points and finds
 their extremes in numpy for both backends), the pair reader
 ``read_pairs_py``, the line-end counter ``count_line_ends_py`` and the CSV
-reader ``parse_csv_rows_py``.  ``_PYTHON``
+reader ``parse_csv_rows_py``.  ``run_schedule_py`` runs every step: it is
+the step-by-step oracle of the native kernel, which stops once a run closes
+an orbit and copies the rest.  ``_PYTHON``
 holds them under the names of the native kernels.
 
 ``_kernels`` imports this module only where the C library is missing, on

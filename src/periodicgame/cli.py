@@ -234,8 +234,8 @@ def _vec(v) -> str:
 def _analyze_fixed_curve(args) -> int:
     _require_at_least("--samples", args.samples, 1)
     from .checks import boundary_fixed_point
-    from .dynamics import omwu_reduced_composite, require_step_size
-    require_step_size(args.eta)   # before the header line is printed
+    from .dynamics import omwu_reduced_composite, require_reduced_step_size
+    require_reduced_step_size(args.eta)   # before the header line is printed
     worst = 0.0
     print(f"boundary fixed-point curve at eta={args.eta}")
     for k in range(args.samples):

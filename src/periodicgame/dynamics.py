@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -170,10 +171,17 @@ def run_trajectory(
     if reference is not None and reference.dims != (game.m, game.n):
         raise InputError("reference dimensions do not match the game")
 
-    rec = np.append(np.arange(0, steps, record_every, dtype=np.int64), steps)
     m, n = game.m, game.n
-    out1 = np.empty((rec.size, m))
-    out2 = np.empty((rec.size, n))
+    try:
+        rec = np.append(np.arange(0, steps, record_every, dtype=np.int64), np.int64(steps))
+        out1 = np.empty((rec.size, m))
+        out2 = np.empty((rec.size, n))
+    except (ValueError, MemoryError, OverflowError):
+        # numpy refuses times past int64 and arrays past its size limit or
+        # the memory it can get.
+        records = -(-steps // record_every) + 1
+        raise InputError(f"steps={steps}, record_every={record_every}: numpy cannot hold the "
+                         f"{records} int64 record times and their states") from None
     lw1 = state.current.x1.log_probabilities.copy()
     lw2 = state.current.x2.log_probabilities.copy()
     lwp1 = state.previous.x1.log_probabilities.copy()
@@ -208,6 +216,20 @@ def max_step_size(game: PeriodicGame) -> float:
 
 
 _REDUCED_SLACK = 1e-3
+# On coordinates in [-slack, 1 + slack] the reduced map's exponents stay
+# within (3 + 6 * slack) * eta of zero, so up to this eta (with a margin for
+# rounding) exp neither overflows nor underflows to zero and the map is
+# finite.
+_REDUCED_ETA_MAX = 0.999 * math.log(sys.float_info.max) / (3.0 + 6.0 * _REDUCED_SLACK)
+
+
+def require_reduced_step_size(eta: float) -> None:
+    """Reject a step size the reduced map cannot take: not a positive finite
+    number, or past ``_REDUCED_ETA_MAX``."""
+    require_step_size(eta)
+    if eta > _REDUCED_ETA_MAX:
+        raise InputError(f"eta must be at most {_REDUCED_ETA_MAX:.6g} for the reduced map, "
+                         f"got {eta!r}")
 
 
 def _check_reduced_state(z) -> np.ndarray:
@@ -227,7 +249,7 @@ def omwu_reduced_map(parity: str, z, eta: float) -> np.ndarray:
     2x2 alternating game.  parity "even" advances a pair starting at an even
     time index, "odd" at an odd one."""
     z = _check_reduced_state(z)
-    require_step_size(eta)
+    require_reduced_step_size(eta)
     if parity not in ("even", "odd"):
         raise InputError(f"parity must be 'even' or 'odd', got {parity!r}")
     out = np.empty(4)
@@ -243,7 +265,7 @@ def omwu_reduced_composite(z, eta: float) -> np.ndarray:
 def iterate_reduced(z0, eta: float, n_steps: int) -> np.ndarray:
     """Iterate the composite map n_steps times; returns (n_steps+1, 4)."""
     z0 = _check_reduced_state(z0)
-    require_step_size(eta)
+    require_reduced_step_size(eta)
     _require_count(n_steps, "n_steps", least=0)
     out = np.empty((n_steps + 1, 4))
     _kernels.run_reduced_composite(z0, float(eta), int(n_steps), out)

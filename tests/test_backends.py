@@ -51,7 +51,40 @@ def _run(fn, algo, mats, eta, steps, rec, lw1, lw2, lwp1, lwp2):
 def _assert_same(a, b):
     assert a[0] == b[0]
     for x, y in zip(a[1:], b[1:]):
-        assert np.array_equal(x, y)
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def _first_repeat(out1, out2, lag):
+    """The first time whose dense record equals, bit for bit, the one ``lag``
+    steps before, or None."""
+    bits = np.concatenate([out1, out2], axis=1).view(np.uint64)
+    hits = np.flatnonzero((bits[lag:] == bits[:-lag]).all(axis=1))
+    return int(hits[0]) + lag if hits.size else None
+
+
+def _orbit_run(name):
+    """(algo, game, eta, steps, init, the first time whose state repeats the
+    one a period before) of the runs that test the native kernel's early
+    stop."""
+    extra, omwu, mwu = _kernels.ALGO_EXTRA, _kernels.ALGO_OMWU, _kernels.ALGO_MWU
+    if name == "rps-omwu":
+        # The log-weights after 18,681 steps repeat those a step before, but
+        # the previous probabilities do not: the orbit closes at 18,692.  A
+        # look of the native kernel (every 8 steps here) falls on 18,681.
+        rps = pg.PeriodicGame([[[0, -1, 1], [1, 0, -1], [-1, 1, 0]]])
+        return omwu, rps, 0.1, 20_000, pg.default_init(3, 3), 18_681
+    experiment, algo, eta, steps, first = {
+        # Orbits of the period 2, of one step under the period 4 (a fixed
+        # point), and of the period 3.
+        "game2x2-extra": ("game2x2", extra, 0.5, 10_000, 1046),
+        "exp2-extra": ("exp2", extra, 0.1, 20_000, 9555),
+        "nocommon3-extra": ("nocommon3", extra, 0.1, 32_000, 30_000),
+        # Diverging toward the boundary, and shorter than the period.
+        "game2x2-mwu": ("game2x2", mwu, 0.1, 5_000, None),
+        "exp2-short": ("exp2", extra, 0.1, 3, None),
+    }[name]
+    game = pg.experiment_by_name(experiment).game
+    return algo, game, eta, steps, pg.default_init(game.m, game.n), first
 
 
 class TestNativeMatchesPython:
@@ -72,6 +105,39 @@ class TestNativeMatchesPython:
             native = _run(native_kernels.run_schedule, *args)
             assert native[0] == rec.size
             _assert_same(native, _run(_kernels_py.run_schedule_py, *args))
+
+    @pytest.mark.parametrize("name", ["game2x2-extra", "exp2-extra", "nocommon3-extra",
+                                      "rps-omwu", "game2x2-mwu", "exp2-short"])
+    def test_run_schedule_closing_an_orbit_bitwise(self, native_kernels, name):
+        # Once a state repeats the one a period before, the native kernel
+        # copies the rest of the run from the orbit: dense, every-10th and
+        # two-point records and the final state must be the oracle's, taken
+        # from one dense oracle run.
+        algo, game, eta, steps, init, first = _orbit_run(name)
+        lw1, lw2 = init.x1.log_probabilities, init.x2.log_probabilities
+        dense = np.arange(steps + 1, dtype=np.int64)
+        args = (algo, game.stacked(), eta, steps)
+        oracle = _run(_kernels_py.run_schedule_py, *args, dense, lw1, lw2, lw1, lw2)
+        assert _first_repeat(oracle[3], oracle[4], game.period) == first
+        for rec in (dense, np.append(dense[:-1:10], steps), np.array([1, steps])):
+            native = _run(native_kernels.run_schedule, *args, rec, lw1, lw2, lw1, lw2)
+            _assert_same(native, (rec.size, *oracle[1:3], oracle[3][rec], oracle[4][rec]))
+        # A time past the last step is not recorded, as in the Python loop.
+        late = np.array([1, steps - 1, steps + 1], dtype=np.int64)
+        native = _run(native_kernels.run_schedule, *args, late, lw1, lw2, lw1, lw2)
+        _assert_same((*native[:3], native[3][:2], native[4][:2]),
+                     (2, *oracle[1:3], oracle[3][late[:2]], oracle[4][late[:2]]))
+
+    @pytest.mark.parametrize("steps", [-3, 0])
+    def test_run_schedule_without_steps(self, native_kernels, game2x2, steps):
+        lw = np.log([0.45, 0.55])
+        args = (_kernels.ALGO_OMWU, game2x2.stacked(), 0.1, steps,
+                np.array([0, 1], dtype=np.int64), lw, lw, lw, lw)
+        native = _run(native_kernels.run_schedule, *args)
+        oracle = _run(_kernels_py.run_schedule_py, *args)
+        assert native[0] == 1
+        _assert_same((*native[:3], native[3][:1], native[4][:1]),
+                     (*oracle[:3], oracle[3][:1], oracle[4][:1]))
 
     def test_omwu_past_the_boundary_bitwise(self, native_kernels, game2x2):
         # Long enough for probabilities to underflow through subnormals to 0.
@@ -229,6 +295,17 @@ class TestFormattersMatchPython:
         native = _csv_bytes(native_kernels.format_csv_rows, *args)
         assert native == _csv_bytes(_kernels_py.format_csv_rows_py, *args)
         assert b"-nan" not in native and b",nan,nan,nan\n" in native
+
+    def test_csv_rows_signed_zeros(self, native_kernels):
+        # A column of zeros, as a KL column that has reached its reference,
+        # beside a zero-free one and on either side of the smallest values.
+        zeros = np.where(np.arange(50) % 3 == 1, -0.0, 0.0)
+        cells = np.column_stack([zeros, np.linspace(-2.0, 3.0, 50),
+                                 np.resize([5e-324, -5e-324, 1e-16, -0.0], 50), zeros])
+        args = (np.arange(50), np.arange(50) % 4, cells)
+        native = _csv_bytes(native_kernels.format_csv_rows, *args)
+        assert native == _csv_bytes(_kernels_py.format_csv_rows_py, *args)
+        assert native.startswith(b"0,0,0,-2,4.9406564584124654e-324,0\n1,1,-0,")
 
     @settings(max_examples=300, deadline=None)
     @given(xy=st.one_of(_bit_patterns(_POINTS), hnp.arrays(np.float64, _POINTS,

@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 import types
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -456,12 +457,30 @@ class TestCliCommands:
          "must be at least 0, got -3"),
         (["analyze", "fixed-curve", "--eta", "0"], "input error: eta must be a positive "
          "finite number"),
+        # numpy refuses the 10**19 + 1 record times before the kernel runs.
+        (["experiment", "exp1", "--steps", str(10**20)], f"input error: steps={10**20}, "
+         f"record_every=10: numpy cannot hold the {10**19 + 1} int64 record times and their "
+         "states"),
+        (["analyze", "fixed-curve", "--eta", "300"], "input error: eta must be at most "
+         "235.886 for the reduced map, got 300.0"),
     ], ids=["dim_negative", "dim_one", "bregman_seed", "experiment_seed", "all_seed",
-            "fixed_curve_eta"])
+            "fixed_curve_eta", "steps_past_numpy", "fixed_curve_eta_past_exp"])
     def test_out_of_range_value_fails_before_any_output(self, argv, message, capsys):
         assert main(argv) == 1
         out = capsys.readouterr()
         assert out.err == message + "\n" and not out.out
+
+    @pytest.mark.parametrize("command", ["eigen", "jacobian"])
+    @pytest.mark.parametrize("eta", ["1e308", "1e300", "236"])
+    def test_reduced_map_eta_past_exp_is_input_error(self, command, eta, capsys):
+        # Past the bound the map's exponents overflow: inf - inf in the
+        # Python step, or math.exp's OverflowError.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["analyze", command, "--eta", eta]) == 1
+        out = capsys.readouterr()
+        assert out.err == ("input error: eta must be at most 235.886 for the reduced map, "
+                           f"got {float(eta)!r}\n") and not out.out
 
 
 PROPERTY_ARGV = ["verify", "orbit", "--steps", "1000", "--expect", "converged_point"]

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import periodicgame as pg
+from periodicgame import dynamics
 from conftest import generated_periodic_game, random_interior_joint
 
 # One OMWU step on the alternating 2x2 game from ((0.45,0.55),(0.45,0.55))
@@ -218,6 +220,15 @@ class TestRunTrajectory:
         with pytest.raises(pg.InputError, match="must be an integer"):
             pg.run_trajectory(game2x2, "mwu", pg.JointState.uniform(2, 2), 0.1, **counts)
 
+    @pytest.mark.parametrize("steps, record_every, records", [
+        (10**20, 10, 10**19 + 1),       # more record times than numpy can hold
+        (2**63, 2**62, 3),              # a final time past int64
+    ])
+    def test_record_times_numpy_cannot_hold(self, game2x2, steps, record_every, records):
+        with pytest.raises(pg.InputError, match=f"numpy cannot hold the {records} int64"):
+            pg.run_trajectory(game2x2, "extra", pg.JointState.uniform(2, 2), 0.1, steps,
+                              record_every=record_every)
+
     def test_numpy_integer_counts(self, game2x2):
         traj = pg.run_trajectory(game2x2, "mwu", pg.JointState.uniform(2, 2), 0.1,
                                  np.int64(5), record_every=np.int32(2))
@@ -290,6 +301,20 @@ class TestReducedMap:
             pg.omwu_reduced_map("sideways", [0.5] * 4, 0.1)
         # small excursions outside [0,1] are allowed for derivative probes
         pg.omwu_reduced_map("even", [-1e-6, 0.5, 0.5, 0.5], 0.1)
+
+    def test_step_size_past_exp_rejected(self):
+        # At the bound every corner of the admitted box maps to finite
+        # coordinates; past it the step size is refused before any exp.
+        eta = dynamics._REDUCED_ETA_MAX
+        slack = dynamics._REDUCED_SLACK
+        for z in itertools.product((-slack, 0.0, 1.0, 1.0 + slack), repeat=4):
+            for parity in ("even", "odd"):
+                assert np.isfinite(pg.omwu_reduced_map(parity, z, eta)).all()
+        past = math.nextafter(eta, math.inf)
+        for call in (lambda: pg.omwu_reduced_map("even", [0.5] * 4, past),
+                     lambda: pg.iterate_reduced([0.5] * 4, past, 3)):
+            with pytest.raises(pg.InputError, match="eta must be at most 235.886"):
+                call()
 
     @pytest.mark.parametrize("i", range(4))
     def test_nan_coordinate_rejected(self, i):

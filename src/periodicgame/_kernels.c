@@ -5,9 +5,10 @@
  * Build without -ffast-math and with -ffp-contract=off: fused multiply-adds
  * or reassociated sums would change the last bits.  run_schedule runs fewer
  * steps than the Python kernel where a run closes an orbit: once it finds
- * the state equal, bit for bit, to the one a period before, it runs one
- * more period and copies the records left and the final state from that
- * period's log-weights, which are the bits the steps would give.
+ * the state, one vector in its scratch space, equal, bit for bit, to the
+ * one a period before, it runs one more period and copies the records left
+ * and the final state from that period's log-weights, which are the bits
+ * the steps would give.
  *
  * Arrays are C-contiguous float64 (int64 for record times, CSV times and
  * phases); the caller owns every buffer, scratch space included, so nothing
@@ -135,59 +136,61 @@ static void mat_t_vec(const double *a, long m, long n, const double *x, double *
     }
 }
 
-/* 1 when the k doubles at a equal those at b, bit for bit. */
-static int same_bits(const double *a, const double *b, long k)
+/* Record r of out1, out2: the log-weights at lw, m of player 1 and then n
+ * of player 2.  Element loops: memcpy slowed the records copied from a
+ * closed orbit. */
+static inline void put_record(const double *lw, long m, long n, double *out1, double *out2,
+                              long r)
 {
-    for (long i = 0; i < k; i++) {
-        uint64_t x, y;
-        memcpy(&x, a + i, sizeof x);
-        memcpy(&y, b + i, sizeof y);
-        if (x != y)
-            return 0;
-    }
-    return 1;
+    for (long i = 0; i < m; i++)
+        out1[r * m + i] = lw[i];
+    for (long j = 0; j < n; j++)
+        out2[r * n + j] = lw[m + j];
 }
 
 /* run_schedule looks for a closed orbit once every LOOK_PERIODS periods.
- * A look copies or compares 2 * (m + n) doubles; on 2x2 games, where a
- * step costs a dozen libm calls, a look every step or every period slowed
- * runs that never repeat by up to 8% (OMWU); one every 8 periods stops a
- * run at most 10 periods after its orbit closes. */
+ * A look copies or compares up to 2 * (m + n) doubles; on 2x2 games, where
+ * a step costs a dozen libm calls, a look every step or every period
+ * slowed runs that never repeat by up to 8% (OMWU); one every 8 periods
+ * stops a run at most 10 periods after its orbit closes. */
 #define LOOK_PERIODS 8
 
-/* mats: (periods, m, n).  scratch: (7 + periods) * (m + n) doubles: the
- * step's vectors, a kept state and a ring of one period of log-weights.
+/* mats: (periods, m, n).  io1, io2: lw1, lw2, the start's log-weights in
+ * and the final ones out.  scratch: (8 + periods) * (m + n) doubles: the
+ * state, the step's vectors, a kept state and a ring of one period of
+ * log-weights.
  *
- * A step is a function of the phase and the state: lw1, lw2 and, for OMWU,
- * the previous step's probabilities q1, q2 (p1, p2 are exp of lw1, lw2,
- * and Extra-MWU's q1, q2 are half-step scratch).  After every
- * LOOK_PERIODS-th period the state is kept, and a period later compared
- * with the current one.  Once they are equal, bit for bit, every later
- * state repeats those of the last period: the next period's log-weights go
- * to the ring, slot s % periods for those after s steps, and the records
- * left and the final lw1, lw2 are copied from it; no more steps run. */
+ * A step is a function of the phase and the state, which is one vector at
+ * the front of scratch: [lw1 (m) | lw2 (n) | q1 (m) | q2 (n)], where q1, q2
+ * are, for OMWU, the previous step's probabilities and part of the state,
+ * and for Extra-MWU half-step scratch (p1, p2 are exp of lw1, lw2).  After
+ * every LOOK_PERIODS-th period the state is kept, and a period later
+ * compared with the current one: its first m + n doubles, 2 * (m + n) for
+ * OMWU.  Once they are equal, bit for bit, every later state repeats those
+ * of the last period: the next period's log-weights go to the ring, slot
+ * s % periods for those after s steps, and the records left and the final
+ * lw1, lw2 are copied from it; no more steps run. */
 long run_schedule(int algo, const double *mats, long periods, long m, long n,
                   double eta, long steps, const int64_t *rec_times, long n_rec,
-                  double *lw1, double *lw2, const double *lwp1, const double *lwp2,
+                  double *io1, double *io2, const double *lwp1, const double *lwp2,
                   double *out1, double *out2, double *scratch)
 {
-    double *p1 = scratch, *q1 = p1 + m, *v1 = q1 + m, *w1 = v1 + m, *h1 = w1 + m;
-    double *p2 = h1 + m, *q2 = p2 + n, *v2 = q2 + n, *w2 = v2 + n, *h2 = w2 + n;
-    double *kept = h2 + n, *ring = kept + 2 * (m + n);
-    long k = m + n, laps = 0, closed = -1;
+    long k = m + n;
+    double *lw1 = scratch, *lw2 = lw1 + m, *q1 = lw2 + n, *q2 = q1 + m;
+    double *p1 = q2 + n, *p2 = p1 + m, *v1 = p2 + n, *v2 = v1 + m;
+    double *w1 = v2 + n, *w2 = w1 + m, *h1 = w2 + n, *h2 = h1 + m;
+    double *kept = h2 + n, *ring = kept + 2 * k;
+    size_t state_size = (size_t)(algo == ALGO_OMWU ? 2 * k : k) * sizeof *kept;
+    long laps = 0, closed = -1;
 
-    if (exp_into(lw1, p1, m) || exp_into(lw2, p2, n)
-        || exp_into(lwp1, q1, m) || exp_into(lwp2, q2, n))
+    memcpy(lw1, io1, m * sizeof *lw1);
+    memcpy(lw2, io2, n * sizeof *lw2);
+    if (exp_into(lw1, p1, k) || exp_into(lwp1, q1, m) || exp_into(lwp2, q2, n))
         return -1;
 
     long r = 0;
-    if (n_rec > 0 && rec_times[0] == 0) {
-        for (long i = 0; i < m; i++)
-            out1[i] = lw1[i];
-        for (long j = 0; j < n; j++)
-            out2[j] = lw2[j];
-        r = 1;
-    }
+    if (n_rec > 0 && rec_times[0] == 0)
+        put_record(lw1, m, n, out1, out2, r++);
 
     /* ph is t % periods and prev is (t - 1) % periods, which Python wraps to
      * periods - 1 at t = 0. */
@@ -236,15 +239,9 @@ long run_schedule(int algo, const double *mats, long periods, long m, long n,
         }
         lse_normalize(lw1, m);
         lse_normalize(lw2, n);
-        exp_into(lw1, p1, m);
-        exp_into(lw2, p2, n);
-        if (r < n_rec && rec_times[r] == t + 1) {
-            for (long i = 0; i < m; i++)
-                out1[r * m + i] = lw1[i];
-            for (long j = 0; j < n; j++)
-                out2[r * n + j] = lw2[j];
-            r += 1;
-        }
+        exp_into(lw1, p1, k);
+        if (r < n_rec && rec_times[r] == t + 1)
+            put_record(lw1, m, n, out1, out2, r++);
         prev = ph;
         /* Both blocks below are hinted as rare, which GCC takes as a cue to
          * lay them out of the step loop's way: on 2x2 OMWU runs that never
@@ -254,44 +251,32 @@ long run_schedule(int algo, const double *mats, long periods, long m, long n,
             laps += 1;
             /* closed: the steps after which the state repeated the one a
              * period before. */
-            if (closed < 0 && laps % LOOK_PERIODS == 0) {
-                memcpy(kept, lw1, m * sizeof *kept);
-                memcpy(kept + m, lw2, n * sizeof *kept);
-                memcpy(kept + k, q1, m * sizeof *kept);
-                memcpy(kept + k + m, q2, n * sizeof *kept);
-            } else if (closed < 0 && laps % LOOK_PERIODS == 1 && laps > 1
-                       && same_bits(kept, lw1, m) && same_bits(kept + m, lw2, n)
-                       && (algo != ALGO_OMWU
-                           || (same_bits(kept + k, q1, m) && same_bits(kept + k + m, q2, n)))) {
+            if (closed < 0 && laps % LOOK_PERIODS == 0)
+                memcpy(kept, lw1, state_size);
+            else if (closed < 0 && laps % LOOK_PERIODS == 1 && laps > 1
+                     && memcmp(kept, lw1, state_size) == 0)
                 closed = t + 1;
-            }
         }
         if (__builtin_expect(closed >= 0, 0)) {
             if (t + 1 == closed + periods) {
                 t += 1;
                 break;
             }
-            memcpy(ring + ph * k, lw1, m * sizeof *ring);
-            memcpy(ring + ph * k + m, lw2, n * sizeof *ring);
+            memcpy(ring + ph * k, lw1, k * sizeof *ring);
         }
     }
-    if (t >= steps)
-        return r;
     /* The state after s >= t steps is in slot s % periods.  The loop would
      * record rec_times[r] only when it falls in (last record, steps]. */
-    for (long last = t; r < n_rec && rec_times[r] > last && rec_times[r] <= steps; r++) {
-        const double *slot = ring + rec_times[r] % periods * k;
-        last = rec_times[r];
-        for (long i = 0; i < m; i++)
-            out1[r * m + i] = slot[i];
-        for (long j = 0; j < n; j++)
-            out2[r * n + j] = slot[m + j];
+    const double *last = lw1;
+    if (t < steps) {
+        for (long s = t; r < n_rec && rec_times[r] > s && rec_times[r] <= steps; r++) {
+            s = rec_times[r];
+            put_record(ring + s % periods * k, m, n, out1, out2, r);
+        }
+        last = ring + steps % periods * k;
     }
-    const double *slot = ring + steps % periods * k;
-    for (long i = 0; i < m; i++)
-        lw1[i] = slot[i];
-    for (long j = 0; j < n; j++)
-        lw2[j] = slot[m + j];
+    memcpy(io1, last, m * sizeof *io1);
+    memcpy(io2, last + m, n * sizeof *io2);
     return r;
 }
 
@@ -978,11 +963,11 @@ static const char *read_double(const char *s, const char *end, double *out)
     return p;
 }
 
-/* The number of bytes c in buf[pos..size), with which the caller sizes
+/* The number of bytes c in buf[0..size), with which the caller sizes
  * parse_csv_rows's outputs. */
-long count_byte(const char *buf, long pos, long size, int c)
+long count_byte(const char *buf, long size, int c)
 {
-    const char *p = buf + pos, *end = buf + size;
+    const char *p = buf, *end = buf + size;
     long n = 0;
     while (p < end && (p = memchr(p, c, (size_t)(end - p))) != NULL) {
         n++;

@@ -6,8 +6,8 @@ rules) and ``run_reduced_composite``, whose steps are written operation for
 operation like the pure-Python kernels of ``_kernels_py``, so both backends
 give the same bits (``run_schedule`` stops stepping once a state repeats
 the one a period before, bit for bit, and copies the rest of the run from
-that closed orbit; ``_bind`` gives it room for a kept state and one period
-of log-weights),
+that closed orbit; ``_bind`` gives it room for the state as one vector,
+a kept copy of it and one period of log-weights),
 ``kl_rows``, the joint KL to a reference per recorded state behind
 ``simplex.kl_to_reference``, which adds the terms that the numpy columns
 of ``kl_rows_py`` add, in the same order,
@@ -206,7 +206,7 @@ def _load(environ):
     lib.format_plot_points.restype = long_
     lib.parse_csv_rows.argtypes = [ptr] + [long_] * 6 + [ptr] * 4
     lib.parse_csv_rows.restype = long_
-    lib.count_byte.argtypes = [ptr, long_, long_, ctypes.c_int]
+    lib.count_byte.argtypes = [ptr, long_, ctypes.c_int]
     lib.count_byte.restype = long_
     lib.kl_rows.argtypes = [ptr, ptr, long_, ptr, long_, long_, double, ptr]
     lib.kl_rows.restype = None
@@ -261,9 +261,9 @@ def _bind(lib):
         out_buffer("lw2", lw2, (n,))
         out_buffer("out1", out1, (m,), rec.size)
         out_buffer("out2", out2, (n,), rec.size)
-        # The step's vectors, a kept state and one period of log-weights
-        # (run_schedule in _kernels.c).
-        scratch = np.empty((7 + periods) * (m + n))
+        # The state, the step's vectors, a kept state and one period of
+        # log-weights (run_schedule in _kernels.c).
+        scratch = np.empty((8 + periods) * (m + n))
         written = lib.run_schedule(
             int(algo), mats.ctypes.data, periods, m, n, float(eta), int(steps),
             rec.ctypes.data, rec.size, lw1.ctypes.data, lw2.ctypes.data,
@@ -331,7 +331,7 @@ def _bind(lib):
 
     def count_line_ends(data):
         buf = np.frombuffer(data, dtype=np.uint8)
-        return tuple(lib.count_byte(buf.ctypes.data, 0, len(buf), end) for end in b"\n\r")
+        return tuple(lib.count_byte(buf.ctypes.data, len(buf), end) for end in b"\n\r")
 
     def parse_csv_rows(data, start, line, names, t_col, phase_col, out=None):
         ncols = len(names)

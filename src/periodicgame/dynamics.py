@@ -184,8 +184,8 @@ def run_trajectory(
                          f"{records} int64 record times and their states") from None
     lw1 = state.current.x1.log_probabilities.copy()
     lw2 = state.current.x2.log_probabilities.copy()
-    lwp1 = state.previous.x1.log_probabilities.copy()
-    lwp2 = state.previous.x2.log_probabilities.copy()
+    lwp1 = state.previous.x1.log_probabilities
+    lwp2 = state.previous.x2.log_probabilities
 
     written = _kernels.run_schedule(
         _ALGO_CODES[algo], game.stacked(), float(eta), int(steps),

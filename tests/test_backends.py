@@ -26,7 +26,7 @@ import periodicgame as pg
 from periodicgame import _kernels, _kernels_py, output
 from periodicgame.simplex import LOG_ZERO, fold_columns, kl_to_reference, smallest_component
 
-from conftest import clean_env, old_kl_rows
+from conftest import clean_env, generated_periodic_game, old_kl_rows
 
 ALGOS = (_kernels.ALGO_MWU, _kernels.ALGO_OMWU, _kernels.ALGO_EXTRA)
 HAVE_CC = shutil.which("cc") is not None
@@ -73,6 +73,15 @@ def _orbit_run(name):
         # look of the native kernel (every 8 steps here) falls on 18,681.
         rps = pg.PeriodicGame([[[0, -1, 1], [1, 0, -1], [-1, 1, 0]]])
         return omwu, rps, 0.1, 20_000, pg.default_init(3, 3), 18_681
+    if name in ("extra-2x3", "omwu-3x2"):
+        # Players of unequal sizes, either way round, so that lw1 and lw2
+        # (and OMWU's q1 and q2) sit at offsets that differ.
+        algo, m, n, period, seed, eta, first = {
+            "extra-2x3": (extra, 2, 3, 2, 5, 0.713, 1500),
+            "omwu-3x2": (omwu, 3, 2, 1, 0, 0.515, 2139),
+        }[name]
+        game, _ = generated_periodic_game(np.random.default_rng(seed), m, n, period)
+        return algo, game, eta, 4_000, pg.default_init(m, n), first
     experiment, algo, eta, steps, first = {
         # Orbits of the period 2, of one step under the period 4 (a fixed
         # point), and of the period 3.
@@ -107,7 +116,8 @@ class TestNativeMatchesPython:
             _assert_same(native, _run(_kernels_py.run_schedule_py, *args))
 
     @pytest.mark.parametrize("name", ["game2x2-extra", "exp2-extra", "nocommon3-extra",
-                                      "rps-omwu", "game2x2-mwu", "exp2-short"])
+                                      "rps-omwu", "extra-2x3", "omwu-3x2", "game2x2-mwu",
+                                      "exp2-short"])
     def test_run_schedule_closing_an_orbit_bitwise(self, native_kernels, name):
         # Once a state repeats the one a period before, the native kernel
         # copies the rest of the run from the orbit: dense, every-10th and
@@ -749,9 +759,9 @@ def test_line_end_count(data):
     lib, reason = _kernels._load(clean_env())
     assert lib is not None, reason
     for start in range(len(data) + 1) if len(data) < 20 else (0, 7, len(data)):
+        rest = data[start:]
         for byte in b"\n\r":
-            assert (lib.count_byte(data, start, len(data), byte)
-                    == data.count(bytes([byte]), start)), (start, byte)
+            assert lib.count_byte(rest, len(rest), byte) == rest.count(byte), (start, byte)
 
 
 @pytest.mark.parametrize("data", LINE_END_DATA)

@@ -170,6 +170,11 @@ def check_omwu_ratio_identities(traj: Trajectory, eta: float,
     return report
 
 
+# The interior equilibrium of the 2x2 game whose KL the increment check
+# measures, built once.
+_EQ22 = JointState.from_probabilities([0.5, 0.5], [0.5, 0.5])
+
+
 def check_omwu_increments(traj: Trajectory, p: float, eta: float) -> PropertyReport:
     """Two-sided increment bounds plus the two-step KL increase for the
     divergent OMWU run, over the window where both second coordinates stay
@@ -226,8 +231,7 @@ def check_omwu_increments(traj: Trajectory, p: float, eta: float) -> PropertyRep
             _flag(report, over > 0, te, vals, hi, over)
         report.stats[f"min {label}"] = float(vals.min()) if te.size else None
 
-    eq = JointState.from_probabilities([0.5, 0.5], [0.5, 0.5])
-    kl_gain = _kl_step_differences(traj, eq, stride=2)[te]  # KL(t+2) - KL(t)
+    kl_gain = _kl_step_differences(traj, _EQ22, stride=2)[te]  # KL(t+2) - KL(t)
     kl_floor = 0.375 * p * p * eta ** 3
     short = kl_floor - kl_gain
     _flag(report, short > 0, te, kl_gain, kl_floor, short)

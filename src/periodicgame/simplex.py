@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +46,10 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_float_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as e:    # non-numeric, complex or ragged
+        raise InputError(f"{name} must be a vector of real numbers: {e}") from e
     if arr.ndim != 1:
         raise InputError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size < 2:
@@ -84,6 +88,13 @@ class Simplex:
     Probabilities are the softmax of ``log_weights``; adding a constant to
     every log-weight leaves the strategy unchanged.  ``-inf`` entries are
     allowed and represent exact boundary coordinates.
+
+    ``Simplex(log_weights)`` checks and copies its input.  The library's own
+    builders from arrays they have just made (``from_probabilities``,
+    ``normalize_log_weights`` and ``JointState.uniform``) keep that array,
+    read-only, without the second check and copy: log-weights made from
+    checked probabilities or checked log-weights, or zeros, hold no NaN or
+    +inf and at least one finite entry, so that check could never fail.
     """
 
     log_weights: np.ndarray
@@ -99,17 +110,18 @@ class Simplex:
         lo, hi = np.minimum.reduce(p), np.maximum.reduce(p)
         if not (lo >= 0 and hi < math.inf):
             raise InputError("probabilities must be finite and nonnegative")
+        # np.add.reduce gives the bits of p.sum() without its Python wrapper.
         if hi <= 1.0:
-            total = p.sum()
+            total = np.add.reduce(p)
         else:   # the sum may overflow to inf, which fails the check below
             with np.errstate(over="ignore"):
-                total = p.sum()
+                total = np.add.reduce(p)
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
             raise InputError(f"probabilities must sum to 1, got {float(total)!r}")
         if lo > 0:  # only a zero entry makes np.log warn
-            return cls(np.log(p / total))
+            return _trusted(cls, np.log(p / total))
         with np.errstate(divide="ignore"):
-            return cls(np.log(p / total))
+            return _trusted(cls, np.log(p / total))
 
     def __len__(self) -> int:
         return self.log_weights.size
@@ -130,13 +142,22 @@ class Simplex:
         return _read_only(softmax(self.log_weights))
 
 
+def _trusted(cls, lw: np.ndarray) -> Simplex:
+    """A ``cls`` around ``lw``, which the caller has just made from checked
+    input: a new 1-d float64 array of at least 2 entries, with no NaN or
+    +inf and at least one finite entry.  It is kept, read-only, without
+    ``__post_init__``'s check and copy."""
+    s = object.__new__(cls)
+    object.__setattr__(s, "log_weights", _read_only(lw))
+    return s
+
+
 def normalize_log_weights(logw) -> Simplex:
     """Build a Simplex from raw log-weights via max-subtracted softmax.
 
     Idempotent up to a uniform shift; rejects all--inf input.
     """
-    s = Simplex(logw)
-    return Simplex(s.log_probabilities)
+    return _trusted(Simplex, Simplex(logw).log_probabilities)
 
 
 @dataclass(frozen=True)
@@ -146,7 +167,10 @@ class PayoffMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
+        try:
+            arr = np.asarray(self.entries, dtype=np.float64)
+        except (TypeError, ValueError) as e:    # non-numeric, complex or ragged
+            raise InputError(f"payoff matrix must be an array of real numbers: {e}") from e
         if arr.ndim != 2:
             raise InputError(f"payoff matrix must be 2-d, got shape {arr.shape}")
         if arr.shape[0] < 2 or arr.shape[1] < 2:
@@ -233,7 +257,8 @@ class JointState:
 
     @classmethod
     def uniform(cls, m: int, n: int) -> "JointState":
-        return cls(Simplex(np.zeros(m)), Simplex(np.zeros(n)))
+        return cls(*(_trusted(Simplex, _as_float_vector(np.zeros(k), "log_weights"))
+                     for k in (m, n)))
 
     @property
     def dims(self) -> tuple:
@@ -335,6 +360,11 @@ class Trajectory:
         return int(self.times[-1]) - int(self.times[0]) == self.times.size - 1
 
     def state_at(self, r: int) -> JointState:
+        """The joint state of record ``r``; a negative ``r`` counts from the end."""
+        n = self.n_records
+        if not (isinstance(r, numbers.Integral) and not isinstance(r, bool) and -n <= r < n):
+            raise InputError(f"record index must be an integer in [-n_records, n_records) "
+                             f"with n_records = {n}, got {r!r}")
         return JointState(Simplex(self.log_probs1[r]), Simplex(self.log_probs2[r]))
 
     @property

@@ -99,6 +99,19 @@ class TestParseConfig:
         assert err.value.field == field
         assert main(["simulate", "--config", path]) == 1
 
+    @pytest.mark.parametrize("field, value", [
+        ("init", [["a", "b"], [0.5, 0.5]]),
+        ("init", [{"a": 1}, [0.5, 0.5]]),
+        ("matrices", [[[1, 2], [3]]]),
+    ])
+    def test_non_numeric_names_field(self, tmp_path, field, value):
+        source = {} if field == "matrices" else {"experiment": "game2x2"}
+        path = self.write(tmp_path, {**source, field: value})
+        with pytest.raises(pg.ConfigError, match="must be an? (vector|array) of real numbers: ") as err:
+            pg.parse_config(path)
+        assert err.value.field == field
+        assert main(["simulate", "--config", path]) == 1
+
     def test_unknown_field_named(self, tmp_path):
         with pytest.raises(pg.ConfigError) as err:
             pg.parse_config(self.write(tmp_path, {"experiment": "game2x2", "speed": 9}))

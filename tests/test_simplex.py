@@ -113,6 +113,32 @@ class TestSimplex:
                 pg.Simplex.from_probabilities([1e308, 1e308])
 
 
+def _numpy_text(values):
+    """The message of the error numpy raises converting ``values`` to floats."""
+    with pytest.raises((TypeError, ValueError)) as err:
+        np.asarray(values, dtype=np.float64)
+    return str(err.value)
+
+
+class TestNonNumericInput:
+    """Input numpy cannot turn into floats is an InputError that names the
+    argument, with numpy's text after it."""
+
+    @pytest.mark.parametrize("build, values, name", [
+        (pg.Simplex.from_probabilities, ["a", "b"], "probabilities"),
+        (pg.Simplex, ["x", "y"], "log_weights"),
+        (pg.Simplex.from_probabilities, [0.5 + 0j, 0.5], "probabilities"),
+        (pg.Simplex.from_probabilities, {"a": 1}, "probabilities"),
+        (pg.PayoffMatrix, [[1, 2], [3]], "payoff matrix"),
+    ], ids=["strings", "log-weight-strings", "complex", "dict", "ragged-matrix"])
+    def test_input_error(self, build, values, name):
+        with pytest.raises(pg.InputError) as err:
+            build(values)
+        message = str(err.value)
+        assert message.startswith(f"{name} must be ")
+        assert message.endswith(f": {_numpy_text(values)}")
+
+
 class TestKlDivergence:
     def test_identity_is_zero(self):
         p = joint([0.5, 0.5], [0.5, 0.5])
@@ -193,6 +219,22 @@ class TestTrajectoryValidation:
     def test_one_row_per_time(self, field, value):
         with pytest.raises(pg.InputError, match=r"one row per recorded time \(5\)"):
             _trajectory(list(range(5)), **{field: value})
+
+
+class TestStateAt:
+    def test_negative_records_count_from_the_end(self):
+        rows = np.log([[0.5, 0.5]] * 5 + [[0.25, 0.75]])
+        traj = _trajectory(list(range(6)), log_probs1=rows)
+        for r in (-1, 5, np.int64(-1)):
+            assert np.array_equal(traj.state_at(r).x1.log_weights, rows[5])
+        assert np.array_equal(traj.state_at(-6).x1.log_weights, rows[0])
+        assert np.array_equal(traj.final_state.x1.log_weights, rows[5])
+
+    @pytest.mark.parametrize("r", [10, 6, -7, 1.5, np.float64(1.0), "1", True])
+    def test_record_out_of_range_or_not_an_integer(self, r):
+        traj = _trajectory(list(range(6)))
+        with pytest.raises(pg.InputError, match=r"n_records = 6, got "):
+            traj.state_at(r)
 
 
 # Row values for the fold parity tests: infinities, both zeros, NaN, values
@@ -388,6 +430,49 @@ class TestCopiesRebuild:
         assert all(not a.entries.flags.writeable for a in c.matrices)
 
 
+# The caller's array and a build from it: Simplex checks and copies the
+# caller's log-weights; the other builders keep an array they made.
+_BUILT_FROM_THE_CALLER_ARRAY = [
+    pytest.param(np.array([0.5, -1.0, -np.inf]), pg.Simplex, id="Simplex"),
+    pytest.param(np.array([0.25, 0.0, 0.75]), pg.Simplex.from_probabilities,
+                 id="from_probabilities"),
+    pytest.param(np.array([1.0, -np.inf, 2.5]), pg.normalize_log_weights,
+                 id="normalize_log_weights"),
+]
+
+
+class TestKeptArrays:
+    """The log-weights a Simplex keeps are read-only, share no memory with
+    the caller's array, and stay read-only through copies and pickles."""
+
+    @pytest.mark.parametrize("values, build", _BUILT_FROM_THE_CALLER_ARRAY)
+    def test_read_only_and_not_shared(self, values, build):
+        values = values.copy()
+        s = build(values)
+        kept = _bits(s.log_weights).tolist()
+        assert not s.log_weights.flags.writeable and values.flags.writeable
+        assert not np.shares_memory(s.log_weights, values)
+        values[:] = [0.5, 0.25, 0.25]
+        assert _bits(s.log_weights).tolist() == kept
+        for clone in (copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            c = clone(s)
+            assert not c.log_weights.flags.writeable
+            assert _bits(c.log_weights).tolist() == kept
+
+    def test_uniform(self):
+        a, b = pg.JointState.uniform(2, 3), pg.JointState.uniform(2, 3)
+        assert not np.shares_memory(a.x1.log_weights, b.x1.log_weights)
+        for state in (a, copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert state.dims == (2, 3)
+            for s in (state.x1, state.x2):
+                assert not s.log_weights.flags.writeable and not s.log_weights.any()
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (2, 1), (0, 3)])
+    def test_uniform_needs_two_entries(self, m, n):
+        with pytest.raises(pg.InputError, match=r"log_weights needs at least 2 entries, got [01]$"):
+            pg.JointState.uniform(m, n)
+
+
 class TestPerGameConstants:
     def test_stacked_is_one_read_only_array(self, game2x2):
         game = pg.PeriodicGame(game2x2.matrices)
@@ -425,15 +510,27 @@ def _log_weight_lists(k):
 _log_weight_vectors = st.integers(2, 8).flatmap(_log_weight_lists).map(np.array)
 
 
+_SMALL_WEIGHTS = [0.0, -0.0, _SUB, 1e-310, _TINY]
+
+
 @st.composite
 def _probability_vectors(draw):
     """Normalized weights with zeros and subnormals among them, sometimes
     scaled off the unit sum, with up to three entries then overwritten
-    from the pool."""
-    k = draw(st.integers(2, 8))
-    w = np.array(draw(st.lists(st.one_of(st.floats(0.01, 1.0),
-                                         st.sampled_from([0.0, -0.0, _SUB, 1e-310, _TINY])),
-                               min_size=k, max_size=k)))
+    from the pool.  numpy's sum adds left to right up to 8 entries, in 8
+    interleaved partial sums past that, and splits recursively past 128, so
+    longer vectors, up to 200 entries, are drawn from a seeded generator:
+    drawing each of their entries would make the test several times slower."""
+    k = draw(st.one_of(st.integers(2, 8), st.integers(9, 200)))
+    if k <= 8:
+        w = np.array(draw(st.lists(st.one_of(st.floats(0.01, 1.0),
+                                             st.sampled_from(_SMALL_WEIGHTS)),
+                                   min_size=k, max_size=k)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        w = rng.uniform(0.01, 1.0, k)
+        small = rng.random(k) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+        w[small] = rng.choice(_SMALL_WEIGHTS, small.sum())
     if not w.sum() > 0.0:
         w[0] = 1.0
     p = w / w.sum() * draw(st.sampled_from([1.0, 1.0, 1.0, 0.5, 1.0 + 5e-10, 1.0 + 2e-9]))
